@@ -38,17 +38,19 @@ from .core import (
     PlayWindow,
     PlayerDetection,
     Roster,
-    validate_detection,
 )
 from .gamelog import (
     DetectionLoadResult,
+    DetectionRecords,
     GameConfig,
     RecordError,
     emit_game_log,
+    group_by_frame,
     load_detections,
     load_roster,
     parse_detection,
     parse_game_log,
+    read_detections,
     resolve_names,
     roster_lines,
     serialize_detection,

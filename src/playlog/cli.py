@@ -10,7 +10,7 @@ Subcommands cover each pipeline stage plus a chained run:
     preprocess     image -> OCR-ready image
     augment        image -> blurred and scaled copies
     synth          seeded synthetic game files
-    pipeline       parse-clock + assemble + log in one call
+    pipeline       parse-clock + assemble + log, chained in memory
 
 Exit codes: 0 success, 1 input error, 2 internal error.  Diagnostics for
 skipped lines go to stderr; outputs go to --output or stdout.
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import tempfile
 from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
@@ -40,12 +39,16 @@ from .config import (
     format_config,
     load_values,
 )
+from .core import PlayerDetection, PlayWindow
 from .gamelog import (
+    DetectionRecords,
+    GameConfig,
     emit_game_log,
+    group_by_frame,
     load_detections,
-    parse_detection,
+    read_detections,
     roster_lines,
-    serialize_detection,
+    serialize_detections,
     synchronize,
 )
 from .imageops import (
@@ -102,39 +105,29 @@ def _values_with_overrides(args: argparse.Namespace, overrides: dict[str, str]) 
     return values, base_dir
 
 
-# stage functions are shared between the per-stage subcommands and
-# `pipeline`, so a chained run is byte-identical to running the stages
-# by hand with intermediate files
+# Stage functions are shared by the per-stage subcommands and `pipeline`.
+# The stages whose output feeds another stage (parse-clock, assemble)
+# return values: their subcommands serialise them, and `pipeline` hands
+# them on in memory, so a chained run matches the staged subcommands by
+# construction.
 
-def _stage_parse_clock(input_path: str, values: dict, strict: bool) -> tuple[str, tuple[str, ...]]:
+def _stage_parse_clock(input_path: str, values: dict, strict: bool) -> tuple[list[PlayWindow], tuple[str, ...]]:
     result = parse_clock_stream(_read_lines(input_path), strict=strict)
-    windows = segment_plays(result.readings, build_segmenter(values))
-    return format_play_windows(windows), result.diagnostics
+    return segment_plays(result.readings, build_segmenter(values)), result.diagnostics
 
 
-def _stage_assemble(input_path: str, values: dict, strict: bool) -> tuple[str, tuple[str, ...]]:
+def _stage_assemble(input_path: str, values: dict, strict: bool) -> DetectionRecords:
     cfg = build_assembly(values)
-    out: list[str] = []
-    diagnostics: list[str] = []
-    for line_number, raw in enumerate(_read_lines(input_path), start=1):
-        stripped = raw.strip()
-        if stripped == "" or stripped.startswith("#"):
-            continue
-        try:
-            d = parse_detection(stripped, line_number)
-        except ValueError as exc:
-            if strict:
-                raise
-            diagnostics.append(str(exc))
-            continue
-        number = assemble_number(suppress_digits(d.digits, cfg), cfg)
-        out.append(serialize_detection(replace(d, number=number)))
-    return "".join(line + "\n" for line in out), tuple(diagnostics)
+    records = read_detections(_read_lines(input_path), strict=strict)
+    numbered = tuple(
+        d.with_number(assemble_number(suppress_digits(d.digits, cfg), cfg)) for d in records.detections
+    )
+    return replace(records, detections=numbered)
 
 
 def _stage_classify_team(
     input_path: str, crops_dir: str, values: dict, strict: bool
-) -> tuple[str, tuple[str, ...]]:
+) -> tuple[tuple[PlayerDetection, ...], tuple[str, ...]]:
     home_profile, away_profile = build_profiles(values)
     try:
         h_frac = float(values["strip_height_fraction"])
@@ -142,20 +135,11 @@ def _stage_classify_team(
     except ValueError:
         raise ConfigError("strip fractions must be numbers") from None
     crops = Path(crops_dir)
-    out: list[str] = []
-    diagnostics: list[str] = []
+    records = read_detections(_read_lines(input_path), strict=strict)
+    notes = dict(records.skipped)  # line number -> diagnostic
+    out: list[PlayerDetection] = []
     frame_counters: dict[int, int] = {}
-    for line_number, raw in enumerate(_read_lines(input_path), start=1):
-        stripped = raw.strip()
-        if stripped == "" or stripped.startswith("#"):
-            continue
-        try:
-            d = parse_detection(stripped, line_number)
-        except ValueError as exc:
-            if strict:
-                raise
-            diagnostics.append(str(exc))
-            continue
+    for line_number, d in zip(records.line_numbers, records.detections):
         index = frame_counters.get(d.frame_index, 0)
         frame_counters[d.frame_index] = index + 1
         crop_path = crops / f"{d.frame_index}_{index}.ppm"
@@ -164,29 +148,26 @@ def _stage_classify_team(
             label = classify_team(channel_histogram(strip), home_profile, away_profile)
             d = replace(d, team=label)
         else:
-            diagnostics.append(f"record line {line_number}: no crop {crop_path.name}, team kept")
-        out.append(serialize_detection(d))
-    return "".join(line + "\n" for line in out), tuple(diagnostics)
+            notes[line_number] = f"record line {line_number}: no crop {crop_path.name}, team kept"
+        out.append(d)
+    return tuple(out), tuple(notes[n] for n in sorted(notes))
 
 
 def _stage_log(
-    windows_path: str, records_path: str, values: dict, base_dir: Path,
-    side: str, fmt: str, strict: bool,
-) -> tuple[str, tuple[str, ...]]:
-    game_config = build_game_config(values, base_dir=base_dir)
-    windows = parse_play_windows(Path(windows_path).read_text(encoding="utf-8"))
-    loaded = load_detections(_read_lines(records_path), strict=strict)
+    game_config: GameConfig, windows: Sequence[PlayWindow], detections: Sequence[PlayerDetection],
+    side: str, fmt: str,
+) -> str:
     roster = game_config.home_roster if side == "home" else game_config.away_roster
     entries = synchronize(
         windows,
-        loaded.by_frame,
+        group_by_frame(detections),
         roster,
         home_team=game_config.home_team,
         away_team=game_config.away_team,
         side=side,
         min_appearances=game_config.min_appearances,
     )
-    return emit_game_log(entries, fmt), loaded.diagnostics
+    return emit_game_log(entries, fmt)
 
 
 def _matrix_rows(matrix, fmt: str) -> str:
@@ -200,6 +181,10 @@ def _stage_evaluate(
     truth_loaded = load_detections(_read_lines(truth_path), strict=strict)
     preds_map = {f: [(d.box, d.score) for d in ds] for f, ds in preds_loaded.by_frame.items()}
     gts_map = {f: [d.box for d in ds] for f, ds in truth_loaded.by_frame.items()}
+    # the record format cannot express an empty frame: a truth frame the
+    # detector missed altogether is scored as an empty prediction list
+    for f in gts_map:
+        preds_map.setdefault(f, [])
     text = evaluate_detections(preds_map, gts_map).to_text()
     diagnostics = list(preds_loaded.diagnostics) + list(truth_loaded.diagnostics)
     if include_confusion:
@@ -233,9 +218,9 @@ def _cmd_parse_clock(args: argparse.Namespace) -> int:
         "quarter_rearm_below": "quarter_rearm_below",
         "min_play_frames": "min_play_frames",
     })
-    text, diagnostics = _stage_parse_clock(args.input, values, args.strict)
+    windows, diagnostics = _stage_parse_clock(args.input, values, args.strict)
     _report_diagnostics(diagnostics)
-    _emit(text, args.output)
+    _emit(format_play_windows(windows), args.output)
     return 0
 
 
@@ -245,26 +230,27 @@ def _cmd_assemble(args: argparse.Namespace) -> int:
         "confidence_threshold": "confidence_threshold",
         "max_digits": "max_digits",
     })
-    text, diagnostics = _stage_assemble(args.input, values, args.strict)
-    _report_diagnostics(diagnostics)
-    _emit(text, args.output)
+    records = _stage_assemble(args.input, values, args.strict)
+    _report_diagnostics(records.diagnostics)
+    _emit(serialize_detections(records.detections), args.output)
     return 0
 
 
 def _cmd_classify_team(args: argparse.Namespace) -> int:
     values, _ = _values_with_overrides(args, {"dominance_margin": "margin"})
-    text, diagnostics = _stage_classify_team(args.input, args.crops, values, args.strict)
+    detections, diagnostics = _stage_classify_team(args.input, args.crops, values, args.strict)
     _report_diagnostics(diagnostics)
-    _emit(text, args.output)
+    _emit(serialize_detections(detections), args.output)
     return 0
 
 
 def _cmd_log(args: argparse.Namespace) -> int:
     values, base_dir = _values_with_overrides(args, {"min_appearances": "min_appearances"})
-    text, diagnostics = _stage_log(
-        args.windows, args.records, values, base_dir, args.side, args.format, args.strict
-    )
-    _report_diagnostics(diagnostics)
+    game_config = build_game_config(values, base_dir=base_dir)
+    windows = parse_play_windows(Path(args.windows).read_text(encoding="utf-8"))
+    records = read_detections(_read_lines(args.records), strict=args.strict)
+    text = _stage_log(game_config, windows, records.detections, args.side, args.format)
+    _report_diagnostics(records.diagnostics)
     _emit(text, args.output)
     return 0
 
@@ -346,34 +332,25 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
     values, base_dir = _values_with_overrides(args, {})
+    workdir = None
     if args.workdir is not None:
         workdir = Path(args.workdir)
         workdir.mkdir(parents=True, exist_ok=True)
-        cleanup = None
-    else:
-        cleanup = tempfile.TemporaryDirectory(prefix="playlog-")
-        workdir = Path(cleanup.name)
-    try:
-        windows_path = workdir / "windows.txt"
-        assembled_path = workdir / "records_assembled.txt"
 
-        windows_text, diagnostics = _stage_parse_clock(args.clock, values, args.strict)
-        _report_diagnostics(diagnostics)
-        windows_path.write_text(windows_text, encoding="utf-8")
+    windows, diagnostics = _stage_parse_clock(args.clock, values, args.strict)
+    _report_diagnostics(diagnostics)
+    if workdir is not None:
+        (workdir / "windows.txt").write_text(format_play_windows(windows), encoding="utf-8")
 
-        assembled_text, diagnostics = _stage_assemble(args.records, values, args.strict)
-        _report_diagnostics(diagnostics)
-        assembled_path.write_text(assembled_text, encoding="utf-8")
-
-        log_text, diagnostics = _stage_log(
-            str(windows_path), str(assembled_path), values, base_dir,
-            args.side, args.format, args.strict,
+    records = _stage_assemble(args.records, values, args.strict)
+    _report_diagnostics(records.diagnostics)
+    if workdir is not None:
+        (workdir / "records_assembled.txt").write_text(
+            serialize_detections(records.detections), encoding="utf-8"
         )
-        _report_diagnostics(diagnostics)
-        _emit(log_text, args.output)
-    finally:
-        if cleanup is not None:
-            cleanup.cleanup()
+
+    game_config = build_game_config(values, base_dir=base_dir)
+    _emit(_stage_log(game_config, windows, records.detections, args.side, args.format), args.output)
     return 0
 
 
@@ -462,7 +439,7 @@ def build_parser() -> _Parser:
     common(p)
     p.add_argument("--format", choices=("delimited", "structured"), default="delimited")
     p.add_argument("--side", choices=("home", "away"), default="home")
-    p.add_argument("--workdir", help="keep intermediate files here (default: temp dir)")
+    p.add_argument("--workdir", help="also write the intermediate files here (default: none)")
     p.set_defaults(func=_cmd_pipeline)
 
     return parser

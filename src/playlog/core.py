@@ -33,20 +33,23 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _require_finite_number(owner: str, name: str, value: object) -> float:
-    _require(
-        isinstance(value, (int, float)) and not isinstance(value, bool),
-        f"{owner}.{name} must be a number (got {value!r})",
-    )
-    _require(math.isfinite(value), f"{owner}.{name} must be finite (got {value!r})")
+    if not (isinstance(value, (int, float)) and not isinstance(value, bool)):
+        raise InvariantError(f"{owner}.{name} must be a number (got {value!r})")
+    if not math.isfinite(value):
+        raise InvariantError(f"{owner}.{name} must be finite (got {value!r})")
     return float(value)
 
 
 def _require_int(owner: str, name: str, value: object) -> int:
-    _require(
-        isinstance(value, int) and not isinstance(value, bool),
-        f"{owner}.{name} must be an integer (got {value!r})",
-    )
+    if not (isinstance(value, int) and not isinstance(value, bool)):
+        raise InvariantError(f"{owner}.{name} must be an integer (got {value!r})")
     return int(value)
+
+
+def _require_jersey_number(number: object) -> None:
+    n = _require_int("PlayerDetection", "number", number)
+    if not 0 <= n <= 99:
+        raise InvariantError(f"PlayerDetection.number in 0..99 violated (got {n})")
 
 
 @dataclass(frozen=True)
@@ -65,10 +68,14 @@ class BoundingBox:
     def __post_init__(self) -> None:
         for name in ("x", "y", "w", "h"):
             _require_finite_number("BoundingBox", name, getattr(self, name))
-        _require(self.x >= 0, f"BoundingBox.x >= 0 violated (got {self.x!r})")
-        _require(self.y >= 0, f"BoundingBox.y >= 0 violated (got {self.y!r})")
-        _require(self.w > 0, f"BoundingBox.w > 0 violated (got {self.w!r})")
-        _require(self.h > 0, f"BoundingBox.h > 0 violated (got {self.h!r})")
+        if not self.x >= 0:
+            raise InvariantError(f"BoundingBox.x >= 0 violated (got {self.x!r})")
+        if not self.y >= 0:
+            raise InvariantError(f"BoundingBox.y >= 0 violated (got {self.y!r})")
+        if not self.w > 0:
+            raise InvariantError(f"BoundingBox.w > 0 violated (got {self.w!r})")
+        if not self.h > 0:
+            raise InvariantError(f"BoundingBox.h > 0 violated (got {self.h!r})")
 
     @property
     def right(self) -> float:
@@ -103,11 +110,14 @@ class DigitDetection:
     confidence: float
 
     def __post_init__(self) -> None:
-        _require(isinstance(self.box, BoundingBox), "DigitDetection.box must be a BoundingBox")
+        if not isinstance(self.box, BoundingBox):
+            raise InvariantError("DigitDetection.box must be a BoundingBox")
         d = _require_int("DigitDetection", "digit", self.digit)
-        _require(0 <= d <= 9, f"DigitDetection.digit in 0..9 violated (got {d})")
+        if not 0 <= d <= 9:
+            raise InvariantError(f"DigitDetection.digit in 0..9 violated (got {d})")
         c = _require_finite_number("DigitDetection", "confidence", self.confidence)
-        _require(0.0 <= c <= 1.0, f"DigitDetection.confidence in [0, 1] violated (got {c!r})")
+        if not 0.0 <= c <= 1.0:
+            raise InvariantError(f"DigitDetection.confidence in [0, 1] violated (got {c!r})")
 
 
 @dataclass(frozen=True)
@@ -128,38 +138,35 @@ class PlayerDetection:
 
     def __post_init__(self) -> None:
         f = _require_int("PlayerDetection", "frame_index", self.frame_index)
-        _require(f >= 0, f"PlayerDetection.frame_index >= 0 violated (got {f})")
-        _require(isinstance(self.box, BoundingBox), "PlayerDetection.box must be a BoundingBox")
+        if not f >= 0:
+            raise InvariantError(f"PlayerDetection.frame_index >= 0 violated (got {f})")
+        if not isinstance(self.box, BoundingBox):
+            raise InvariantError("PlayerDetection.box must be a BoundingBox")
         s = _require_finite_number("PlayerDetection", "score", self.score)
-        _require(0.0 <= s <= 1.0, f"PlayerDetection.score in [0, 1] violated (got {s!r})")
+        if not 0.0 <= s <= 1.0:
+            raise InvariantError(f"PlayerDetection.score in [0, 1] violated (got {s!r})")
         object.__setattr__(self, "digits", tuple(self.digits))
         for d in self.digits:
-            _require(isinstance(d, DigitDetection), "PlayerDetection.digits must hold DigitDetection values")
+            if not isinstance(d, DigitDetection):
+                raise InvariantError("PlayerDetection.digits must hold DigitDetection values")
         if self.number is not None:
-            n = _require_int("PlayerDetection", "number", self.number)
-            _require(0 <= n <= 99, f"PlayerDetection.number in 0..99 violated (got {n})")
-        _require(
-            self.team in VALID_TEAMS,
-            f"PlayerDetection.team must be one of {sorted(VALID_TEAMS)} (got {self.team!r})",
-        )
+            _require_jersey_number(self.number)
+        if self.team not in VALID_TEAMS:
+            raise InvariantError(
+                f"PlayerDetection.team must be one of {sorted(VALID_TEAMS)} (got {self.team!r})"
+            )
 
+    def with_number(self, number: int | None) -> "PlayerDetection":
+        """Copy with ``number`` replaced.
 
-def validate_detection(detection: PlayerDetection) -> PlayerDetection:
-    """Re-check every invariant of a detection and return it unchanged.
-
-    Idempotent; construction already validates, this re-asserts after any
-    code path that could have smuggled in an unchecked value.
-    """
-    _require(isinstance(detection, PlayerDetection), "validate_detection expects a PlayerDetection")
-    PlayerDetection(
-        frame_index=detection.frame_index,
-        box=detection.box,
-        score=detection.score,
-        digits=detection.digits,
-        number=detection.number,
-        team=detection.team,
-    )
-    return detection
+        Only the new number is checked; every other field is already
+        validated and is shared with this detection.
+        """
+        if number is not None:
+            _require_jersey_number(number)
+        copy = object.__new__(type(self))
+        copy.__dict__.update(self.__dict__, number=number)
+        return copy
 
 
 @dataclass(frozen=True)

@@ -146,7 +146,7 @@ def parse_detection(line: str, line_number: int | None = None) -> PlayerDetectio
         raise RecordError(f"{prefix}expected at least 9 fields, got {len(fields)}")
     try:
         frame = int(fields[0])
-        box = BoundingBox(*(float(v) for v in fields[1:5]))
+        box = BoundingBox(*map(float, fields[1:5]))
         score = float(fields[5])
         team = fields[6]
         number = None if fields[7] == "-" else int(fields[7])
@@ -159,7 +159,7 @@ def parse_detection(line: str, line_number: int | None = None) -> PlayerDetectio
             chunk = digit_fields[6 * i : 6 * i + 6]
             digits.append(
                 DigitDetection(
-                    box=BoundingBox(*(float(v) for v in chunk[2:6])),
+                    box=BoundingBox(*map(float, chunk[2:6])),
                     digit=int(chunk[0]),
                     confidence=float(chunk[1]),
                 )
@@ -169,6 +169,56 @@ def parse_detection(line: str, line_number: int | None = None) -> PlayerDetectio
         )
     except (ValueError, InvariantError) as exc:
         raise RecordError(f"{prefix}{exc}") from None
+
+
+@dataclass(frozen=True)
+class DetectionRecords:
+    """Detections in input order plus one diagnostic per skipped line.
+
+    ``line_numbers[i]`` is the 1-based input line of ``detections[i]``;
+    ``skipped`` pairs each skipped line's number with its diagnostic.
+    """
+
+    detections: tuple[PlayerDetection, ...]
+    line_numbers: tuple[int, ...]
+    skipped: tuple[tuple[int, str], ...]
+
+    @property
+    def diagnostics(self) -> tuple[str, ...]:
+        return tuple(text for _, text in self.skipped)
+
+
+def read_detections(lines: Iterable[str], strict: bool = False) -> DetectionRecords:
+    """Parse a detection record stream, keeping input order.
+
+    Blank and '#' lines are ignored.  Malformed lines are skipped with a
+    diagnostic, or raised when strict.
+    """
+    detections: list[PlayerDetection] = []
+    line_numbers: list[int] = []
+    skipped: list[tuple[int, str]] = []
+    for line_number, raw in enumerate(lines, start=1):
+        stripped = raw.strip()
+        if stripped == "" or stripped.startswith("#"):
+            continue
+        try:
+            d = parse_detection(stripped, line_number)
+        except RecordError as exc:
+            if strict:
+                raise
+            skipped.append((line_number, str(exc)))
+            continue
+        detections.append(d)
+        line_numbers.append(line_number)
+    return DetectionRecords(tuple(detections), tuple(line_numbers), tuple(skipped))
+
+
+def group_by_frame(detections: Iterable[PlayerDetection]) -> dict[int, tuple[PlayerDetection, ...]]:
+    """Detections keyed by frame, in first-seen frame order; order within a frame is kept."""
+    by_frame: dict[int, list[PlayerDetection]] = {}
+    for d in detections:
+        by_frame.setdefault(d.frame_index, []).append(d)
+    return {f: tuple(v) for f, v in by_frame.items()}
 
 
 @dataclass(frozen=True)
@@ -185,24 +235,8 @@ def load_detections(lines: Iterable[str], strict: bool = False) -> DetectionLoad
     Order within a frame is preserved.  Malformed lines are skipped with a
     diagnostic, or raised when strict.
     """
-    by_frame: dict[int, list[PlayerDetection]] = {}
-    diagnostics: list[str] = []
-    for line_number, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if stripped == "" or stripped.startswith("#"):
-            continue
-        try:
-            d = parse_detection(stripped, line_number)
-        except RecordError as exc:
-            if strict:
-                raise
-            diagnostics.append(str(exc))
-            continue
-        by_frame.setdefault(d.frame_index, []).append(d)
-    return DetectionLoadResult(
-        by_frame={f: tuple(v) for f, v in by_frame.items()},
-        diagnostics=tuple(diagnostics),
-    )
+    records = read_detections(lines, strict)
+    return DetectionLoadResult(by_frame=group_by_frame(records.detections), diagnostics=records.diagnostics)
 
 
 def serialize_detections(detections: Iterable[PlayerDetection]) -> str:

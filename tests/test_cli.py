@@ -1,7 +1,11 @@
 """Command line behavior: exit codes, diagnostics, and stage chaining."""
 
-import pytest
+import tempfile
 
+import pytest
+from oracles import ref_evaluate
+
+import playlog.gamelog
 from playlog import (
     BoundingBox,
     DigitDetection,
@@ -141,6 +145,16 @@ class TestAssemble:
         assert run(["assemble", "--input", str(records), "--confidence-threshold", "0.5"]) == 0
         assert capsys.readouterr().out.split()[7] == "7"
 
+    def test_out_of_range_number_is_fatal(self, tmp_path, capsys):
+        digits = tuple(
+            DigitDetection(digit=v, confidence=0.99, box=BoundingBox(14 * i, 0, 10, 20))
+            for i, v in enumerate((1, 2, 3))
+        )
+        records = tmp_path / "records.txt"
+        records.write_text(record(0, digits=digits) + "\n", encoding="utf-8")
+        assert run(["assemble", "--input", str(records), "--max-digits", "3"]) == 1
+        assert capsys.readouterr().err == "error: PlayerDetection.number in 0..99 violated (got 123)\n"
+
 
 class TestClassifyTeam:
     def test_labels_from_crops(self, tmp_path, capsys):
@@ -197,6 +211,51 @@ class TestEvaluate:
         assert row6[8] == "1"
         normalized_block = out.split("confusion_normalized\n")[1]
         assert normalized_block.splitlines()[6].split()[8] == "1.0000"
+
+    # (x, w, h) per record: one small and one large ground-truth box per frame
+    TRUTH_BOXES = ((10, 40, 60), (200, 120, 150))
+
+    def frames_of_records(self, frames, jitter, score):
+        return "".join(
+            record(f, x=x + jitter, w=w, h=h, score=score - 0.1 * i) + "\n"
+            for f in frames
+            for i, (x, w, h) in enumerate(self.TRUTH_BOXES)
+        )
+
+    def test_truth_frame_without_predictions_scores_empty(self, tmp_path, capsys):
+        truth = tmp_path / "truth.txt"
+        preds = tmp_path / "preds.txt"
+        truth.write_text(self.frames_of_records(range(5), 0, 1.0), encoding="utf-8")
+        preds.write_text(self.frames_of_records((0, 1, 3, 4), 3, 0.9), encoding="utf-8")
+        assert run(["evaluate", "--preds", str(preds), "--truth", str(truth)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+
+        gts = {f: [(x, 20, w, h) for x, w, h in self.TRUTH_BOXES] for f in range(5)}
+        scored = {
+            f: [] if f == 2 else [((x + 3, 20, w, h), 0.9 - 0.1 * i)
+                                  for i, (x, w, h) in enumerate(self.TRUTH_BOXES)]
+            for f in range(5)
+        }
+        expected = ref_evaluate(scored, gts)
+        assert expected["ap_range"] < 1.0  # the missed frame counts against recall
+        rows = dict(line.split() for line in captured.out.splitlines())
+        keys = {
+            "AP_{0.5:0.95}": "ap_range", "AP_{0.50}": "ap_50", "AP_{0.75}": "ap_75",
+            "AP_small": "ap_small", "AP_large": "ap_large",
+            "AR_small": "ar_small", "AR_large": "ar_large",
+        }
+        assert set(rows) == set(keys)
+        for name, key in keys.items():
+            assert float(rows[name]) == pytest.approx(expected[key], abs=1e-6), name
+
+    def test_prediction_frame_absent_from_truth_is_an_error(self, tmp_path, capsys):
+        truth = tmp_path / "truth.txt"
+        preds = tmp_path / "preds.txt"
+        truth.write_text(self.frames_of_records((0, 1), 0, 1.0), encoding="utf-8")
+        preds.write_text(self.frames_of_records((0, 1, 7), 3, 0.9), encoding="utf-8")
+        assert run(["evaluate", "--preds", str(preds), "--truth", str(truth)]) == 1
+        assert "orphan frames: [7]" in capsys.readouterr().err
 
 
 class TestImages:
@@ -335,8 +394,40 @@ class TestPipeline:
              "--records", str(game_dir / "detections.txt"),
              "--workdir", str(workdir), "--output", str(out)]
         ) == 0
-        assert (workdir / "windows.txt").exists()
-        assert (workdir / "records_assembled.txt").exists()
+        cfg = ["--config", str(game_dir / "game.cfg")]
+        windows = tmp_path / "windows.txt"
+        assembled = tmp_path / "assembled.txt"
+        assert run(["parse-clock", "--input", str(game_dir / "clock.txt"),
+                    "--output", str(windows)] + cfg) == 0
+        assert run(["assemble", "--input", str(game_dir / "detections.txt"),
+                    "--output", str(assembled)] + cfg) == 0
+        assert (workdir / "windows.txt").read_bytes() == windows.read_bytes()
+        assert (workdir / "records_assembled.txt").read_bytes() == assembled.read_bytes()
+
+    def test_parses_each_record_once_in_memory(self, game_dir, tmp_path, monkeypatch):
+        calls = {"parse": 0}
+        parse = playlog.gamelog.parse_detection
+
+        def counting_parse(*args, **kwargs):
+            calls["parse"] += 1
+            return parse(*args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("pipeline wrote an intermediate without --workdir")
+
+        monkeypatch.setattr(playlog.gamelog, "parse_detection", counting_parse)
+        monkeypatch.setattr(playlog.gamelog, "serialize_detection", forbidden)
+        monkeypatch.setattr(tempfile, "mkdtemp", forbidden)
+        out = tmp_path / "log.csv"
+        assert run(
+            ["pipeline", "--config", str(game_dir / "game.cfg"),
+             "--clock", str(game_dir / "clock.txt"),
+             "--records", str(game_dir / "detections.txt"),
+             "--output", str(out)]
+        ) == 0
+        lines = (game_dir / "detections.txt").read_text(encoding="utf-8").splitlines()
+        assert calls["parse"] == sum(1 for line in lines if line.strip()) > 0
+        assert out.read_bytes() == (game_dir / "truth_log.csv").read_bytes()
 
 
 class TestLog:

@@ -14,8 +14,9 @@ from playlog import (
     PixelImage,
     PlayWindow,
     PlayerDetection,
+    RecordError,
     Roster,
-    validate_detection,
+    parse_detection,
 )
 
 
@@ -90,13 +91,91 @@ class TestPlayerDetection:
         with pytest.raises(InvariantError):
             PlayerDetection(frame_index=0, box=BoundingBox(0, 0, 40, 60), score=0.9, number=number)
 
-    def test_validate_returns_same_object(self):
-        d = PlayerDetection(frame_index=3, box=BoundingBox(1, 2, 40, 60), score=0.5, number=18)
-        assert validate_detection(d) is d
+    def test_with_number_replaces_only_the_number(self):
+        digit = DigitDetection(box=BoundingBox(0, 0, 10, 14), digit=1, confidence=0.98)
+        d = PlayerDetection(frame_index=3, box=BoundingBox(1, 2, 40, 60), score=0.5,
+                            digits=(digit,), team="home")
+        numbered = d.with_number(18)
+        assert numbered == PlayerDetection(frame_index=3, box=BoundingBox(1, 2, 40, 60), score=0.5,
+                                           digits=(digit,), number=18, team="home")
+        assert d.number is None
+        assert numbered.with_number(None) == d
+        with pytest.raises(AttributeError):
+            numbered.number = 4
 
-    def test_validate_rejects_non_detection(self):
-        with pytest.raises(InvariantError):
-            validate_detection("not a detection")
+    @pytest.mark.parametrize("number, message", [
+        (100, "PlayerDetection.number in 0..99 violated (got 100)"),
+        (-1, "PlayerDetection.number in 0..99 violated (got -1)"),
+        ("7", "PlayerDetection.number must be an integer (got '7')"),
+    ])
+    def test_with_number_checks_the_number(self, number, message):
+        d = PlayerDetection(frame_index=0, box=BoundingBox(0, 0, 40, 60), score=0.9)
+        with pytest.raises(InvariantError) as info:
+            d.with_number(number)
+        assert str(info.value) == message
+
+
+BOX = BoundingBox(0, 0, 5, 5)
+DIGIT = DigitDetection(box=BOX, digit=1, confidence=0.9)
+
+
+def _player(**kwargs):
+    base = dict(frame_index=0, box=BOX, score=0.9)
+    base.update(kwargs)
+    return PlayerDetection(**base)
+
+
+# The exact text of every detection invariant's error: type, finiteness,
+# range and team.  Validation builds these only on failure, so a wrong
+# message would otherwise go unseen on the success path.
+INVARIANT_MESSAGES = [
+    (lambda: BoundingBox("a", 0, 5, 5), "BoundingBox.x must be a number (got 'a')"),
+    (lambda: BoundingBox(0, True, 5, 5), "BoundingBox.y must be a number (got True)"),
+    (lambda: BoundingBox(float("nan"), 0, 5, 5), "BoundingBox.x must be finite (got nan)"),
+    (lambda: BoundingBox(0, 0, float("inf"), 5), "BoundingBox.w must be finite (got inf)"),
+    (lambda: BoundingBox(-1, 0, 5, 5), "BoundingBox.x >= 0 violated (got -1)"),
+    (lambda: BoundingBox(0, -0.5, 5, 5), "BoundingBox.y >= 0 violated (got -0.5)"),
+    (lambda: BoundingBox(0, 0, 0, 5), "BoundingBox.w > 0 violated (got 0)"),
+    (lambda: BoundingBox(0, 0, 5, -2), "BoundingBox.h > 0 violated (got -2)"),
+    (lambda: DigitDetection(box=(0, 0, 5, 5), digit=1, confidence=0.9),
+     "DigitDetection.box must be a BoundingBox"),
+    (lambda: DigitDetection(box=BOX, digit=3.5, confidence=0.9),
+     "DigitDetection.digit must be an integer (got 3.5)"),
+    (lambda: DigitDetection(box=BOX, digit=10, confidence=0.9),
+     "DigitDetection.digit in 0..9 violated (got 10)"),
+    (lambda: DigitDetection(box=BOX, digit=1, confidence="0.9"),
+     "DigitDetection.confidence must be a number (got '0.9')"),
+    (lambda: DigitDetection(box=BOX, digit=1, confidence=float("nan")),
+     "DigitDetection.confidence must be finite (got nan)"),
+    (lambda: DigitDetection(box=BOX, digit=1, confidence=2),
+     "DigitDetection.confidence in [0, 1] violated (got 2.0)"),
+    (lambda: _player(frame_index=1.5), "PlayerDetection.frame_index must be an integer (got 1.5)"),
+    (lambda: _player(frame_index=-1), "PlayerDetection.frame_index >= 0 violated (got -1)"),
+    (lambda: _player(box=None), "PlayerDetection.box must be a BoundingBox"),
+    (lambda: _player(score=None), "PlayerDetection.score must be a number (got None)"),
+    (lambda: _player(score=float("-inf")), "PlayerDetection.score must be finite (got -inf)"),
+    (lambda: _player(score=1.5), "PlayerDetection.score in [0, 1] violated (got 1.5)"),
+    (lambda: _player(digits=(DIGIT, "x")), "PlayerDetection.digits must hold DigitDetection values"),
+    (lambda: _player(number="7"), "PlayerDetection.number must be an integer (got '7')"),
+    (lambda: _player(number=100), "PlayerDetection.number in 0..99 violated (got 100)"),
+    (lambda: _player(team="offense"),
+     "PlayerDetection.team must be one of ['away', 'home', 'unknown'] (got 'offense')"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, message", INVARIANT_MESSAGES, ids=[m for _, m in INVARIANT_MESSAGES]
+)
+def test_invariant_message_text(build, message):
+    with pytest.raises(InvariantError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_record_error_names_line_and_invariant():
+    with pytest.raises(RecordError) as info:
+        parse_detection("0 10 20 40 60 1.5 home - 0", 4)
+    assert str(info.value) == "record line 4: PlayerDetection.score in [0, 1] violated (got 1.5)"
 
 
 class TestClockReading:

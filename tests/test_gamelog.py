@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from playlog import (
     BoundingBox,
@@ -15,10 +17,12 @@ from playlog import (
     RecordError,
     Roster,
     emit_game_log,
+    group_by_frame,
     load_detections,
     load_roster,
     parse_detection,
     parse_game_log,
+    read_detections,
     resolve_names,
     roster_lines,
     serialize_detection,
@@ -92,7 +96,29 @@ def digit(value, conf, x):
     return DigitDetection(box=BoundingBox(x, 12, 10, 14), digit=value, confidence=conf)
 
 
+coordinates = st.floats(min_value=0, allow_nan=False, allow_infinity=False) | st.integers(0, 10**6)
+extents = st.floats(min_value=0, exclude_min=True, allow_nan=False, allow_infinity=False) | st.integers(1, 10**6)
+unit = st.floats(min_value=0, max_value=1) | st.sampled_from([0, 1])
+boxes = st.builds(BoundingBox, coordinates, coordinates, extents, extents)
+valid_detections = st.builds(
+    PlayerDetection,
+    frame_index=st.integers(0, 10**7),
+    box=boxes,
+    score=unit,
+    digits=st.lists(st.builds(DigitDetection, box=boxes, digit=st.integers(0, 9), confidence=unit), max_size=3),
+    number=st.none() | st.integers(0, 99),
+    team=st.sampled_from(["home", "away", "unknown"]),
+)
+
+
 class TestRecordLines:
+    @settings(deadline=None)
+    @given(valid_detections)
+    def test_round_trip_property(self, d):
+        line = serialize_detection(d)
+        assert parse_detection(line) == d
+        assert serialize_detection(parse_detection(line)) == line
+
     def test_bare_record(self):
         line = serialize_detection(detection())
         assert line == "0 10 20 40 60 0.9 home - 0"
@@ -141,6 +167,28 @@ class TestRecordLines:
     def test_error_names_line(self):
         with pytest.raises(RecordError, match="record line 7"):
             parse_detection("junk", 7)
+
+
+class TestReadDetections:
+    def test_keeps_input_order_and_line_numbers(self):
+        lines = [
+            "# header",
+            serialize_detection(detection(frame=2, x=1)),
+            "",
+            "garbage",
+            serialize_detection(detection(frame=1)),
+            serialize_detection(detection(frame=2, x=2)),
+        ]
+        result = read_detections(lines)
+        assert [(d.frame_index, d.box.x) for d in result.detections] == [(2, 1), (1, 10), (2, 2)]
+        assert result.line_numbers == (2, 5, 6)
+        assert result.skipped == ((4, "record line 4: expected at least 9 fields, got 1"),)
+        assert result.diagnostics == ("record line 4: expected at least 9 fields, got 1",)
+
+    def test_group_by_frame_matches_load_detections(self):
+        lines = [serialize_detection(detection(frame=f, x=f)) for f in (3, 1, 3, 2)]
+        assert group_by_frame(read_detections(lines).detections) == load_detections(lines).by_frame
+        assert list(group_by_frame(read_detections(lines).detections)) == [3, 1, 2]
 
 
 class TestLoadDetections:
