@@ -25,20 +25,13 @@ from pathlib import Path
 from typing import Sequence
 
 from .clock import (
+    SegmenterConfig,
     format_play_windows,
     parse_clock_stream,
     parse_play_windows,
     segment_plays,
 )
-from .config import (
-    ConfigError,
-    build_assembly,
-    build_game_config,
-    build_profiles,
-    build_segmenter,
-    format_config,
-    load_values,
-)
+from .config import format_config, load_config
 from .core import PlayerDetection, PlayWindow
 from .gamelog import (
     DetectionRecords,
@@ -61,7 +54,7 @@ from .imageops import (
     to_grayscale,
     write_image,
 )
-from .jersey import assemble_number, suppress_digits
+from .jersey import AssemblyConfig, assemble_number, suppress_digits
 from .matching import match_detections
 from .metrics import confusion_matrix, evaluate_detections
 from .synth import SynthConfig, generate_game
@@ -79,7 +72,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_lines(path: str) -> list[str]:
-    return Path(path).read_text(encoding="utf-8").splitlines()
+    # "\n" only: str.splitlines() would also break at form feeds and other
+    # separators a comment may hold, shifting every later line number
+    return Path(path).read_text(encoding="utf-8").split("\n")
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -96,13 +91,9 @@ def _report_diagnostics(diagnostics: Sequence[str]) -> None:
         print(f"{len(diagnostics)} malformed line(s) skipped", file=sys.stderr)
 
 
-def _values_with_overrides(args: argparse.Namespace, overrides: dict[str, str]) -> tuple[dict, Path]:
-    values, base_dir = load_values(getattr(args, "config", None))
-    for key, attr in overrides.items():
-        v = getattr(args, attr, None)
-        if v is not None:
-            values[key] = str(v)
-    return values, base_dir
+def _load_config(args: argparse.Namespace, **flags: object) -> GameConfig:
+    """--config (or the defaults) with the config-key flags that were set on top."""
+    return load_config(args.config, {key: str(v) for key, v in flags.items() if v is not None})
 
 
 # Stage functions are shared by the per-stage subcommands and `pipeline`.
@@ -111,13 +102,14 @@ def _values_with_overrides(args: argparse.Namespace, overrides: dict[str, str]) 
 # them on in memory, so a chained run matches the staged subcommands by
 # construction.
 
-def _stage_parse_clock(input_path: str, values: dict, strict: bool) -> tuple[list[PlayWindow], tuple[str, ...]]:
+def _stage_parse_clock(
+    input_path: str, segmenter: SegmenterConfig, strict: bool
+) -> tuple[list[PlayWindow], tuple[str, ...]]:
     result = parse_clock_stream(_read_lines(input_path), strict=strict)
-    return segment_plays(result.readings, build_segmenter(values)), result.diagnostics
+    return segment_plays(result.readings, segmenter), result.diagnostics
 
 
-def _stage_assemble(input_path: str, values: dict, strict: bool) -> DetectionRecords:
-    cfg = build_assembly(values)
+def _stage_assemble(input_path: str, cfg: AssemblyConfig, strict: bool) -> DetectionRecords:
     records = read_detections(_read_lines(input_path), strict=strict)
     numbered = tuple(
         d.with_number(assemble_number(suppress_digits(d.digits, cfg), cfg)) for d in records.detections
@@ -126,14 +118,8 @@ def _stage_assemble(input_path: str, values: dict, strict: bool) -> DetectionRec
 
 
 def _stage_classify_team(
-    input_path: str, crops_dir: str, values: dict, strict: bool
+    input_path: str, crops_dir: str, game_config: GameConfig, strict: bool
 ) -> tuple[tuple[PlayerDetection, ...], tuple[str, ...]]:
-    home_profile, away_profile = build_profiles(values)
-    try:
-        h_frac = float(values["strip_height_fraction"])
-        w_frac = float(values["strip_width_fraction"])
-    except ValueError:
-        raise ConfigError("strip fractions must be numbers") from None
     crops = Path(crops_dir)
     records = read_detections(_read_lines(input_path), strict=strict)
     notes = dict(records.skipped)  # line number -> diagnostic
@@ -144,9 +130,11 @@ def _stage_classify_team(
         frame_counters[d.frame_index] = index + 1
         crop_path = crops / f"{d.frame_index}_{index}.ppm"
         if crop_path.exists():
-            strip = extract_strip(read_image(crop_path), h_frac, w_frac)
-            label = classify_team(channel_histogram(strip), home_profile, away_profile)
-            d = replace(d, team=label)
+            strip = extract_strip(
+                read_image(crop_path), game_config.strip_height_fraction, game_config.strip_width_fraction
+            )
+            label = classify_team(channel_histogram(strip), game_config.home_profile, game_config.away_profile)
+            d = d.with_team(label)
         else:
             notes[line_number] = f"record line {line_number}: no crop {crop_path.name}, team kept"
         out.append(d)
@@ -211,42 +199,43 @@ def _stage_evaluate(
 
 
 def _cmd_parse_clock(args: argparse.Namespace) -> int:
-    values, _ = _values_with_overrides(args, {
-        "play_clock_reset_jump": "play_clock_jump",
-        "game_clock_gap": "game_clock_gap",
-        "quarter_start": "quarter_start",
-        "quarter_rearm_below": "quarter_rearm_below",
-        "min_play_frames": "min_play_frames",
-    })
-    windows, diagnostics = _stage_parse_clock(args.input, values, args.strict)
+    game_config = _load_config(
+        args,
+        play_clock_reset_jump=args.play_clock_jump,
+        game_clock_gap=args.game_clock_gap,
+        quarter_start=args.quarter_start,
+        quarter_rearm_below=args.quarter_rearm_below,
+        min_play_frames=args.min_play_frames,
+    )
+    windows, diagnostics = _stage_parse_clock(args.input, game_config.segmenter, args.strict)
     _report_diagnostics(diagnostics)
     _emit(format_play_windows(windows), args.output)
     return 0
 
 
 def _cmd_assemble(args: argparse.Namespace) -> int:
-    values, _ = _values_with_overrides(args, {
-        "iou_suppress_threshold": "iou_threshold",
-        "confidence_threshold": "confidence_threshold",
-        "max_digits": "max_digits",
-    })
-    records = _stage_assemble(args.input, values, args.strict)
+    game_config = _load_config(
+        args,
+        iou_suppress_threshold=args.iou_threshold,
+        confidence_threshold=args.confidence_threshold,
+        max_digits=args.max_digits,
+    )
+    records = _stage_assemble(args.input, game_config.assembly, args.strict)
     _report_diagnostics(records.diagnostics)
     _emit(serialize_detections(records.detections), args.output)
     return 0
 
 
 def _cmd_classify_team(args: argparse.Namespace) -> int:
-    values, _ = _values_with_overrides(args, {"dominance_margin": "margin"})
-    detections, diagnostics = _stage_classify_team(args.input, args.crops, values, args.strict)
+    game_config = _load_config(args, dominance_margin=args.margin)
+    detections, diagnostics = _stage_classify_team(args.input, args.crops, game_config, args.strict)
     _report_diagnostics(diagnostics)
     _emit(serialize_detections(detections), args.output)
     return 0
 
 
 def _cmd_log(args: argparse.Namespace) -> int:
-    values, base_dir = _values_with_overrides(args, {"min_appearances": "min_appearances"})
-    game_config = build_game_config(values, base_dir=base_dir)
+    game_config = _load_config(args, min_appearances=args.min_appearances)
     windows = parse_play_windows(Path(args.windows).read_text(encoding="utf-8"))
     records = read_detections(_read_lines(args.records), strict=args.strict)
     text = _stage_log(game_config, windows, records.detections, args.side, args.format)
@@ -331,25 +320,24 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
-    values, base_dir = _values_with_overrides(args, {})
+    game_config = _load_config(args)
     workdir = None
     if args.workdir is not None:
         workdir = Path(args.workdir)
         workdir.mkdir(parents=True, exist_ok=True)
 
-    windows, diagnostics = _stage_parse_clock(args.clock, values, args.strict)
+    windows, diagnostics = _stage_parse_clock(args.clock, game_config.segmenter, args.strict)
     _report_diagnostics(diagnostics)
     if workdir is not None:
         (workdir / "windows.txt").write_text(format_play_windows(windows), encoding="utf-8")
 
-    records = _stage_assemble(args.records, values, args.strict)
+    records = _stage_assemble(args.records, game_config.assembly, args.strict)
     _report_diagnostics(records.diagnostics)
     if workdir is not None:
         (workdir / "records_assembled.txt").write_text(
             serialize_detections(records.detections), encoding="utf-8"
         )
 
-    game_config = build_game_config(values, base_dir=base_dir)
     _emit(_stage_log(game_config, windows, records.detections, args.side, args.format), args.output)
     return 0
 

@@ -281,7 +281,7 @@ def format_play_windows(windows: Sequence[PlayWindow]) -> str:
 def parse_play_windows(text: str) -> list[PlayWindow]:
     """Inverse of format_play_windows; blank lines and '#' comments skipped."""
     windows: list[PlayWindow] = []
-    for number, raw in enumerate(text.splitlines(), start=1):
+    for number, raw in enumerate(text.split("\n"), start=1):
         stripped = raw.strip()
         if stripped == "" or stripped.startswith("#"):
             continue

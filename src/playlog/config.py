@@ -34,7 +34,6 @@ DEFAULTS: Mapping[str, str] = {
     "quarter_start": "900",
     "quarter_rearm_below": "120",
     "min_play_frames": "2",
-    "focal_gamma": "2",
     "min_appearances": "1",
     "strip_height_fraction": str(STRIP_HEIGHT_FRACTION),
     "strip_width_fraction": str(STRIP_WIDTH_FRACTION),
@@ -49,7 +48,7 @@ DEFAULTS: Mapping[str, str] = {
 def parse_config_text(text: str) -> dict[str, str]:
     """Key-value lines to a dict over the defaults; unknown keys fail."""
     values = dict(DEFAULTS)
-    for line_number, raw in enumerate(text.splitlines(), start=1):
+    for line_number, raw in enumerate(text.split("\n"), start=1):
         stripped = raw.strip()
         if stripped == "" or stripped.startswith("#"):
             continue
@@ -100,90 +99,63 @@ def build_game_config(values: Mapping[str, str], base_dir: Path | None = None) -
     rosters = {}
     for side in ("home", "away"):
         path_text = values[f"{side}_roster"]
+        lines: list[str] = []
         if path_text:
             path = Path(path_text)
             if not path.is_absolute():
                 path = base / path
             try:
-                lines = path.read_text(encoding="utf-8").splitlines()
+                lines = path.read_text(encoding="utf-8").split("\n")
             except OSError as exc:
                 raise ConfigError(f"cannot read {side} roster {path}: {exc}") from None
-            rosters[side] = load_roster(lines, team_name=values[f"{side}_team"])
-        else:
-            rosters[side] = load_roster([], team_name=values[f"{side}_team"])
-    home_profile, away_profile = build_profiles(values)
+        rosters[side] = load_roster(lines, team_name=values[f"{side}_team"])
     try:
         return GameConfig(
             home_team=values["home_team"],
             away_team=values["away_team"],
             home_roster=rosters["home"],
             away_roster=rosters["away"],
-            home_profile=home_profile,
-            away_profile=away_profile,
-            segmenter=build_segmenter(values),
-            assembly=build_assembly(values),
+            home_profile=_profile(values, "home"),
+            away_profile=_profile(values, "away"),
+            segmenter=SegmenterConfig(
+                play_clock_reset_jump=_int_value(values, "play_clock_reset_jump"),
+                game_clock_gap=_int_value(values, "game_clock_gap"),
+                quarter_start=_int_value(values, "quarter_start"),
+                quarter_rearm_below=_int_value(values, "quarter_rearm_below"),
+                min_play_frames=_int_value(values, "min_play_frames"),
+            ),
+            assembly=AssemblyConfig(
+                iou_suppress_threshold=_float_value(values, "iou_suppress_threshold"),
+                confidence_threshold=_float_value(values, "confidence_threshold"),
+                max_digits=_int_value(values, "max_digits"),
+            ),
             strip_height_fraction=_float_value(values, "strip_height_fraction"),
             strip_width_fraction=_float_value(values, "strip_width_fraction"),
-            focal_gamma=_float_value(values, "focal_gamma"),
             min_appearances=_int_value(values, "min_appearances"),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
-def load_values(path: str | Path | None) -> tuple[dict[str, str], Path]:
-    """Raw key-value view of a config file (or pure defaults) plus its base dir."""
-    if path is None:
-        return dict(DEFAULTS), Path(".")
-    p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {p}: {exc}") from None
-    return parse_config_text(text), p.parent
+def load_config(path: str | Path | None = None, overrides: Mapping[str, str] | None = None) -> GameConfig:
+    """The run configuration: a config file, or the defaults when path is
+    None, with ``overrides`` (key -> value text) applied on top.
 
-
-def build_segmenter(values: Mapping[str, str]) -> SegmenterConfig:
-    try:
-        return SegmenterConfig(
-            play_clock_reset_jump=_int_value(values, "play_clock_reset_jump"),
-            game_clock_gap=_int_value(values, "game_clock_gap"),
-            quarter_start=_int_value(values, "quarter_start"),
-            quarter_rearm_below=_int_value(values, "quarter_rearm_below"),
-            min_play_frames=_int_value(values, "min_play_frames"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def build_assembly(values: Mapping[str, str]) -> AssemblyConfig:
-    try:
-        return AssemblyConfig(
-            iou_suppress_threshold=_float_value(values, "iou_suppress_threshold"),
-            confidence_threshold=_float_value(values, "confidence_threshold"),
-            max_digits=_int_value(values, "max_digits"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def build_profiles(values: Mapping[str, str]) -> tuple[TeamColorProfile, TeamColorProfile]:
-    try:
-        return _profile(values, "home"), _profile(values, "away")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def load_config(path: str | Path | None) -> GameConfig:
-    """Load a config file, or the all-defaults config when path is None."""
-    if path is None:
-        return build_game_config(dict(DEFAULTS))
-    p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {p}: {exc}") from None
-    return build_game_config(parse_config_text(text), base_dir=p.parent)
+    Roster paths are resolved against the config file's directory.
+    """
+    values, base_dir = dict(DEFAULTS), Path(".")
+    if path is not None:
+        p = Path(path)
+        try:
+            text = p.read_text(encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {p}: {exc}") from None
+        values, base_dir = parse_config_text(text), p.parent
+    for key, value in (overrides or {}).items():
+        if key not in DEFAULTS:
+            raise ConfigError(f"unknown config key {key!r}")
+        values[key] = value
+    return build_game_config(values, base_dir)
 
 
 def format_config(values: Mapping[str, str]) -> str:

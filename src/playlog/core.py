@@ -52,6 +52,11 @@ def _require_jersey_number(number: object) -> None:
         raise InvariantError(f"PlayerDetection.number in 0..99 violated (got {n})")
 
 
+def _require_team(team: object) -> None:
+    if team not in VALID_TEAMS:
+        raise InvariantError(f"PlayerDetection.team must be one of {sorted(VALID_TEAMS)} (got {team!r})")
+
+
 @dataclass(frozen=True)
 class BoundingBox:
     """Axis-aligned box in pixel units, corner form, origin at top-left.
@@ -151,21 +156,25 @@ class PlayerDetection:
                 raise InvariantError("PlayerDetection.digits must hold DigitDetection values")
         if self.number is not None:
             _require_jersey_number(self.number)
-        if self.team not in VALID_TEAMS:
-            raise InvariantError(
-                f"PlayerDetection.team must be one of {sorted(VALID_TEAMS)} (got {self.team!r})"
-            )
+        _require_team(self.team)
+
+    # The copies below check only the replaced field; every other field is
+    # already validated and is shared with this detection.
 
     def with_number(self, number: int | None) -> "PlayerDetection":
-        """Copy with ``number`` replaced.
-
-        Only the new number is checked; every other field is already
-        validated and is shared with this detection.
-        """
+        """Copy with ``number`` replaced."""
         if number is not None:
             _require_jersey_number(number)
+        return self._copy_with(number=number)
+
+    def with_team(self, team: str) -> "PlayerDetection":
+        """Copy with ``team`` replaced."""
+        _require_team(team)
+        return self._copy_with(team=team)
+
+    def _copy_with(self, **changes: object) -> "PlayerDetection":
         copy = object.__new__(type(self))
-        copy.__dict__.update(self.__dict__, number=number)
+        copy.__dict__.update(self.__dict__, **changes)
         return copy
 
 

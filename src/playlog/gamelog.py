@@ -28,7 +28,12 @@ from .core import (
     Roster,
 )
 from .jersey import AssemblyConfig
-from .teamcolor import TeamColorProfile
+from .teamcolor import (
+    STRIP_HEIGHT_FRACTION,
+    STRIP_WIDTH_FRACTION,
+    TeamColorProfile,
+    require_distinct_profiles,
+)
 
 LOG_HEADER = (
     "Play number",
@@ -57,9 +62,8 @@ class GameConfig:
     away_profile: TeamColorProfile | None = None
     segmenter: SegmenterConfig = SegmenterConfig()
     assembly: AssemblyConfig = AssemblyConfig()
-    strip_height_fraction: float = 0.2
-    strip_width_fraction: float = 0.6
-    focal_gamma: float = 2.0
+    strip_height_fraction: float = STRIP_HEIGHT_FRACTION
+    strip_width_fraction: float = STRIP_WIDTH_FRACTION
     min_appearances: int = 1
 
     def __post_init__(self) -> None:
@@ -74,6 +78,12 @@ class GameConfig:
                 raise InvariantError(f"GameConfig.{name} must be a Roster")
         if not (isinstance(self.min_appearances, int) and self.min_appearances >= 1):
             raise InvariantError(f"GameConfig.min_appearances >= 1 violated (got {self.min_appearances!r})")
+        for name in ("strip_height_fraction", "strip_width_fraction"):
+            v = getattr(self, name)
+            if not (isinstance(v, (int, float)) and 0.0 < v <= 1.0):
+                raise InvariantError(f"GameConfig.{name} in (0, 1] violated (got {v!r})")
+        if self.home_profile is not None and self.away_profile is not None:
+            require_distinct_profiles(self.home_profile, self.away_profile)
 
 
 def load_roster(lines: Iterable[str], team_name: str = "") -> Roster:
@@ -356,7 +366,7 @@ def emit_game_log(entries: Sequence[GameLogEntry], format: str = "delimited") ->
 def parse_game_log(text: str) -> list[GameLogEntry]:
     """Parse the structured (JSON lines) game log form."""
     entries: list[GameLogEntry] = []
-    for line_number, raw in enumerate(text.splitlines(), start=1):
+    for line_number, raw in enumerate(text.split("\n"), start=1):
         stripped = raw.strip()
         if stripped == "":
             continue

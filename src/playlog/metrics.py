@@ -224,6 +224,14 @@ def evaluate_detections(
     own_bucket = {
         (f, i): size_bucket(preds[f][i][0]) for f, i in rank
     }
+    # Greedy matching visits a frame's predictions in (score desc, index)
+    # order, so its top max_detections match exactly as they would alone:
+    # recall under the cap is read from the uncapped matching.
+    capped = [
+        (f, i)
+        for f in preds
+        for i in sorted(range(len(preds[f])), key=lambda i: (-preds[f][i][1], i))[:max_detections]
+    ]
 
     ap_at: dict[float, float] = {}
     ap_bucket_sum = {SizeBucket.SMALL: 0.0, SizeBucket.LARGE: 0.0}
@@ -248,17 +256,9 @@ def evaluate_detections(
             ]
             ap_bucket_sum[b] += _ap_from_flags(bucket_flags, num_gt_by_bucket[b])
 
-        # recall under the per-frame cap
-        capped_matched_by_bucket = {SizeBucket.SMALL: 0, SizeBucket.LARGE: 0}
-        for f in preds:
-            order = sorted(range(len(preds[f])), key=lambda i: (-preds[f][i][1], i))
-            capped = [preds[f][i] for i in order[:max_detections]]
-            for i, g in enumerate(match_detections(capped, kept_gts[f], t)):
-                if g is not None:
-                    capped_matched_by_bucket[gt_buckets[f][g]] += 1
         for b in (SizeBucket.SMALL, SizeBucket.LARGE):
             if num_gt_by_bucket[b] > 0:
-                ar_bucket_sum[b] += capped_matched_by_bucket[b] / num_gt_by_bucket[b]
+                ar_bucket_sum[b] += sum(matched[fi] is b for fi in capped) / num_gt_by_bucket[b]
             else:
                 ar_degenerate = True
 

@@ -110,6 +110,15 @@ def _matches(profile: TeamColorProfile, means: tuple[float, float, float]) -> bo
     return max(means) - min(means) < profile.dominance_margin
 
 
+def require_distinct_profiles(home: TeamColorProfile, away: TeamColorProfile) -> None:
+    """Profiles with the same mode and channel cannot be told apart."""
+    if home.mode == away.mode and home.channel == away.channel:
+        raise ProfileError(
+            "home and away color profiles are indistinguishable "
+            f"(both {home.mode}{'/' + home.channel if home.channel else ''})"
+        )
+
+
 def classify_team(
     histogram: ChannelHistogram,
     home: TeamColorProfile,
@@ -121,11 +130,7 @@ def classify_team(
     "unknown".  Profile pairs that cannot be distinguished (same mode and
     channel) are a configuration error.
     """
-    if home.mode == away.mode and home.channel == away.channel:
-        raise ProfileError(
-            "home and away color profiles are indistinguishable "
-            f"(both {home.mode}{'/' + home.channel if home.channel else ''})"
-        )
+    require_distinct_profiles(home, away)
     matches = [p.label for p in (home, away) if _matches(p, histogram.means)]
     if len(matches) == 1:
         return matches[0]

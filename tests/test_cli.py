@@ -453,3 +453,77 @@ class TestLog:
         assert lines[0].startswith("Play number,Quarter,")
         assert lines[1].startswith("1,1,15:00,14:56,Alabama,Michigan State,")
         assert "Calvin Ridley or Bradley Sylve" in lines[1]
+
+
+class TestConfigFirst:
+    """Every subcommand with --config validates the whole file before reading input."""
+
+    @pytest.mark.parametrize("command", ["parse-clock", "assemble", "classify-team", "log", "pipeline"])
+    def test_malformed_config_fails_before_input(self, command, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("home_color_mode = brightest\n", encoding="utf-8")
+        clock = tmp_path / "clock.txt"
+        clock.write_text(CLOCK_TEXT + "70 bogus\n", encoding="utf-8")
+        records = tmp_path / "records.txt"
+        records.write_text(record(0) + "\ngarbage\n", encoding="utf-8")
+        windows = tmp_path / "windows.txt"
+        windows.write_text("1 1 0 20 15:00 14:56\n", encoding="utf-8")
+        argv = {
+            "parse-clock": ["--input", str(clock)],
+            "assemble": ["--input", str(records)],
+            "classify-team": ["--input", str(records), "--crops", str(tmp_path)],
+            "log": ["--windows", str(windows), "--records", str(records)],
+            "pipeline": ["--clock", str(clock), "--records", str(records)],
+        }[command]
+        assert run([command, *argv, "--config", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: TeamColorProfile.mode unknown (got 'brightest')\n"
+
+    def test_flag_override_beats_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "game.cfg"
+        cfg.write_text("min_play_frames = 5\n", encoding="utf-8")
+        clock = tmp_path / "clock.txt"
+        clock.write_text(CLOCK_TEXT, encoding="utf-8")
+        assert run(["parse-clock", "--input", str(clock), "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == ""
+        assert run(["parse-clock", "--input", str(clock), "--config", str(cfg), "--min-play-frames", "3"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+class TestLineBreaks:
+    """Input lines end at "\\n" only; other Unicode line separators are text."""
+
+    def test_form_feed_in_record_comment(self, tmp_path, capsys):
+        records = tmp_path / "records.txt"
+        records.write_text("# page break \x0c here\n" + record(0) + "\ngarbage\n", encoding="utf-8")
+        assert run(["assemble", "--input", str(records)]) == 0
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 1
+        assert captured.err.splitlines() == [
+            "record line 3: expected at least 9 fields, got 1",
+            "1 malformed line(s) skipped",
+        ]
+
+    def test_form_feed_in_clock_comment(self, tmp_path, capsys):
+        clock = tmp_path / "clock.txt"
+        clock.write_text("# page break \x0c here   and here\n" + CLOCK_TEXT, encoding="utf-8")
+        assert run(["parse-clock", "--input", str(clock)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "1 1 0 20 15:00 14:56\n2 1 40 60 14:20 14:16\n"
+        assert captured.err == ""
+        clock.write_text("# \x0c\n" + CLOCK_TEXT + "80 bogus\n", encoding="utf-8")
+        assert run(["parse-clock", "--input", str(clock)]) == 0
+        assert "line 9" in capsys.readouterr().err
+
+    def test_crlf_input(self, tmp_path, capsys):
+        clock = tmp_path / "clock.txt"
+        clock.write_bytes(CLOCK_TEXT.replace("\n", "\r\n").encode())
+        assert run(["parse-clock", "--input", str(clock)]) == 0
+        assert capsys.readouterr().out == "1 1 0 20 15:00 14:56\n2 1 40 60 14:20 14:16\n"
+        records = tmp_path / "records.txt"
+        records.write_bytes((record(0) + "\r\n" + record(1) + "\r\n").encode())
+        assert run(["assemble", "--input", str(records)]) == 0
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 2
+        assert captured.err == ""

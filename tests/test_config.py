@@ -34,8 +34,20 @@ class TestParse:
             parse_config_text("home_team Alabama")
 
     def test_format_round_trip(self):
-        values = parse_config_text("home_team = Alabama\nfocal_gamma = 0.5\n")
+        values = parse_config_text("home_team = Alabama\ndominance_margin = 12.5\n")
         assert parse_config_text(format_config(values)) == values
+
+    def test_focal_gamma_is_not_a_key(self):
+        # no stage reads a focusing power; focal_loss takes it per ClassDistribution
+        with pytest.raises(ConfigError, match=r"^config line 2: unknown key 'focal_gamma'$"):
+            parse_config_text("home_team = Alabama\nfocal_gamma = 2\n")
+
+    def test_lines_break_at_newline_only(self):
+        # a form feed inside a comment starts no new line; "\r\n" still ends one
+        text = "# page \x0c break\r\nhome_team = Alabama\r\n"
+        assert parse_config_text(text)["home_team"] == "Alabama"
+        with pytest.raises(ConfigError, match="^config line 3: "):
+            parse_config_text(text + "not a pair\r\n")
 
     def test_format_rejects_unknown(self):
         with pytest.raises(ConfigError):
@@ -93,6 +105,28 @@ class TestBuild:
         (tmp_path / "game.cfg").write_text("home_roster = nowhere.txt\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="roster"):
             load_config(tmp_path / "game.cfg")
+
+    def test_override_beats_the_file(self, tmp_path):
+        (tmp_path / "game.cfg").write_text("max_digits = 1\ngame_clock_gap = 25\n", encoding="utf-8")
+        cfg = load_config(tmp_path / "game.cfg", {"max_digits": "3"})
+        assert cfg.assembly.max_digits == 3
+        assert cfg.segmenter.game_clock_gap == 25
+        assert load_config(None, {"min_appearances": "4"}).min_appearances == 4
+
+    def test_bad_override_names_its_key(self, tmp_path):
+        (tmp_path / "game.cfg").write_text("max_digits = 1\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"^config key max_digits must be an integer \(got 'two'\)$"):
+            load_config(tmp_path / "game.cfg", {"max_digits": "two"})
+        with pytest.raises(ConfigError, match="unknown config key 'velocity'"):
+            load_config(None, {"velocity": "9"})
+
+    def test_strip_fractions_and_profiles_are_checked(self):
+        with pytest.raises(ConfigError, match=r"^config key strip_width_fraction must be a number"):
+            load_config(None, {"strip_width_fraction": "wide"})
+        with pytest.raises(ConfigError, match=r"^GameConfig.strip_height_fraction in \(0, 1\] violated"):
+            load_config(None, {"strip_height_fraction": "1.5"})
+        with pytest.raises(ConfigError, match="indistinguishable"):
+            load_config(None, {"home_color_mode": "no-dominant"})
 
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(ConfigError, match="config"):

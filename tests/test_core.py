@@ -103,6 +103,18 @@ class TestPlayerDetection:
         with pytest.raises(AttributeError):
             numbered.number = 4
 
+    def test_with_team_replaces_only_the_team(self):
+        digit = DigitDetection(box=BoundingBox(0, 0, 10, 14), digit=1, confidence=0.98)
+        d = PlayerDetection(frame_index=3, box=BoundingBox(1, 2, 40, 60), score=0.5,
+                            digits=(digit,), number=18)
+        away = d.with_team("away")
+        assert away == PlayerDetection(frame_index=3, box=BoundingBox(1, 2, 40, 60), score=0.5,
+                                       digits=(digit,), number=18, team="away")
+        assert d.team == "unknown"
+        assert away.with_team("unknown") == d
+        with pytest.raises(AttributeError):
+            away.team = "home"
+
     @pytest.mark.parametrize("number, message", [
         (100, "PlayerDetection.number in 0..99 violated (got 100)"),
         (-1, "PlayerDetection.number in 0..99 violated (got -1)"),
@@ -113,6 +125,16 @@ class TestPlayerDetection:
         with pytest.raises(InvariantError) as info:
             d.with_number(number)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("team", ["visitor", "", None])
+    def test_with_team_checks_the_team(self, team):
+        d = PlayerDetection(frame_index=0, box=BoundingBox(0, 0, 40, 60), score=0.9)
+        with pytest.raises(InvariantError) as info:
+            d.with_team(team)
+        assert str(info.value) == f"PlayerDetection.team must be one of ['away', 'home', 'unknown'] (got {team!r})"
+        with pytest.raises(InvariantError) as built:
+            PlayerDetection(frame_index=0, box=BoundingBox(0, 0, 40, 60), score=0.9, team=team)
+        assert str(built.value) == str(info.value)
 
 
 BOX = BoundingBox(0, 0, 5, 5)

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from playlog import (
     BoundingBox,
@@ -195,7 +197,36 @@ def as_library_args(preds, gts):
     return lib_preds, lib_gts
 
 
+# Coordinates overlap often and areas span all three size buckets; the few
+# score values make ties, which the (score desc, index) order must break.
+BOXES = st.tuples(st.integers(0, 60), st.integers(0, 60), st.integers(20, 130), st.integers(20, 130))
+SCORES = st.sampled_from((0.25, 0.5, 0.75, 1.0))
+
+
+@st.composite
+def scenes(draw):
+    preds, gts = {}, {}
+    for f in range(draw(st.integers(1, 3))):
+        gts[f] = draw(st.lists(BOXES, max_size=5))
+        preds[f] = draw(st.lists(st.tuples(BOXES, SCORES), max_size=7))
+        if gts[f]:  # some predictions sit exactly on a ground truth
+            preds[f] += draw(st.lists(st.tuples(st.sampled_from(gts[f]), SCORES), max_size=4))
+    return preds, gts
+
+
 class TestEvaluateDetections:
+    @settings(max_examples=200, deadline=None)
+    @given(scenes(), st.integers(1, 5))
+    def test_capped_recall_agrees_with_reference(self, scene, max_detections):
+        preds, gts = scene
+        lib_preds, lib_gts = as_library_args(preds, gts)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateMetricWarning)
+            report = evaluate_detections(lib_preds, lib_gts, max_detections=max_detections)
+        expected = ref_evaluate(preds, gts, max_detections=max_detections)
+        for key, want in expected.items():
+            assert getattr(report, key) == pytest.approx(want, abs=1e-9), key
+
     def test_agrees_with_reference(self):
         rng = random.Random(2024)
         for _ in range(25):
