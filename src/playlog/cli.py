@@ -61,6 +61,8 @@ from .synth import SynthConfig, generate_game
 from .teamcolor import channel_histogram, classify_team, extract_strip
 
 
+CONFUSION_MATCH_IOU = 0.50  # IoU at which `evaluate --confusion` pairs digits
+
 class _UsageError(Exception):
     pass
 
@@ -84,11 +86,14 @@ def _emit(text: str, output: str | None) -> None:
         Path(output).write_text(text, encoding="utf-8")
 
 
-def _report_diagnostics(diagnostics: Sequence[str]) -> None:
-    for d in diagnostics:
-        print(d, file=sys.stderr)
-    if diagnostics:
-        print(f"{len(diagnostics)} malformed line(s) skipped", file=sys.stderr)
+def _report_diagnostics(messages: Sequence[str], skipped: int | None = None) -> None:
+    # `skipped` defaults to one line per message; notes on kept lines are not skipped
+    for m in messages:
+        print(m, file=sys.stderr)
+    if skipped is None:
+        skipped = len(messages)
+    if skipped:
+        print(f"{skipped} malformed line(s) skipped", file=sys.stderr)
 
 
 def _load_config(args: argparse.Namespace, **flags: object) -> GameConfig:
@@ -119,7 +124,7 @@ def _stage_assemble(input_path: str, cfg: AssemblyConfig, strict: bool) -> Detec
 
 def _stage_classify_team(
     input_path: str, crops_dir: str, game_config: GameConfig, strict: bool
-) -> tuple[tuple[PlayerDetection, ...], tuple[str, ...]]:
+) -> tuple[tuple[PlayerDetection, ...], tuple[str, ...], int]:
     crops = Path(crops_dir)
     records = read_detections(_read_lines(input_path), strict=strict)
     notes = dict(records.skipped)  # line number -> diagnostic
@@ -138,7 +143,7 @@ def _stage_classify_team(
         else:
             notes[line_number] = f"record line {line_number}: no crop {crop_path.name}, team kept"
         out.append(d)
-    return tuple(out), tuple(notes[n] for n in sorted(notes))
+    return tuple(out), tuple(notes[n] for n in sorted(notes)), len(records.skipped)
 
 
 def _stage_log(
@@ -163,8 +168,8 @@ def _matrix_rows(matrix, fmt: str) -> str:
 
 
 def _stage_evaluate(
-    preds_path: str, truth_path: str, match_iou: float, include_confusion: bool, strict: bool
-) -> tuple[str, tuple[str, ...]]:
+    preds_path: str, truth_path: str, include_confusion: bool, strict: bool
+) -> tuple[str, tuple[str, ...], int]:
     preds_loaded = load_detections(_read_lines(preds_path), strict=strict)
     truth_loaded = load_detections(_read_lines(truth_path), strict=strict)
     preds_map = {f: [(d.box, d.score) for d in ds] for f, ds in preds_loaded.by_frame.items()}
@@ -175,10 +180,11 @@ def _stage_evaluate(
         preds_map.setdefault(f, [])
     text = evaluate_detections(preds_map, gts_map).to_text()
     diagnostics = list(preds_loaded.diagnostics) + list(truth_loaded.diagnostics)
+    skipped = len(diagnostics)
     if include_confusion:
         pairs: list[tuple[int, int]] = []
         for f in sorted(gts_map):
-            matches = match_detections(preds_map[f], gts_map[f], match_iou)
+            matches = match_detections(preds_map[f], gts_map[f], CONFUSION_MATCH_IOU)
             for i, g in enumerate(matches):
                 if g is None:
                     continue
@@ -195,7 +201,7 @@ def _stage_evaluate(
         cm = confusion_matrix(pairs)
         text += "confusion_counts\n" + _matrix_rows(cm.counts, "%d")
         text += "confusion_normalized\n" + _matrix_rows(cm.normalized, "%.4f")
-    return text, tuple(diagnostics)
+    return text, tuple(diagnostics), skipped
 
 
 def _cmd_parse_clock(args: argparse.Namespace) -> int:
@@ -228,8 +234,8 @@ def _cmd_assemble(args: argparse.Namespace) -> int:
 
 def _cmd_classify_team(args: argparse.Namespace) -> int:
     game_config = _load_config(args, dominance_margin=args.margin)
-    detections, diagnostics = _stage_classify_team(args.input, args.crops, game_config, args.strict)
-    _report_diagnostics(diagnostics)
+    detections, messages, skipped = _stage_classify_team(args.input, args.crops, game_config, args.strict)
+    _report_diagnostics(messages, skipped)
     _emit(serialize_detections(detections), args.output)
     return 0
 
@@ -245,10 +251,8 @@ def _cmd_log(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    text, diagnostics = _stage_evaluate(
-        args.preds, args.truth, args.match_iou, args.confusion, args.strict
-    )
-    _report_diagnostics(diagnostics)
+    text, messages, skipped = _stage_evaluate(args.preds, args.truth, args.confusion, args.strict)
+    _report_diagnostics(messages, skipped)
     _emit(text, args.output)
     return 0
 
@@ -390,7 +394,6 @@ def build_parser() -> _Parser:
     p.add_argument("--preds", required=True, help="predicted detection records")
     p.add_argument("--truth", required=True, help="ground-truth detection records")
     common(p, config=False)
-    p.add_argument("--match-iou", type=float, dest="match_iou", default=0.50, help="IoU for digit confusion pairing")
     p.add_argument("--confusion", action="store_true", help="append the digit confusion matrix")
     p.set_defaults(func=_cmd_evaluate)
 

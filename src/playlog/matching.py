@@ -133,6 +133,30 @@ def hungarian_assign(cost: Sequence[Sequence[float]]) -> Assignment:
     return Assignment(tuple(pairs), float(total))
 
 
+def score_order(preds: Sequence[tuple[BoundingBox, float]]) -> list[int]:
+    """Greedy visiting order of the predictions (score desc, then index); checks every score."""
+    for _, score in preds:
+        if not (isinstance(score, (int, float)) and 0.0 <= score <= 1.0):
+            raise InvariantError(f"prediction score in [0, 1] violated (got {score!r})")
+    return sorted(range(len(preds)), key=lambda i: (-preds[i][1], i))
+
+
+def greedy_match(iou_rows: Sequence[Sequence[float]], iou_threshold: float) -> list[int | None]:
+    """Matched gt index (or None) per row of IoUs with every ground truth, rows in
+    visiting order: each takes the free gt of highest IoU >= threshold (ties: lower index)."""
+    taken: set[int] = set()
+    result: list[int | None] = []
+    for row in iou_rows:
+        best: int | None = None
+        for g, v in enumerate(row):
+            if v >= iou_threshold and (best is None or v > row[best]) and g not in taken:
+                best = g
+        if best is not None:
+            taken.add(best)
+        result.append(best)
+    return result
+
+
 def match_detections(
     preds: Sequence[tuple[BoundingBox, float]],
     gts: Sequence[BoundingBox],
@@ -147,25 +171,7 @@ def match_detections(
     """
     if not (0.0 < iou_threshold <= 1.0):
         raise InvariantError(f"iou_threshold in (0, 1] violated (got {iou_threshold!r})")
-    for _, score in preds:
-        if not (isinstance(score, (int, float)) and 0.0 <= score <= 1.0):
-            raise InvariantError(f"prediction score in [0, 1] violated (got {score!r})")
-
-    order = sorted(range(len(preds)), key=lambda i: (-preds[i][1], i))
-    taken = [False] * len(gts)
-    result: list[int | None] = [None] * len(preds)
-    for i in order:
-        box = preds[i][0]
-        best: int | None = None
-        best_iou = 0.0
-        for g, gt in enumerate(gts):
-            if taken[g]:
-                continue
-            v = iou(box, gt)
-            if v >= iou_threshold and (best is None or v > best_iou):
-                best = g
-                best_iou = v
-        if best is not None:
-            taken[best] = True
-            result[i] = best
-    return result
+    order = score_order(preds)
+    matches = greedy_match([[iou(preds[i][0], gt) for gt in gts] for i in order], iou_threshold)
+    by_index = dict(zip(order, matches))
+    return [by_index[i] for i in range(len(preds))]

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .core import BoundingBox, InvariantError
-from .matching import SizeBucket, match_detections, size_bucket
+from .matching import SizeBucket, greedy_match, iou, score_order, size_bucket
 
 PROB_FLOOR = 1e-12  # keeps log() off exact zeros
 
@@ -96,13 +98,13 @@ def average_precision(curve: PrCurve) -> float:
     if curve.num_gt == 0:
         warnings.warn("average_precision with num_gt = 0 pinned to 0", DegenerateMetricWarning)
         return 0.0
+    # recalls never decrease, so the points at or beyond a grid recall form
+    # a suffix: best_from[k] is the best precision from point k on
+    best_from = list(accumulate(reversed([p for _, p in curve.points]), max, initial=0.0))[::-1]
+    recalls = [r for r, _ in curve.points]
     total = 0.0
     for g in RECALL_GRID:
-        best = 0.0
-        for r, p in curve.points:
-            if r >= g and p > best:
-                best = p
-        total += best
+        total += best_from[bisect_left(recalls, g)]
     return total / len(RECALL_GRID)
 
 
@@ -167,17 +169,6 @@ class EvalReport:
         return "".join(f"{name} {getattr(self, attr):.6f}\n" for name, attr in _REPORT_ROWS)
 
 
-def _global_rank(preds: Mapping[int, Sequence[tuple[BoundingBox, float]]]) -> list[tuple[int, int]]:
-    # Deterministic cross-frame ranking: score desc, then frame, then index.
-    entries = [
-        (f, i)
-        for f in sorted(preds)
-        for i in range(len(preds[f]))
-    ]
-    entries.sort(key=lambda fi: (-preds[fi[0]][fi[1]][1], fi[0], fi[1]))
-    return entries
-
-
 def _ap_from_flags(flags: Sequence[bool], num_gt: int) -> float:
     tp = 0
     points = []
@@ -192,7 +183,6 @@ def evaluate_detections(
     preds: Mapping[int, Sequence[tuple[BoundingBox, float]]],
     gts: Mapping[int, Sequence[BoundingBox]],
     *,
-    iou_thresholds: Sequence[float] = IOU_THRESHOLDS,
     max_detections: int = MAX_DETECTIONS,
 ) -> EvalReport:
     """Score per-frame detections against per-frame ground truth.
@@ -220,56 +210,53 @@ def evaluate_detections(
         for b in (SizeBucket.SMALL, SizeBucket.LARGE)
     }
 
-    rank = _global_rank(preds)
-    own_bucket = {
-        (f, i): size_bucket(preds[f][i][0]) for f, i in rank
-    }
-    # Greedy matching visits a frame's predictions in (score desc, index)
-    # order, so its top max_detections match exactly as they would alone:
-    # recall under the cap is read from the uncapped matching.
-    capped = [
-        (f, i)
-        for f in preds
-        for i in sorted(range(len(preds[f])), key=lambda i: (-preds[f][i][1], i))[:max_detections]
-    ]
+    frames = sorted(preds)
+    # Each frame's IoU rows, in its greedy visiting order, are computed once
+    # and reused at every threshold.  Entries (one per prediction: frame,
+    # index, position in its frame's order) follow the same order, and so
+    # does every per-entry list below.
+    orders = {f: score_order(preds[f]) for f in frames}
+    iou_rows = {f: [[iou(preds[f][i][0], g) for g in kept_gts[f]] for i in orders[f]] for f in frames}
+    entries = [(f, i, position) for f in frames for position, i in enumerate(orders[f])]
+    scores = [preds[f][i][1] for f, i, _ in entries]
+    own_bucket = [size_bucket(preds[f][i][0]) for f, i, _ in entries]
+    capped = [e for e, (_, _, position) in enumerate(entries) if position < max_detections]
+    # Global ranking by (score desc, frame, index): entries of equal score
+    # already sit in (frame, index) order, and the sort is stable.
+    rank = sorted(range(len(entries)), key=lambda e: -scores[e])
 
     ap_at: dict[float, float] = {}
     ap_bucket_sum = {SizeBucket.SMALL: 0.0, SizeBucket.LARGE: 0.0}
     ar_bucket_sum = {SizeBucket.SMALL: 0.0, SizeBucket.LARGE: 0.0}
     ar_degenerate = False
 
-    for t in iou_thresholds:
-        matched: dict[tuple[int, int], SizeBucket | None] = {}
-        for f in preds:
-            result = match_detections(preds[f], kept_gts[f], t)
-            for i, g in enumerate(result):
-                matched[(f, i)] = gt_buckets[f][g] if g is not None else None
+    for t in IOU_THRESHOLDS:
+        matched: list[SizeBucket | None] = []
+        for f in frames:
+            matched.extend(None if g is None else gt_buckets[f][g] for g in greedy_match(iou_rows[f], t))
 
-        flags = [matched[fi] is not None for fi in rank]
-        ap_at[t] = _ap_from_flags(flags, num_gt)
+        ap_at[t] = _ap_from_flags([matched[e] is not None for e in rank], num_gt)
 
+        # a prediction counts in its ground truth's bucket, or unmatched in its own
+        counted_in = [own if m is None else m for m, own in zip(matched, own_bucket)]
         for b in (SizeBucket.SMALL, SizeBucket.LARGE):
-            bucket_flags = [
-                matched[fi] is b
-                for fi in rank
-                if matched[fi] is b or (matched[fi] is None and own_bucket[fi] is b)
-            ]
+            bucket_flags = [matched[e] is b for e in rank if counted_in[e] is b]
             ap_bucket_sum[b] += _ap_from_flags(bucket_flags, num_gt_by_bucket[b])
-
-        for b in (SizeBucket.SMALL, SizeBucket.LARGE):
+            # greedy matching visits a frame in the same order with or without
+            # the cap, so recall under the cap is read from the uncapped matching
             if num_gt_by_bucket[b] > 0:
-                ar_bucket_sum[b] += sum(matched[fi] is b for fi in capped) / num_gt_by_bucket[b]
+                ar_bucket_sum[b] += sum(matched[e] is b for e in capped) / num_gt_by_bucket[b]
             else:
                 ar_degenerate = True
 
     if ar_degenerate:
         warnings.warn("AR over an empty size bucket pinned to 0", DegenerateMetricWarning)
 
-    n_t = len(tuple(iou_thresholds))
+    n_t = len(IOU_THRESHOLDS)
     return EvalReport(
         ap_range=sum(ap_at.values()) / n_t,
-        ap_50=ap_at.get(0.50, 0.0),
-        ap_75=ap_at.get(0.75, 0.0),
+        ap_50=ap_at[0.50],
+        ap_75=ap_at[0.75],
         ap_small=ap_bucket_sum[SizeBucket.SMALL] / n_t,
         ap_large=ap_bucket_sum[SizeBucket.LARGE] / n_t,
         ar_small=ar_bucket_sum[SizeBucket.SMALL] / n_t,

@@ -170,7 +170,22 @@ class TestClassifyTeam:
         captured = capsys.readouterr()
         teams = [line.split()[6] for line in captured.out.splitlines()]
         assert teams == ["home", "away", "unknown"]
-        assert "no crop 3_0.ppm" in captured.err
+        assert captured.err == "record line 3: no crop 3_0.ppm, team kept\n"
+
+    def test_only_skipped_lines_are_counted(self, tmp_path, capsys):
+        crops = tmp_path / "crops"
+        crops.mkdir()
+        write_image(solid_image(10, 10, (200, 40, 40)), crops / "0_0.ppm")
+        records = tmp_path / "records.txt"
+        records.write_text(record(0) + "\ngarbage\n" + record(3) + "\n", encoding="utf-8")
+        assert run(["classify-team", "--input", str(records), "--crops", str(crops)]) == 0
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 2
+        assert captured.err.splitlines() == [
+            "record line 2: expected at least 9 fields, got 1",
+            "record line 3: no crop 3_0.ppm, team kept",
+            "1 malformed line(s) skipped",
+        ]
 
 
 class TestEvaluate:
@@ -248,6 +263,33 @@ class TestEvaluate:
         assert set(rows) == set(keys)
         for name, key in keys.items():
             assert float(rows[name]) == pytest.approx(expected[key], abs=1e-6), name
+
+    @pytest.mark.filterwarnings("ignore::playlog.DegenerateMetricWarning")
+    def test_digit_count_notes_are_not_counted_as_skipped(self, tmp_path, capsys):
+        def numbered(number):
+            d = PlayerDetection(frame_index=0, box=BoundingBox(10, 20, 40, 60), score=0.9, number=number)
+            return serialize_detection(d) + "\n"
+
+        preds = tmp_path / "preds.txt"
+        truth = tmp_path / "truth.txt"
+        preds.write_text(numbered(4), encoding="utf-8")
+        truth.write_text(numbered(35), encoding="utf-8")
+        assert run(["evaluate", "--preds", str(preds), "--truth", str(truth), "--confusion"]) == 0
+        assert capsys.readouterr().err == "frame 0: digit counts differ (35 vs 4), pair skipped\n"
+        preds.write_text(numbered(4) + "garbage\n", encoding="utf-8")
+        assert run(["evaluate", "--preds", str(preds), "--truth", str(truth), "--confusion"]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "record line 2: expected at least 9 fields, got 1",
+            "frame 0: digit counts differ (35 vs 4), pair skipped",
+            "1 malformed line(s) skipped",
+        ]
+
+    def test_match_iou_flag_is_gone(self, tmp_path, capsys):
+        truth = tmp_path / "truth.txt"
+        truth.write_text(self.frames_of_records((0,), 0, 1.0), encoding="utf-8")
+        argv = ["evaluate", "--preds", str(truth), "--truth", str(truth), "--confusion"]
+        assert run(argv + ["--match-iou", "0.5"]) == 1
+        assert "unrecognized arguments: --match-iou" in capsys.readouterr().err
 
     def test_prediction_frame_absent_from_truth_is_an_error(self, tmp_path, capsys):
         truth = tmp_path / "truth.txt"

@@ -21,10 +21,11 @@ from playlog import (
     confusion_matrix,
     evaluate_detections,
     focal_loss,
+    match_detections,
     prf1,
 )
 
-from oracles import ref_cross_entropy, ref_evaluate, ref_focal
+from oracles import ref_ap, ref_cross_entropy, ref_evaluate, ref_focal
 
 
 def dist(p_true, gamma, n_other=1):
@@ -115,6 +116,18 @@ class TestAveragePrecision:
     def test_point_range_enforced(self):
         with pytest.raises(InvariantError):
             PrCurve(points=((0.5, 1.5),), num_gt=2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.booleans(), max_size=60), st.integers(0, 10))
+    def test_equals_reference_exactly(self, flags, extra_gt):
+        # exact equality: the curve is built the way the evaluator builds it
+        num_gt = max(1, sum(flags) + extra_gt)
+        tp = 0
+        points = []
+        for rank, hit in enumerate(flags, start=1):
+            tp += hit
+            points.append((tp / num_gt, tp / rank))
+        assert average_precision(PrCurve(tuple(points), num_gt)) == ref_ap(flags, num_gt)
 
 
 class TestPrf1:
@@ -215,6 +228,17 @@ def scenes(draw):
 
 
 class TestEvaluateDetections:
+    @pytest.mark.parametrize("score", [1.5, -0.1])
+    def test_score_range_enforced(self, score):
+        box = BoundingBox(0, 0, 40, 40)
+        message = f"prediction score in [0, 1] violated (got {score!r})"
+        with pytest.raises(InvariantError) as excinfo:
+            match_detections([(box, score)], [box], 0.5)
+        assert str(excinfo.value) == message
+        with pytest.raises(InvariantError) as excinfo:
+            evaluate_detections({0: [(box, 0.5), (box, score)]}, {0: [box]})
+        assert str(excinfo.value) == message
+
     @settings(max_examples=200, deadline=None)
     @given(scenes(), st.integers(1, 5))
     def test_capped_recall_agrees_with_reference(self, scene, max_detections):
