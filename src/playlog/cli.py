@@ -96,11 +96,6 @@ def _report_diagnostics(messages: Sequence[str], skipped: int | None = None) -> 
         print(f"{skipped} malformed line(s) skipped", file=sys.stderr)
 
 
-def _load_config(args: argparse.Namespace, **flags: object) -> GameConfig:
-    """--config (or the defaults) with the config-key flags that were set on top."""
-    return load_config(args.config, {key: str(v) for key, v in flags.items() if v is not None})
-
-
 # Stage functions are shared by the per-stage subcommands and `pipeline`.
 # The stages whose output feeds another stage (parse-clock, assemble)
 # return values: their subcommands serialise them, and `pipeline` hands
@@ -205,14 +200,7 @@ def _stage_evaluate(
 
 
 def _cmd_parse_clock(args: argparse.Namespace) -> int:
-    game_config = _load_config(
-        args,
-        play_clock_reset_jump=args.play_clock_jump,
-        game_clock_gap=args.game_clock_gap,
-        quarter_start=args.quarter_start,
-        quarter_rearm_below=args.quarter_rearm_below,
-        min_play_frames=args.min_play_frames,
-    )
+    game_config = load_config(args.config)
     windows, diagnostics = _stage_parse_clock(args.input, game_config.segmenter, args.strict)
     _report_diagnostics(diagnostics)
     _emit(format_play_windows(windows), args.output)
@@ -220,12 +208,7 @@ def _cmd_parse_clock(args: argparse.Namespace) -> int:
 
 
 def _cmd_assemble(args: argparse.Namespace) -> int:
-    game_config = _load_config(
-        args,
-        iou_suppress_threshold=args.iou_threshold,
-        confidence_threshold=args.confidence_threshold,
-        max_digits=args.max_digits,
-    )
+    game_config = load_config(args.config)
     records = _stage_assemble(args.input, game_config.assembly, args.strict)
     _report_diagnostics(records.diagnostics)
     _emit(serialize_detections(records.detections), args.output)
@@ -233,7 +216,7 @@ def _cmd_assemble(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify_team(args: argparse.Namespace) -> int:
-    game_config = _load_config(args, dominance_margin=args.margin)
+    game_config = load_config(args.config)
     detections, messages, skipped = _stage_classify_team(args.input, args.crops, game_config, args.strict)
     _report_diagnostics(messages, skipped)
     _emit(serialize_detections(detections), args.output)
@@ -241,7 +224,7 @@ def _cmd_classify_team(args: argparse.Namespace) -> int:
 
 
 def _cmd_log(args: argparse.Namespace) -> int:
-    game_config = _load_config(args, min_appearances=args.min_appearances)
+    game_config = load_config(args.config)
     windows = parse_play_windows(Path(args.windows).read_text(encoding="utf-8"))
     records = read_detections(_read_lines(args.records), strict=args.strict)
     text = _stage_log(game_config, windows, records.detections, args.side, args.format)
@@ -324,7 +307,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
-    game_config = _load_config(args)
+    game_config = load_config(args.config)
     workdir = None
     if args.workdir is not None:
         workdir = Path(args.workdir)
@@ -359,26 +342,17 @@ def build_parser() -> _Parser:
     p = sub.add_parser("parse-clock", help="clock text to play windows")
     p.add_argument("--input", required=True, help="clock text file: 'frame mm:ss play' per line")
     common(p)
-    p.add_argument("--play-clock-jump", type=int, dest="play_clock_jump", help="play-clock reset jump, seconds")
-    p.add_argument("--game-clock-gap", type=int, dest="game_clock_gap", help="game-clock gap trigger, seconds")
-    p.add_argument("--quarter-start", type=int, dest="quarter_start", help="quarter length, seconds")
-    p.add_argument("--quarter-rearm-below", type=int, dest="quarter_rearm_below", help="hysteresis re-arm level, seconds")
-    p.add_argument("--min-play-frames", type=int, dest="min_play_frames", help="drop windows shorter than this many readings")
     p.set_defaults(func=_cmd_parse_clock)
 
     p = sub.add_parser("assemble", help="resolve jersey numbers on detection records")
     p.add_argument("--input", required=True, help="detection records file")
     common(p)
-    p.add_argument("--iou-threshold", type=float, dest="iou_threshold", help="digit suppression IoU")
-    p.add_argument("--confidence-threshold", type=float, dest="confidence_threshold", help="digit confidence gate")
-    p.add_argument("--max-digits", type=int, dest="max_digits", help="digits kept per number")
     p.set_defaults(func=_cmd_assemble)
 
     p = sub.add_parser("classify-team", help="label records home/away from crop colors")
     p.add_argument("--input", required=True, help="detection records file")
     p.add_argument("--crops", required=True, help="directory of <frame>_<i>.ppm player crops")
     common(p)
-    p.add_argument("--margin", type=float, help="channel dominance margin")
     p.set_defaults(func=_cmd_classify_team)
 
     p = sub.add_parser("log", help="build the game log from windows + records")
@@ -387,7 +361,6 @@ def build_parser() -> _Parser:
     common(p)
     p.add_argument("--format", choices=("delimited", "structured"), default="delimited")
     p.add_argument("--side", choices=("home", "away"), default="home", help="which team to aggregate")
-    p.add_argument("--min-appearances", type=int, dest="min_appearances", help="frames a number must appear in")
     p.set_defaults(func=_cmd_log)
 
     p = sub.add_parser("evaluate", help="score detection records against ground truth")

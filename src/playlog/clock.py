@@ -52,6 +52,11 @@ class SegmenterConfig:
             v = getattr(self, name)
             if not (isinstance(v, int) and v >= 1):
                 raise InvariantError(f"SegmenterConfig.{name} must be a positive integer (got {v!r})")
+        # the game clock never reads above GAME_CLOCK_MAX, so a higher start never fires
+        if self.quarter_start > GAME_CLOCK_MAX:
+            raise InvariantError(
+                f"SegmenterConfig.quarter_start must be at most {GAME_CLOCK_MAX} (got {self.quarter_start})"
+            )
         if self.quarter_rearm_below >= self.quarter_start:
             raise InvariantError(
                 "SegmenterConfig.quarter_rearm_below must be below quarter_start "

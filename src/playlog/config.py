@@ -1,9 +1,10 @@
 """Flat key-value run configuration.
 
 Lines are ``key = value``; '#' starts a comment.  Every pipeline
-threshold has a key here with its standard default, so a config file only
-needs to name what it changes.  Roster paths are resolved relative to the
-config file.
+threshold has a key here with its standard default, taken from the stage's
+own config dataclass, so a config file only needs to name what it changes.
+The file (or the defaults) is the only source of a run's thresholds.
+Roster paths are resolved relative to the config file.
 """
 
 from __future__ import annotations
@@ -26,15 +27,15 @@ DEFAULTS: Mapping[str, str] = {
     "away_team": "Away",
     "home_roster": "",
     "away_roster": "",
-    "iou_suppress_threshold": "0.55",
-    "confidence_threshold": "0.97",
-    "max_digits": "2",
-    "play_clock_reset_jump": "5",
-    "game_clock_gap": "40",
-    "quarter_start": "900",
-    "quarter_rearm_below": "120",
-    "min_play_frames": "2",
-    "min_appearances": "1",
+    "iou_suppress_threshold": str(AssemblyConfig.iou_suppress_threshold),
+    "confidence_threshold": str(AssemblyConfig.confidence_threshold),
+    "max_digits": str(AssemblyConfig.max_digits),
+    "play_clock_reset_jump": str(SegmenterConfig.play_clock_reset_jump),
+    "game_clock_gap": str(SegmenterConfig.game_clock_gap),
+    "quarter_start": str(SegmenterConfig.quarter_start),
+    "quarter_rearm_below": str(SegmenterConfig.quarter_rearm_below),
+    "min_play_frames": str(SegmenterConfig.min_play_frames),
+    "min_appearances": str(GameConfig.min_appearances),
     "strip_height_fraction": str(STRIP_HEIGHT_FRACTION),
     "strip_width_fraction": str(STRIP_WIDTH_FRACTION),
     "dominance_margin": str(DOMINANCE_MARGIN),
@@ -137,25 +138,19 @@ def build_game_config(values: Mapping[str, str], base_dir: Path | None = None) -
         raise ConfigError(str(exc)) from None
 
 
-def load_config(path: str | Path | None = None, overrides: Mapping[str, str] | None = None) -> GameConfig:
-    """The run configuration: a config file, or the defaults when path is
-    None, with ``overrides`` (key -> value text) applied on top.
+def load_config(path: str | Path | None = None) -> GameConfig:
+    """The run configuration: a config file, or the defaults when path is None.
 
     Roster paths are resolved against the config file's directory.
     """
-    values, base_dir = dict(DEFAULTS), Path(".")
-    if path is not None:
-        p = Path(path)
-        try:
-            text = p.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {p}: {exc}") from None
-        values, base_dir = parse_config_text(text), p.parent
-    for key, value in (overrides or {}).items():
-        if key not in DEFAULTS:
-            raise ConfigError(f"unknown config key {key!r}")
-        values[key] = value
-    return build_game_config(values, base_dir)
+    if path is None:
+        return build_game_config(DEFAULTS)
+    p = Path(path)
+    try:
+        text = p.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {p}: {exc}") from None
+    return build_game_config(parse_config_text(text), p.parent)
 
 
 def format_config(values: Mapping[str, str]) -> str:

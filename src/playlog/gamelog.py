@@ -99,7 +99,8 @@ def load_roster(lines: Iterable[str], team_name: str = "") -> Roster:
         if stripped == "" or stripped.startswith("#"):
             continue
         head, sep, tail = stripped.partition(":")
-        if sep == "" or not head.strip().isdigit():
+        # isdecimal, not isdigit: int() rejects superscripts such as '²'
+        if sep == "" or not head.strip().isdecimal():
             raise RecordError(f"roster line {line_number}: expected 'number: name[; name]...', got {raw!r}")
         number = int(head.strip())
         if number > 99:

@@ -11,6 +11,8 @@ from playlog import (
     DigitDetection,
     PixelImage,
     PlayerDetection,
+    format_config,
+    parse_config_text,
     read_image,
     serialize_detection,
     write_image,
@@ -119,8 +121,20 @@ class TestParseClock:
         clock.write_text(CLOCK_TEXT + "70 0 0\n80 13:00 12\n", encoding="utf-8")
         assert run(["parse-clock", "--input", str(clock)]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 2
-        assert run(["parse-clock", "--input", str(clock), "--min-play-frames", "1"]) == 0
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text("min_play_frames = 1\n", encoding="utf-8")
+        assert run(["parse-clock", "--input", str(clock), "--config", str(cfg)]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 3
+
+    def test_quarter_start_above_the_clock_is_fatal(self, tmp_path, capsys):
+        clock = tmp_path / "clock.txt"
+        clock.write_text(CLOCK_TEXT, encoding="utf-8")
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text("quarter_start = 1200\n", encoding="utf-8")
+        assert run(["parse-clock", "--input", str(clock), "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: SegmenterConfig.quarter_start must be at most 900 (got 1200)\n"
 
 
 class TestAssemble:
@@ -142,7 +156,9 @@ class TestAssemble:
         records.write_text(record(0, digits=digits) + "\n", encoding="utf-8")
         assert run(["assemble", "--input", str(records)]) == 0
         assert capsys.readouterr().out.split()[7] == "-"
-        assert run(["assemble", "--input", str(records), "--confidence-threshold", "0.5"]) == 0
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text("confidence_threshold = 0.5\n", encoding="utf-8")
+        assert run(["assemble", "--input", str(records), "--config", str(cfg)]) == 0
         assert capsys.readouterr().out.split()[7] == "7"
 
     def test_out_of_range_number_is_fatal(self, tmp_path, capsys):
@@ -152,7 +168,9 @@ class TestAssemble:
         )
         records = tmp_path / "records.txt"
         records.write_text(record(0, digits=digits) + "\n", encoding="utf-8")
-        assert run(["assemble", "--input", str(records), "--max-digits", "3"]) == 1
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text("max_digits = 3\n", encoding="utf-8")
+        assert run(["assemble", "--input", str(records), "--config", str(cfg)]) == 1
         assert capsys.readouterr().err == "error: PlayerDetection.number in 0..99 violated (got 123)\n"
 
 
@@ -397,22 +415,38 @@ class TestPipeline:
         ) == 0
         assert out.read_bytes() == (game_dir / "truth_log.jsonl").read_bytes()
 
-    def test_matches_staged_subcommands(self, game_dir, tmp_path):
-        cfg = ["--config", str(game_dir / "game.cfg")]
+    @staticmethod
+    def staged_and_chained(game_dir, tmp_path, config, fmt="delimited"):
+        """The log from parse-clock -> assemble -> log and from pipeline, as bytes."""
+        cfg = ["--config", str(config)]
         windows = tmp_path / "windows.txt"
         assembled = tmp_path / "assembled.txt"
-        staged = tmp_path / "staged.csv"
-        chained = tmp_path / "chained.csv"
+        staged = tmp_path / "staged.log"
+        chained = tmp_path / "chained.log"
         assert run(["parse-clock", "--input", str(game_dir / "clock.txt"),
                     "--output", str(windows)] + cfg) == 0
         assert run(["assemble", "--input", str(game_dir / "detections.txt"),
                     "--output", str(assembled)] + cfg) == 0
         assert run(["log", "--windows", str(windows), "--records", str(assembled),
-                    "--output", str(staged)] + cfg) == 0
+                    "--format", fmt, "--output", str(staged)] + cfg) == 0
         assert run(["pipeline", "--clock", str(game_dir / "clock.txt"),
                     "--records", str(game_dir / "detections.txt"),
-                    "--output", str(chained)] + cfg) == 0
-        assert staged.read_bytes() == chained.read_bytes()
+                    "--format", fmt, "--output", str(chained)] + cfg) == 0
+        return staged.read_bytes(), chained.read_bytes()
+
+    def test_matches_staged_subcommands(self, game_dir, tmp_path):
+        staged, chained = self.staged_and_chained(game_dir, tmp_path, game_dir / "game.cfg")
+        assert staged == chained
+
+    @pytest.mark.parametrize("fmt, truth", [("delimited", "truth_log.csv"), ("structured", "truth_log.jsonl")])
+    def test_matches_staged_subcommands_under_a_changed_config(self, game_dir, tmp_path, fmt, truth):
+        # one changed threshold per stage: segmenter, assembly and log
+        values = parse_config_text((game_dir / "game.cfg").read_text(encoding="utf-8"))
+        values.update(min_play_frames="3", max_digits="1", min_appearances="2")
+        (game_dir / "changed.cfg").write_text(format_config(values), encoding="utf-8")
+        staged, chained = self.staged_and_chained(game_dir, tmp_path, game_dir / "changed.cfg", fmt)
+        assert staged == chained
+        assert chained != (game_dir / truth).read_bytes()
 
     def test_repeat_runs_are_byte_identical(self, game_dir, tmp_path):
         outputs = []
@@ -522,15 +556,31 @@ class TestConfigFirst:
         assert captured.out == ""
         assert captured.err == "error: TeamColorProfile.mode unknown (got 'brightest')\n"
 
-    def test_flag_override_beats_the_file(self, tmp_path, capsys):
-        cfg = tmp_path / "game.cfg"
-        cfg.write_text("min_play_frames = 5\n", encoding="utf-8")
-        clock = tmp_path / "clock.txt"
-        clock.write_text(CLOCK_TEXT, encoding="utf-8")
-        assert run(["parse-clock", "--input", str(clock), "--config", str(cfg)]) == 0
-        assert capsys.readouterr().out == ""
-        assert run(["parse-clock", "--input", str(clock), "--config", str(cfg), "--min-play-frames", "3"]) == 0
-        assert len(capsys.readouterr().out.splitlines()) == 2
+    # stage thresholds come from the config file only
+    @pytest.mark.parametrize("command, flag", [
+        ("parse-clock", "--play-clock-jump"),
+        ("parse-clock", "--game-clock-gap"),
+        ("parse-clock", "--quarter-start"),
+        ("parse-clock", "--quarter-rearm-below"),
+        ("parse-clock", "--min-play-frames"),
+        ("assemble", "--iou-threshold"),
+        ("assemble", "--confidence-threshold"),
+        ("assemble", "--max-digits"),
+        ("classify-team", "--margin"),
+        ("log", "--min-appearances"),
+    ])
+    def test_threshold_flags_are_gone(self, command, flag, tmp_path, capsys):
+        path = str(tmp_path / "in.txt")
+        argv = {
+            "parse-clock": ["--input", path],
+            "assemble": ["--input", path],
+            "classify-team": ["--input", path, "--crops", str(tmp_path)],
+            "log": ["--windows", path, "--records", path],
+        }[command]
+        assert run([command, *argv, flag, "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag} 3" in captured.err
 
 
 class TestLineBreaks:

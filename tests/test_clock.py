@@ -163,6 +163,14 @@ class TestLabelQuarters:
         with pytest.raises(InvariantError):
             SegmenterConfig(quarter_rearm_below=900)
 
+    def test_start_above_the_game_clock_maximum_is_rejected(self):
+        # the game clock never reads above 15:00, so a later start could never fire
+        assert SegmenterConfig(quarter_start=900).quarter_start == 900
+        with pytest.raises(
+            InvariantError, match=r"^SegmenterConfig.quarter_start must be at most 900 \(got 901\)$"
+        ):
+            SegmenterConfig(quarter_start=901)
+
 
 def stream(*lines):
     return parse_clock_stream(lines).readings

@@ -106,28 +106,63 @@ class TestBuild:
         with pytest.raises(ConfigError, match="roster"):
             load_config(tmp_path / "game.cfg")
 
-    def test_override_beats_the_file(self, tmp_path):
-        (tmp_path / "game.cfg").write_text("max_digits = 1\ngame_clock_gap = 25\n", encoding="utf-8")
-        cfg = load_config(tmp_path / "game.cfg", {"max_digits": "3"})
-        assert cfg.assembly.max_digits == 3
-        assert cfg.segmenter.game_clock_gap == 25
-        assert load_config(None, {"min_appearances": "4"}).min_appearances == 4
-
     def test_bad_override_names_its_key(self, tmp_path):
-        (tmp_path / "game.cfg").write_text("max_digits = 1\n", encoding="utf-8")
+        (tmp_path / "game.cfg").write_text("max_digits = two\n", encoding="utf-8")
         with pytest.raises(ConfigError, match=r"^config key max_digits must be an integer \(got 'two'\)$"):
-            load_config(tmp_path / "game.cfg", {"max_digits": "two"})
-        with pytest.raises(ConfigError, match="unknown config key 'velocity'"):
-            load_config(None, {"velocity": "9"})
+            load_config(tmp_path / "game.cfg")
+        (tmp_path / "game.cfg").write_text("max_digits = 1\nvelocity = 9\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"^config line 2: unknown key 'velocity'$"):
+            load_config(tmp_path / "game.cfg")
 
     def test_strip_fractions_and_profiles_are_checked(self):
         with pytest.raises(ConfigError, match=r"^config key strip_width_fraction must be a number"):
-            load_config(None, {"strip_width_fraction": "wide"})
+            build_game_config(parse_config_text("strip_width_fraction = wide"))
         with pytest.raises(ConfigError, match=r"^GameConfig.strip_height_fraction in \(0, 1\] violated"):
-            load_config(None, {"strip_height_fraction": "1.5"})
+            build_game_config(parse_config_text("strip_height_fraction = 1.5"))
         with pytest.raises(ConfigError, match="indistinguishable"):
-            load_config(None, {"home_color_mode": "no-dominant"})
+            build_game_config(parse_config_text("home_color_mode = no-dominant"))
+
+    def test_quarter_start_above_the_clock_is_a_config_error(self):
+        with pytest.raises(ConfigError, match=r"^SegmenterConfig.quarter_start must be at most 900 \(got 1200\)$"):
+            build_game_config(parse_config_text("quarter_start = 1200"))
 
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(ConfigError, match="config"):
             load_config(tmp_path / "nope.cfg")
+
+
+# One non-default setting per key, plus any key it needs first.  A key
+# missing here fails its case, so a new key must show that a stage reads it.
+_AWAY_BLUE = "away_color_mode = dominant-channel\naway_color_channel = blue\n"
+KEY_CHANGES = {
+    "home_team": ("", "Alabama"),
+    "away_team": ("", "Auburn"),
+    "home_roster": ("", "roster.txt"),
+    "away_roster": ("", "roster.txt"),
+    "iou_suppress_threshold": ("", "0.3"),
+    "confidence_threshold": ("", "0.5"),
+    "max_digits": ("", "1"),
+    "play_clock_reset_jump": ("", "8"),
+    "game_clock_gap": ("", "20"),
+    "quarter_start": ("", "880"),
+    "quarter_rearm_below": ("", "200"),
+    "min_play_frames": ("", "3"),
+    "min_appearances": ("", "2"),
+    "strip_height_fraction": ("", "0.5"),
+    "strip_width_fraction": ("", "0.5"),
+    "dominance_margin": ("", "10"),
+    "home_color_mode": (_AWAY_BLUE, "no-dominant"),
+    "home_color_channel": ("", "green"),
+    "away_color_mode": ("away_color_channel = blue\n", "dominant-channel"),
+    "away_color_channel": (_AWAY_BLUE, "green"),
+}
+
+
+@pytest.mark.parametrize("key", list(DEFAULTS))
+def test_no_config_key_is_dead(key, tmp_path):
+    prerequisite, value = KEY_CHANGES[key]
+    assert value != DEFAULTS[key]
+    (tmp_path / "roster.txt").write_text("3: A Player\n", encoding="utf-8")
+    (tmp_path / "base.cfg").write_text(prerequisite, encoding="utf-8")
+    (tmp_path / "changed.cfg").write_text(f"{prerequisite}{key} = {value}\n", encoding="utf-8")
+    assert load_config(tmp_path / "changed.cfg") != load_config(tmp_path / "base.cfg")

@@ -73,6 +73,14 @@ class TestRoster:
         with pytest.raises(RecordError, match="roster line 2"):
             load_roster(["1: A", "bad"])
 
+    def test_non_decimal_digit_is_a_record_error(self):
+        # '²' passes str.isdigit() but int() rejects it
+        with pytest.raises(
+            RecordError, match=r"^roster line 2: expected 'number: name\[; name\]\.\.\.', got '²: Bob'$"
+        ):
+            load_roster(["1: A", "²: Bob"])
+        assert load_roster(["١٢: Arabic-Indic Digits"]).entries == {12: ("Arabic-Indic Digits",)}
+
 
 class TestResolveNames:
     ROSTER = Roster(team_name="Alabama", entries={3: ("Calvin Ridley", "Bradley Sylve"), 10: ("Solo",)})
