@@ -46,16 +46,19 @@ from .gamelog import (
     RecordError,
     emit_game_log,
     group_by_frame,
+    iter_detections,
     load_detections,
     load_roster,
     parse_detection,
     parse_game_log,
+    presence_table,
     read_detections,
     resolve_names,
     roster_lines,
     serialize_detection,
     serialize_detections,
     synchronize,
+    synchronize_presence,
 )
 from .imageops import (
     binary_threshold,

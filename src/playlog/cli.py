@@ -12,6 +12,11 @@ Subcommands cover each pipeline stage plus a chained run:
     synth          seeded synthetic game files
     pipeline       parse-clock + assemble + log, chained in memory
 
+Record files are read one line at a time.  `pipeline` and `log` stream
+them: each record is parsed (and, in `pipeline`, assembled) and folded
+into a per-frame table of the side's jersey numbers as it is read, so
+their memory stays flat in the record count.
+
 Exit codes: 0 success, 1 input error, 2 internal error.  Diagnostics for
 skipped lines go to stderr; outputs go to --output or stdout.
 """
@@ -19,10 +24,11 @@ skipped lines go to stderr; outputs go to --output or stdout.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from dataclasses import replace
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .clock import (
     SegmenterConfig,
@@ -34,15 +40,16 @@ from .clock import (
 from .config import format_config, load_config
 from .core import PlayerDetection, PlayWindow
 from .gamelog import (
-    DetectionRecords,
     GameConfig,
     emit_game_log,
-    group_by_frame,
+    iter_detections,
     load_detections,
+    presence_table,
     read_detections,
     roster_lines,
+    serialize_detection,
     serialize_detections,
-    synchronize,
+    synchronize_presence,
 )
 from .imageops import (
     binary_threshold,
@@ -73,10 +80,24 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: error: {message}\n{self.format_usage()}")
 
 
-def _read_lines(path: str) -> list[str]:
-    # "\n" only: str.splitlines() would also break at form feeds and other
-    # separators a comment may hold, shifting every later line number
-    return Path(path).read_text(encoding="utf-8").split("\n")
+def _lines(path: str) -> Iterator[str]:
+    # newline="\n": only "\n" ends a line.  Universal newlines would also
+    # break at a lone "\r", and str.splitlines() at form feeds and other
+    # separators a comment may hold, shifting every later line number.
+    with open(path, encoding="utf-8", newline="\n") as f:
+        yield from f
+
+
+@contextmanager
+def _replaced_on_success(path: Path) -> Iterator[TextIO]:
+    """Write ``path`` under a temporary name, renamed into place only if the block succeeds."""
+    partial = path.with_name(path.name + ".partial")
+    try:
+        with open(partial, "w", encoding="utf-8") as out:
+            yield out
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -100,28 +121,31 @@ def _report_diagnostics(messages: Sequence[str], skipped: int | None = None) -> 
 # The stages whose output feeds another stage (parse-clock, assemble)
 # return values: their subcommands serialise them, and `pipeline` hands
 # them on in memory, so a chained run matches the staged subcommands by
-# construction.
+# construction.  Records pass between stages as lazy streams; a line
+# that the stream skips is added to the caller's ``skipped`` list as
+# ``(line number, diagnostic)``.
 
 def _stage_parse_clock(
     input_path: str, segmenter: SegmenterConfig, strict: bool
 ) -> tuple[list[PlayWindow], tuple[str, ...]]:
-    result = parse_clock_stream(_read_lines(input_path), strict=strict)
+    result = parse_clock_stream(_lines(input_path), strict=strict)
     return segment_plays(result.readings, segmenter), result.diagnostics
 
 
-def _stage_assemble(input_path: str, cfg: AssemblyConfig, strict: bool) -> DetectionRecords:
-    records = read_detections(_read_lines(input_path), strict=strict)
-    numbered = tuple(
-        d.with_number(assemble_number(suppress_digits(d.digits, cfg), cfg)) for d in records.detections
+def _stage_assemble(
+    input_path: str, cfg: AssemblyConfig, strict: bool, skipped: list[tuple[int, str]]
+) -> Iterator[PlayerDetection]:
+    return (
+        d.with_number(assemble_number(suppress_digits(d.digits, cfg), cfg))
+        for _, d in iter_detections(_lines(input_path), skipped, strict)
     )
-    return replace(records, detections=numbered)
 
 
 def _stage_classify_team(
     input_path: str, crops_dir: str, game_config: GameConfig, strict: bool
 ) -> tuple[tuple[PlayerDetection, ...], tuple[str, ...], int]:
     crops = Path(crops_dir)
-    records = read_detections(_read_lines(input_path), strict=strict)
+    records = read_detections(_lines(input_path), strict=strict)
     notes = dict(records.skipped)  # line number -> diagnostic
     out: list[PlayerDetection] = []
     frame_counters: dict[int, int] = {}
@@ -142,20 +166,27 @@ def _stage_classify_team(
 
 
 def _stage_log(
-    game_config: GameConfig, windows: Sequence[PlayWindow], detections: Sequence[PlayerDetection],
+    game_config: GameConfig, windows: Sequence[PlayWindow], detections: Iterable[PlayerDetection],
     side: str, fmt: str,
 ) -> str:
+    # each record is folded into the presence table and dropped as it streams past
     roster = game_config.home_roster if side == "home" else game_config.away_roster
-    entries = synchronize(
+    entries = synchronize_presence(
         windows,
-        group_by_frame(detections),
+        presence_table(detections, side),
         roster,
         home_team=game_config.home_team,
         away_team=game_config.away_team,
-        side=side,
         min_appearances=game_config.min_appearances,
     )
     return emit_game_log(entries, fmt)
+
+
+def _written(detections: Iterable[PlayerDetection], out: TextIO) -> Iterator[PlayerDetection]:
+    """Pass records through, writing each one's record line to ``out`` on the way."""
+    for d in detections:
+        out.write(serialize_detection(d) + "\n")
+        yield d
 
 
 def _matrix_rows(matrix, fmt: str) -> str:
@@ -165,8 +196,8 @@ def _matrix_rows(matrix, fmt: str) -> str:
 def _stage_evaluate(
     preds_path: str, truth_path: str, include_confusion: bool, strict: bool
 ) -> tuple[str, tuple[str, ...], int]:
-    preds_loaded = load_detections(_read_lines(preds_path), strict=strict)
-    truth_loaded = load_detections(_read_lines(truth_path), strict=strict)
+    preds_loaded = load_detections(_lines(preds_path), strict=strict)
+    truth_loaded = load_detections(_lines(truth_path), strict=strict)
     preds_map = {f: [(d.box, d.score) for d in ds] for f, ds in preds_loaded.by_frame.items()}
     gts_map = {f: [d.box for d in ds] for f, ds in truth_loaded.by_frame.items()}
     # the record format cannot express an empty frame: a truth frame the
@@ -209,9 +240,10 @@ def _cmd_parse_clock(args: argparse.Namespace) -> int:
 
 def _cmd_assemble(args: argparse.Namespace) -> int:
     game_config = load_config(args.config)
-    records = _stage_assemble(args.input, game_config.assembly, args.strict)
-    _report_diagnostics(records.diagnostics)
-    _emit(serialize_detections(records.detections), args.output)
+    skipped: list[tuple[int, str]] = []
+    text = serialize_detections(_stage_assemble(args.input, game_config.assembly, args.strict, skipped))
+    _report_diagnostics([message for _, message in skipped])
+    _emit(text, args.output)
     return 0
 
 
@@ -226,9 +258,10 @@ def _cmd_classify_team(args: argparse.Namespace) -> int:
 def _cmd_log(args: argparse.Namespace) -> int:
     game_config = load_config(args.config)
     windows = parse_play_windows(Path(args.windows).read_text(encoding="utf-8"))
-    records = read_detections(_read_lines(args.records), strict=args.strict)
-    text = _stage_log(game_config, windows, records.detections, args.side, args.format)
-    _report_diagnostics(records.diagnostics)
+    skipped: list[tuple[int, str]] = []
+    records = (d for _, d in iter_detections(_lines(args.records), skipped, args.strict))
+    text = _stage_log(game_config, windows, records, args.side, args.format)
+    _report_diagnostics([message for _, message in skipped])
     _emit(text, args.output)
     return 0
 
@@ -318,14 +351,15 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     if workdir is not None:
         (workdir / "windows.txt").write_text(format_play_windows(windows), encoding="utf-8")
 
-    records = _stage_assemble(args.records, game_config.assembly, args.strict)
-    _report_diagnostics(records.diagnostics)
-    if workdir is not None:
-        (workdir / "records_assembled.txt").write_text(
-            serialize_detections(records.detections), encoding="utf-8"
-        )
-
-    _emit(_stage_log(game_config, windows, records.detections, args.side, args.format), args.output)
+    skipped: list[tuple[int, str]] = []
+    detections = _stage_assemble(args.records, game_config.assembly, args.strict, skipped)
+    if workdir is None:
+        text = _stage_log(game_config, windows, detections, args.side, args.format)
+    else:
+        with _replaced_on_success(workdir / "records_assembled.txt") as out:
+            text = _stage_log(game_config, windows, _written(detections, out), args.side, args.format)
+    _report_diagnostics([message for _, message in skipped])
+    _emit(text, args.output)
     return 0
 
 

@@ -141,7 +141,9 @@ def parse_clock_stream(lines: Iterable[str], strict: bool = False) -> ClockStrea
 
     Blank lines and '#' comments are ignored.  Malformed lines are skipped
     and reported as diagnostics (or raised when strict).  Frame indices
-    must be strictly increasing; a violation is fatal either way.
+    must be strictly increasing: a line whose frame is not above the last
+    kept frame is skipped with a diagnostic like a malformed line, and
+    raises ClockStreamError when strict.
     """
     readings: list[ClockReading] = []
     diagnostics: list[str] = []
@@ -158,9 +160,11 @@ def parse_clock_stream(lines: Iterable[str], strict: bool = False) -> ClockStrea
             diagnostics.append(str(exc))
             continue
         if reading.frame_index <= last_frame:
-            raise ClockStreamError(
-                f"line {number}: frame {reading.frame_index} not above previous frame {last_frame}"
-            )
+            message = f"line {number}: frame {reading.frame_index} not above previous frame {last_frame}"
+            if strict:
+                raise ClockStreamError(message)
+            diagnostics.append(message)
+            continue
         last_frame = reading.frame_index
         readings.append(reading)
     return ClockStreamResult(tuple(readings), tuple(diagnostics))

@@ -57,7 +57,7 @@ def _require_team(team: object) -> None:
         raise InvariantError(f"PlayerDetection.team must be one of {sorted(VALID_TEAMS)} (got {team!r})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundingBox:
     """Axis-aligned box in pixel units, corner form, origin at top-left.
 
@@ -103,7 +103,7 @@ class BoundingBox:
         return self.y + self.h / 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DigitDetection:
     """One recognized digit inside a player crop.
 
@@ -125,7 +125,7 @@ class DigitDetection:
             raise InvariantError(f"DigitDetection.confidence in [0, 1] violated (got {c!r})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlayerDetection:
     """One player proposal in one frame, with its digit evidence.
 
@@ -174,7 +174,8 @@ class PlayerDetection:
 
     def _copy_with(self, **changes: object) -> "PlayerDetection":
         copy = object.__new__(type(self))
-        copy.__dict__.update(self.__dict__, **changes)
+        for name in self.__slots__:
+            object.__setattr__(copy, name, changes.get(name, getattr(self, name)))
         return copy
 
 

@@ -15,7 +15,8 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .clock import SegmenterConfig, format_mmss, parse_mmss
 from .core import (
@@ -199,15 +200,16 @@ class DetectionRecords:
         return tuple(text for _, text in self.skipped)
 
 
-def read_detections(lines: Iterable[str], strict: bool = False) -> DetectionRecords:
-    """Parse a detection record stream, keeping input order.
+def iter_detections(
+    lines: Iterable[str], skipped: list[tuple[int, str]], strict: bool = False
+) -> Iterator[tuple[int, PlayerDetection]]:
+    """Lazily parse a detection record stream: ``(line number, detection)`` per record.
 
-    Blank and '#' lines are ignored.  Malformed lines are skipped with a
-    diagnostic, or raised when strict.
+    Blank and '#' lines are ignored.  A malformed line is appended to
+    ``skipped`` as ``(line number, diagnostic)``, or raised when strict.
+    Each line is parsed when the caller asks for its record, so a caller
+    that consumes records as they come never holds the whole stream.
     """
-    detections: list[PlayerDetection] = []
-    line_numbers: list[int] = []
-    skipped: list[tuple[int, str]] = []
     for line_number, raw in enumerate(lines, start=1):
         stripped = raw.strip()
         if stripped == "" or stripped.startswith("#"):
@@ -219,9 +221,14 @@ def read_detections(lines: Iterable[str], strict: bool = False) -> DetectionReco
                 raise
             skipped.append((line_number, str(exc)))
             continue
-        detections.append(d)
-        line_numbers.append(line_number)
-    return DetectionRecords(tuple(detections), tuple(line_numbers), tuple(skipped))
+        yield line_number, d
+
+
+def read_detections(lines: Iterable[str], strict: bool = False) -> DetectionRecords:
+    """Parse a whole detection record stream, keeping input order (see iter_detections)."""
+    skipped: list[tuple[int, str]] = []
+    pairs = list(iter_detections(lines, skipped, strict))
+    return DetectionRecords(tuple(d for _, d in pairs), tuple(n for n, _ in pairs), tuple(skipped))
 
 
 def group_by_frame(detections: Iterable[PlayerDetection]) -> dict[int, tuple[PlayerDetection, ...]]:
@@ -263,6 +270,21 @@ def resolve_names(number: int, roster: Roster) -> str:
     return " or ".join(names)
 
 
+def presence_table(detections: Iterable[PlayerDetection], side: str) -> dict[int, int]:
+    """Frame -> the jersey numbers of ``side`` seen in it, from resolved numbers only.
+
+    The numbers of a frame are kept as a bit mask (bit n set: number n was
+    seen), one small int per frame where a set would cost hundreds of
+    bytes.  Folds a record stream one record at a time; frames where the
+    side has no numbered record are absent.
+    """
+    table: dict[int, int] = {}
+    for d in detections:
+        if d.team == side and d.number is not None:
+            table[d.frame_index] = table.get(d.frame_index, 0) | 1 << d.number
+    return table
+
+
 def synchronize(
     windows: Sequence[PlayWindow],
     detections_by_frame: Mapping[int, Sequence[PlayerDetection]],
@@ -278,22 +300,42 @@ def synchronize(
     For each window, the participants are the jersey numbers of the chosen
     side seen (with a resolved number) in at least min_appearances frames
     of the window, resolved to names through the roster.  The roster must
-    belong to the chosen side.
+    belong to the chosen side.  Each detection counts in its own
+    ``frame_index``, as group_by_frame keys it.
     """
     if side not in ("home", "away"):
         raise InvariantError(f"side must be home or away (got {side!r})")
+    presence = presence_table(chain.from_iterable(detections_by_frame.values()), side)
+    return synchronize_presence(
+        windows, presence, roster, home_team=home_team, away_team=away_team, min_appearances=min_appearances
+    )
+
+
+def synchronize_presence(
+    windows: Sequence[PlayWindow],
+    presence: Mapping[int, int],
+    roster: Roster,
+    *,
+    home_team: str,
+    away_team: str,
+    min_appearances: int = 1,
+) -> list[GameLogEntry]:
+    """synchronize over one side's presence table (see presence_table).
+
+    The roster must belong to the side the table was built for.
+    """
     if not (isinstance(min_appearances, int) and min_appearances >= 1):
         raise InvariantError(f"min_appearances >= 1 violated (got {min_appearances!r})")
     entries: list[GameLogEntry] = []
     for w in windows:
         frame_counts: dict[int, int] = {}
         for frame in range(w.frame_start, w.frame_end + 1):
-            seen: set[int] = set()
-            for d in detections_by_frame.get(frame, ()):
-                if d.team == side and d.number is not None:
-                    seen.add(d.number)
-            for number in seen:
+            mask = presence.get(frame, 0)
+            while mask:
+                low = mask & -mask  # lowest set bit
+                number = low.bit_length() - 1
                 frame_counts[number] = frame_counts.get(number, 0) + 1
+                mask ^= low
         participants = {
             number: resolve_names(number, roster)
             for number, count in sorted(frame_counts.items())

@@ -179,3 +179,19 @@ def ref_focal(p, gamma):
 
 def ref_cross_entropy(p):
     return -math.log(max(p, 1e-12))
+
+
+def ref_participants(windows, records, side, min_appearances):
+    """Participant numbers per window, by counting frames number by number.
+
+    ``windows`` are ``(frame_start, frame_end)`` pairs and ``records`` are
+    ``(frame, team, number)`` triples; a number counts once per frame.
+    """
+    out = []
+    for start, end in windows:
+        numbers = {n for f, t, n in records if t == side and n is not None and start <= f <= end}
+        out.append(sorted(
+            n for n in numbers
+            if len({f for f, t, m in records if t == side and m == n and start <= f <= end}) >= min_appearances
+        ))
+    return out

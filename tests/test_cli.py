@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, diagnostics, and stage chaining."""
 
 import tempfile
+import tracemalloc
 
 import pytest
 from oracles import ref_evaluate
@@ -114,6 +115,18 @@ class TestParseClock:
         clock.write_text(CLOCK_TEXT + "70 9?:?2 34\n", encoding="utf-8")
         assert run(["parse-clock", "--input", str(clock), "--strict"]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_out_of_order_line_is_skipped_unless_strict(self, tmp_path, capsys):
+        # a repeated frame is skipped and counted like a malformed line
+        lines = CLOCK_TEXT.splitlines()
+        clock = tmp_path / "clock.txt"
+        clock.write_text("\n".join(lines[:3] + [lines[2]] + lines[3:]) + "\n", encoding="utf-8")
+        assert run(["parse-clock", "--input", str(clock)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "1 1 0 20 15:00 14:56\n2 1 40 60 14:20 14:16\n"
+        assert captured.err == "line 4: frame 20 not above previous frame 20\n1 malformed line(s) skipped\n"
+        assert run(["parse-clock", "--input", str(clock), "--strict"]) == 1
+        assert capsys.readouterr().err == "error: line 4: frame 20 not above previous frame 20\n"
 
     def test_min_play_frames_override(self, tmp_path, capsys):
         # lone reading after a gap: dropped by default, kept at 1
@@ -506,6 +519,103 @@ class TestPipeline:
         assert out.read_bytes() == (game_dir / "truth_log.csv").read_bytes()
 
 
+class TestStreaming:
+    """`pipeline`, `log` and `assemble` read records one line at a time."""
+
+    @staticmethod
+    def pipeline(game_dir, clock, records, tmp_path, *extra):
+        out = tmp_path / "log.csv"
+        code = run(["pipeline", "--config", str(game_dir / "game.cfg"), "--clock", str(clock),
+                    "--records", str(records), "--output", str(out), *extra])
+        return code, out
+
+    def test_memory_is_flat_in_the_record_count(self, tmp_path):
+        # a game four times longer may not raise the peak by the parsed records it holds
+        games, lines, peaks = [], [], []
+        for plays in (2, 8):
+            game_dir = tmp_path / f"game{plays}"
+            assert run(["synth", "--seed", "5", "--output", str(game_dir), "--quarters", "1",
+                        "--plays-per-quarter", str(plays), "--fps", "10"]) == 0
+            games.append(game_dir)
+        self.pipeline(games[0], games[0] / "clock.txt", games[0] / "detections.txt", tmp_path)  # warm-up
+        for game_dir in games:
+            records = game_dir / "detections.txt"
+            tracemalloc.start()
+            try:
+                code, out = self.pipeline(game_dir, game_dir / "clock.txt", records, tmp_path)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            assert out.read_bytes() == (game_dir / "truth_log.csv").read_bytes()
+            lines.append(len(records.read_text(encoding="utf-8").splitlines()))
+        assert lines == [1820, 7150]
+        per_record = (peaks[1] - peaks[0]) / (lines[1] - lines[0])
+        assert per_record < 100, f"peak grew {per_record:.0f} bytes per record line"
+
+    @pytest.mark.parametrize("command", ["pipeline", "assemble"])
+    def test_strict_fails_at_the_first_bad_line(self, command, tmp_path, capsys):
+        # an out-of-range number on line 1 is found before the malformed line 2
+        digits = tuple(
+            DigitDetection(digit=v, confidence=0.99, box=BoundingBox(14 * i, 0, 10, 20))
+            for i, v in enumerate((1, 2, 3))
+        )
+        records = tmp_path / "records.txt"
+        records.write_text(record(0, digits=digits) + "\ngarbage\n", encoding="utf-8")
+        clock = tmp_path / "clock.txt"
+        clock.write_text(CLOCK_TEXT, encoding="utf-8")
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text("max_digits = 3\n", encoding="utf-8")
+        out = tmp_path / "out.txt"
+        workdir = tmp_path / "stages"
+        if command == "pipeline":
+            argv = ["pipeline", "--clock", str(clock), "--records", str(records), "--workdir", str(workdir)]
+        else:
+            argv = ["assemble", "--input", str(records)]
+        assert run(argv + ["--config", str(cfg), "--output", str(out), "--strict"]) == 1
+        assert capsys.readouterr().err == "error: PlayerDetection.number in 0..99 violated (got 123)\n"
+        assert not out.exists()
+        assert not (workdir / "records_assembled.txt").exists()
+
+    @pytest.mark.parametrize("bad", ["clock.txt", "detections.txt"])
+    def test_invalid_utf8_is_an_input_error(self, bad, tmp_path, capsys):
+        game_dir = tmp_path / "game"
+        assert run(["synth", "--seed", "5", "--output", str(game_dir), "--quarters", "1",
+                    "--plays-per-quarter", "2", "--fps", "3"]) == 0
+        capsys.readouterr()
+        path = game_dir / bad
+        data = path.read_bytes()
+        middle = data.index(b"\n", len(data) // 2) + 1
+        path.write_bytes(data[:middle] + b"\xff\xfe\n" + data[middle:])
+        workdir = tmp_path / "stages"
+        code, out = self.pipeline(game_dir, game_dir / "clock.txt", game_dir / "detections.txt", tmp_path,
+                                  "--workdir", str(workdir))
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("error: 'utf-8' codec can't decode byte 0xff in position ")
+        assert not any("Traceback" in line for line in err)
+        assert not out.exists()
+        # windows.txt is written once the clock is read, as before; nothing else is left
+        expected = [] if bad == "clock.txt" else ["windows.txt"]
+        assert sorted(p.name for p in workdir.iterdir()) == expected
+
+    def test_failed_run_keeps_the_previous_intermediate(self, tmp_path, capsys):
+        clock = tmp_path / "clock.txt"
+        clock.write_text(CLOCK_TEXT, encoding="utf-8")
+        records = tmp_path / "records.txt"
+        records.write_text(record(0) + "\n", encoding="utf-8")
+        workdir = tmp_path / "stages"
+        argv = ["pipeline", "--clock", str(clock), "--records", str(records), "--workdir", str(workdir)]
+        assert run(argv) == 0
+        before = (workdir / "records_assembled.txt").read_bytes()
+        assert before == (record(0) + "\n").encode()
+        records.write_text(record(1) + "\ngarbage\n", encoding="utf-8")
+        assert run(argv + ["--strict"]) == 1
+        assert "record line 2" in capsys.readouterr().err
+        assert (workdir / "records_assembled.txt").read_bytes() == before
+        assert sorted(p.name for p in workdir.iterdir()) == ["records_assembled.txt", "windows.txt"]
+
+
 class TestLog:
     def test_roster_names_in_output(self, tmp_path, capsys):
         (tmp_path / "roster.txt").write_text("3: Calvin Ridley; Bradley Sylve\n", encoding="utf-8")
@@ -607,6 +717,20 @@ class TestLineBreaks:
         clock.write_text("# \x0c\n" + CLOCK_TEXT + "80 bogus\n", encoding="utf-8")
         assert run(["parse-clock", "--input", str(clock)]) == 0
         assert "line 9" in capsys.readouterr().err
+
+    def test_lone_carriage_return_in_comments(self, tmp_path, capsys):
+        clock = tmp_path / "clock.txt"
+        clock.write_bytes(b"# scanned\rby OCR\n" + CLOCK_TEXT.encode() + b"80 bogus\n")
+        assert run(["parse-clock", "--input", str(clock)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "1 1 0 20 15:00 14:56\n2 1 40 60 14:20 14:16\n"
+        assert captured.err == "line 9: expected 3 fields, got 2: '80 bogus'\n1 malformed line(s) skipped\n"
+        records = tmp_path / "records.txt"
+        records.write_bytes(("# page\r2\n" + record(0) + "\ngarbage\n").encode())
+        assert run(["assemble", "--input", str(records)]) == 0
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 1
+        assert captured.err.splitlines()[0] == "record line 3: expected at least 9 fields, got 1"
 
     def test_crlf_input(self, tmp_path, capsys):
         clock = tmp_path / "clock.txt"

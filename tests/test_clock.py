@@ -1,6 +1,8 @@
 """Clock text parsing, quarter hysteresis, play segmentation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from playlog import (
     ClockParseError,
@@ -107,9 +109,21 @@ class TestClockStream:
             parse_clock_stream(["10 15:00 40", "junk line here"], strict=True)
 
     @pytest.mark.parametrize("second", ["10 14:59 39", "9 14:59 39"])
-    def test_frame_order_fatal_even_when_lenient(self, second):
-        with pytest.raises(ClockStreamError):
-            parse_clock_stream(["10 15:00 40", second])
+    def test_frame_order_skipped_when_lenient(self, second):
+        # the out-of-order line is skipped like a malformed one; later lines are kept
+        result = parse_clock_stream(["10 15:00 40", "junk", second, "11 14:58 38"])
+        assert [r.frame_index for r in result.readings] == [10, 11]
+        frame = second.split()[0]
+        assert result.diagnostics == (
+            "line 2: expected 3 fields, got 1: 'junk'",
+            f"line 3: frame {frame} not above previous frame 10",
+        )
+
+    @pytest.mark.parametrize("second", ["10 14:59 39", "9 14:59 39"])
+    def test_frame_order_fatal_when_strict(self, second):
+        frame = second.split()[0]
+        with pytest.raises(ClockStreamError, match=f"^line 2: frame {frame} not above previous frame 10$"):
+            parse_clock_stream(["10 15:00 40", second, "11 14:58 38"], strict=True)
 
 
 class TestLabelQuarters:
@@ -283,7 +297,26 @@ class TestSegmentPlays:
         assert segment_plays([]) == []
 
 
+@st.composite
+def play_windows(draw):
+    start = draw(st.integers(0, 10**7))
+    start_time = draw(st.integers(0, 900))
+    return PlayWindow(
+        play_number=draw(st.integers(1, 10**6)),
+        quarter=draw(st.integers(1, 4)),
+        frame_start=start,
+        frame_end=draw(st.integers(start, start + 10**5)),
+        start_time=start_time,
+        end_time=draw(st.integers(0, start_time)),
+    )
+
+
 class TestWindowText:
+    @settings(deadline=None)
+    @given(st.lists(play_windows(), max_size=5))
+    def test_round_trip_property(self, windows):
+        assert parse_play_windows(format_play_windows(windows)) == windows
+
     def test_round_trip(self):
         windows = [
             PlayWindow(play_number=1, quarter=1, frame_start=100, frame_end=250,

@@ -1,5 +1,8 @@
 """Value-object construction rules."""
 
+import copy
+import dataclasses
+import pickle
 import random
 
 import numpy as np
@@ -114,6 +117,23 @@ class TestPlayerDetection:
         assert away.with_team("unknown") == d
         with pytest.raises(AttributeError):
             away.team = "home"
+
+    @pytest.mark.parametrize("clone", [
+        lambda d: pickle.loads(pickle.dumps(d)),
+        copy.copy,
+        copy.deepcopy,
+        dataclasses.replace,
+    ], ids=["pickle", "copy", "deepcopy", "replace"])
+    def test_slotted_record_round_trips(self, clone):
+        digits = (DigitDetection(box=BoundingBox(0, 0, 10, 14), digit=1, confidence=0.98),
+                  DigitDetection(box=BoundingBox(12, 0, 10, 14), digit=8, confidence=0.97))
+        d = PlayerDetection(frame_index=3, box=BoundingBox(1, 2, 40, 60), score=0.5,
+                            digits=digits, number=18, team="home")
+        twin = clone(d)
+        assert twin == d
+        assert (twin.box, twin.digits, twin.number, twin.team) == (d.box, digits, 18, "home")
+        for value in (d, d.box, d.digits[0]):
+            assert not hasattr(value, "__dict__")
 
     @pytest.mark.parametrize("number, message", [
         (100, "PlayerDetection.number in 0..99 violated (got 100)"),

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import ref_participants
 
 from playlog import (
     BoundingBox,
@@ -18,16 +19,19 @@ from playlog import (
     Roster,
     emit_game_log,
     group_by_frame,
+    iter_detections,
     load_detections,
     load_roster,
     parse_detection,
     parse_game_log,
+    presence_table,
     read_detections,
     resolve_names,
     roster_lines,
     serialize_detection,
     serialize_detections,
     synchronize,
+    synchronize_presence,
 )
 
 
@@ -303,6 +307,100 @@ class TestSynchronize:
         assert [e.play_number for e in entries] == [1, 2]
 
 
+# small pools so that numbers repeat within a frame and frames fall
+# outside every window (windows stop at frame 25, records reach 30)
+stream_detections = st.lists(
+    st.builds(
+        detection,
+        frame=st.integers(0, 30),
+        x=st.integers(0, 5),
+        team=st.sampled_from(["home", "away", "unknown"]),
+        number=st.none() | st.sampled_from([0, 3, 5, 44, 99]),
+    ),
+    max_size=40,
+)
+
+
+@st.composite
+def play_windows(draw):
+    windows = []
+    for n in range(1, draw(st.integers(0, 4)) + 1):
+        start = draw(st.integers(0, 25))
+        windows.append(PlayWindow(play_number=n, quarter=1, frame_start=start,
+                                  frame_end=draw(st.integers(start, 25)), start_time=900, end_time=890))
+    return windows
+
+
+class TestStreamingFold:
+    @settings(deadline=None)
+    @given(stream_detections, play_windows(), st.integers(1, 3), st.sampled_from(["home", "away"]))
+    def test_presence_core_over_the_stream_equals_synchronize(self, detections, windows, min_appearances, side):
+        roster = Roster(team_name="T", entries={3: ("Three",), 44: ("Forty", "Four")})
+        teams = dict(home_team="Alabama", away_team="Michigan State", min_appearances=min_appearances)
+        expected = synchronize(windows, group_by_frame(detections), roster, side=side, **teams)
+        skipped = []
+        lines = (serialize_detection(d) for d in detections)
+        streamed = (d for _, d in iter_detections(lines, skipped))
+        assert synchronize_presence(windows, presence_table(streamed, side), roster, **teams) == expected
+        assert skipped == []
+        reference = ref_participants([(w.frame_start, w.frame_end) for w in windows],
+                                     [(d.frame_index, d.team, d.number) for d in detections],
+                                     side, min_appearances)
+        assert [list(e.participants) for e in expected] == reference
+
+    def test_presence_table_masks_the_side_numbers_per_frame(self):
+        detections = [detection(frame=4, number=3), detection(frame=4, number=3, x=1),
+                      detection(frame=4, number=9, team="away"), detection(frame=5, number=None),
+                      detection(frame=6, number=5, team="unknown"), detection(frame=2, number=7)]
+        assert presence_table(detections, "home") == {4: 1 << 3, 2: 1 << 7}
+        assert presence_table(detections, "away") == {4: 1 << 9}
+
+    def test_iter_detections_parses_one_line_per_record_asked_for(self):
+        consumed = []
+
+        def lines():
+            for i, line in enumerate(["# header", record_line(0), "bad", record_line(1), record_line(2)]):
+                consumed.append(i)
+                yield line
+
+        skipped = []
+        stream = iter_detections(lines(), skipped)
+        assert next(stream)[0] == 2
+        assert consumed == [0, 1]
+        assert next(stream)[0] == 4
+        assert consumed == [0, 1, 2, 3]
+        assert skipped == [(3, "record line 3: expected at least 9 fields, got 1")]
+
+    def test_iter_detections_strict_raises_at_the_bad_line(self):
+        stream = iter_detections([record_line(0), "bad", record_line(1)], [], strict=True)
+        assert next(stream)[0] == 1
+        with pytest.raises(RecordError, match="record line 2"):
+            next(stream)
+
+    def test_min_appearances_checked_by_the_core(self):
+        with pytest.raises(InvariantError, match="min_appearances"):
+            synchronize_presence([WINDOW], {}, ROSTER, home_team="A", away_team="B", min_appearances=0)
+
+
+def record_line(frame):
+    return serialize_detection(detection(frame=frame, number=3))
+
+
+names = st.text(min_size=1, max_size=12)
+log_entries = st.builds(
+    lambda play, quarter, times, home, away, participants: GameLogEntry(
+        play_number=play, quarter=quarter, start_time=max(times), end_time=min(times),
+        home_team=home, away_team=away, participants=participants,
+    ),
+    st.integers(1, 10**6),
+    st.integers(1, 4),
+    st.tuples(st.integers(0, 900), st.integers(0, 900)),
+    names,
+    names,
+    st.dictionaries(st.integers(0, 99), names, max_size=5),
+)
+
+
 def sample_entries():
     return [
         GameLogEntry(play_number=1, quarter=1, start_time=900, end_time=894,
@@ -336,6 +434,11 @@ class TestEmitGameLog:
 
     def test_structured_round_trip(self):
         entries = sample_entries()
+        assert parse_game_log(emit_game_log(entries, format="structured")) == entries
+
+    @settings(deadline=None)
+    @given(st.lists(log_entries, max_size=5))
+    def test_structured_round_trip_property(self, entries):
         assert parse_game_log(emit_game_log(entries, format="structured")) == entries
 
     def test_structured_is_json_lines(self):
