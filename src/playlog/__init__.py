@@ -77,6 +77,7 @@ from .matching import (
     SizeBucket,
     hungarian_assign,
     iou,
+    iou_matrix,
     match_detections,
     size_bucket,
 )

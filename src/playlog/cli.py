@@ -81,11 +81,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _lines(path: str) -> Iterator[str]:
-    # newline="\n": only "\n" ends a line.  Universal newlines would also
-    # break at a lone "\r", and str.splitlines() at form feeds and other
-    # separators a comment may hold, shifting every later line number.
-    with open(path, encoding="utf-8", newline="\n") as f:
-        yield from f
+    # Only "\n" ends a line.  Universal newlines would also break at a lone
+    # "\r", and str.splitlines() at form feeds and other separators a
+    # comment may hold, shifting every later line number.  Each line is
+    # decoded on its own, so a bad byte is reported where it is, and only
+    # after every line before it has been handed on.
+    with open(path, "rb") as f:
+        for line_number, raw in enumerate(f, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(
+                    f"{path} line {line_number}: invalid UTF-8 byte 0x{raw[exc.start]:02x}"
+                    f" at byte {exc.start + 1} of the line ({exc.reason})"
+                ) from None
+            yield line
 
 
 @contextmanager
@@ -257,7 +267,7 @@ def _cmd_classify_team(args: argparse.Namespace) -> int:
 
 def _cmd_log(args: argparse.Namespace) -> int:
     game_config = load_config(args.config)
-    windows = parse_play_windows(Path(args.windows).read_text(encoding="utf-8"))
+    windows = parse_play_windows("".join(_lines(args.windows)))
     skipped: list[tuple[int, str]] = []
     records = (d for _, d in iter_detections(_lines(args.records), skipped, args.strict))
     text = _stage_log(game_config, windows, records, args.side, args.format)

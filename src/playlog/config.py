@@ -90,6 +90,13 @@ def _profile(values: Mapping[str, str], label: str) -> TeamColorProfile:
     )
 
 
+def _read_text(path: Path) -> str:
+    # newline="\n": only "\n" ends a line, as in record and clock files;
+    # universal newlines would also end one at a lone "\r"
+    with open(path, encoding="utf-8", newline="\n") as f:
+        return f.read()
+
+
 def build_game_config(values: Mapping[str, str], base_dir: Path | None = None) -> GameConfig:
     """Typed GameConfig from parsed key-value pairs.
 
@@ -106,7 +113,7 @@ def build_game_config(values: Mapping[str, str], base_dir: Path | None = None) -
             if not path.is_absolute():
                 path = base / path
             try:
-                lines = path.read_text(encoding="utf-8").split("\n")
+                lines = _read_text(path).split("\n")
             except OSError as exc:
                 raise ConfigError(f"cannot read {side} roster {path}: {exc}") from None
         rosters[side] = load_roster(lines, team_name=values[f"{side}_team"])
@@ -147,7 +154,7 @@ def load_config(path: str | Path | None = None) -> GameConfig:
         return build_game_config(DEFAULTS)
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
+        text = _read_text(p)
     except OSError as exc:
         raise ConfigError(f"cannot read config {p}: {exc}") from None
     return build_game_config(parse_config_text(text), p.parent)

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
+import numpy as np
+
 from .core import BoundingBox, InvariantError
 
 # Jersey numbers stop being legible below 32x32; crops above 96x96 behave
@@ -35,6 +37,29 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
         return 0.0
     union = a.area + b.area - inter
     return inter / union
+
+
+def _box_columns(boxes: Sequence[BoundingBox]) -> tuple[np.ndarray, ...]:
+    """x, y, right, bottom and area of each box, as float64 columns."""
+    x, y, w, h = np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4).T
+    return x, y, x + w, y + h, w * h
+
+
+def iou_matrix(a_boxes: Sequence[BoundingBox], b_boxes: Sequence[BoundingBox]) -> np.ndarray:
+    """IoU of every (a, b) pair, as a len(a) x len(b) float64 array.
+
+    Each entry takes the same float operations in the same order as
+    ``iou``, so it equals ``iou(a_boxes[i], b_boxes[j])`` bit for bit.
+    """
+    ax, ay, ar, ab, a_area = (c[:, None] for c in _box_columns(a_boxes))
+    bx, by, br, bb, b_area = _box_columns(b_boxes)
+    inter_w = np.maximum(0.0, np.minimum(ar, br) - np.maximum(ax, bx))
+    inter_h = np.maximum(0.0, np.minimum(ab, bb) - np.maximum(ay, by))
+    inter = inter_w * inter_h
+    # iou returns 0.0 without dividing where inter <= 0; so does every such pair here
+    disjoint = inter <= 0.0
+    union = np.where(disjoint, 1.0, a_area + b_area - inter)
+    return np.where(disjoint, 0.0, inter / union)
 
 
 def size_bucket(box: BoundingBox) -> SizeBucket:
@@ -172,6 +197,6 @@ def match_detections(
     if not (0.0 < iou_threshold <= 1.0):
         raise InvariantError(f"iou_threshold in (0, 1] violated (got {iou_threshold!r})")
     order = score_order(preds)
-    matches = greedy_match([[iou(preds[i][0], gt) for gt in gts] for i in order], iou_threshold)
+    matches = greedy_match(iou_matrix([preds[i][0] for i in order], gts).tolist(), iou_threshold)
     by_index = dict(zip(order, matches))
     return [by_index[i] for i in range(len(preds))]

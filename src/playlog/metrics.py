@@ -4,15 +4,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .core import BoundingBox, InvariantError
-from .matching import SizeBucket, greedy_match, iou, score_order, size_bucket
+from .matching import SizeBucket, greedy_match, iou_matrix, score_order, size_bucket
 
 PROB_FLOOR = 1e-12  # keeps log() off exact zeros
 
@@ -79,13 +77,43 @@ class PrCurve:
         )
         if not (isinstance(self.num_gt, int) and self.num_gt >= 0):
             raise InvariantError(f"PrCurve.num_gt >= 0 violated (got {self.num_gt!r})")
-        prev_r = 0.0
-        for r, p in self.points:
-            if not (0.0 <= r <= 1.0 and 0.0 <= p <= 1.0):
-                raise InvariantError(f"PrCurve point out of [0, 1] (got {(r, p)!r})")
-            if r < prev_r:
-                raise InvariantError("PrCurve recall must be non-decreasing")
-            prev_r = r
+        _check_curve(*_curve_arrays(self))
+
+
+def _curve_arrays(curve: PrCurve) -> tuple[np.ndarray, np.ndarray]:
+    recall, precision = np.array(curve.points, dtype=np.float64).reshape(-1, 2).T
+    return recall, precision
+
+
+def _check_curve(recall: np.ndarray, precision: np.ndarray) -> None:
+    """Raise at the first point out of [0, 1] or below the previous recall."""
+    in_range = (recall >= 0.0) & (recall <= 1.0) & (precision >= 0.0) & (precision <= 1.0)
+    bad = ~in_range
+    bad[1:] |= recall[1:] < recall[:-1]
+    if bad.any():
+        k = int(np.argmax(bad))
+        if in_range[k]:
+            raise InvariantError("PrCurve recall must be non-decreasing")
+        raise InvariantError(f"PrCurve point out of [0, 1] (got {(float(recall[k]), float(precision[k]))!r})")
+
+
+_GRID = np.array(RECALL_GRID)
+
+
+def _interpolated_ap(recall: np.ndarray, precision: np.ndarray, num_gt: int) -> float:
+    """101-point interpolated AP of a checked curve (the core of average_precision)."""
+    if num_gt == 0:
+        warnings.warn("average_precision with num_gt = 0 pinned to 0", DegenerateMetricWarning)
+        return 0.0
+    # recalls never decrease, so the points at or beyond a grid recall form
+    # a suffix: best_from[k] is the best precision from point k on, and 0
+    # past the last point
+    best_from = np.append(np.maximum.accumulate(precision[::-1])[::-1], 0.0)
+    total = 0.0
+    # summed one grid point at a time, in grid order, as ref_ap sums
+    for v in best_from[np.searchsorted(recall, _GRID, side="left")].tolist():
+        total += v
+    return total / len(RECALL_GRID)
 
 
 def average_precision(curve: PrCurve) -> float:
@@ -95,17 +123,7 @@ def average_precision(curve: PrCurve) -> float:
     achieved at or beyond each grid recall.  With no ground truth the value
     is 0 and a DegenerateMetricWarning is emitted.
     """
-    if curve.num_gt == 0:
-        warnings.warn("average_precision with num_gt = 0 pinned to 0", DegenerateMetricWarning)
-        return 0.0
-    # recalls never decrease, so the points at or beyond a grid recall form
-    # a suffix: best_from[k] is the best precision from point k on
-    best_from = list(accumulate(reversed([p for _, p in curve.points]), max, initial=0.0))[::-1]
-    recalls = [r for r, _ in curve.points]
-    total = 0.0
-    for g in RECALL_GRID:
-        total += best_from[bisect_left(recalls, g)]
-    return total / len(RECALL_GRID)
+    return _interpolated_ap(*_curve_arrays(curve), curve.num_gt)
 
 
 def prf1(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
@@ -170,13 +188,12 @@ class EvalReport:
 
 
 def _ap_from_flags(flags: Sequence[bool], num_gt: int) -> float:
-    tp = 0
-    points = []
-    for rank, is_tp in enumerate(flags, start=1):
-        if is_tp:
-            tp += 1
-        points.append((tp / num_gt if num_gt else 0.0, tp / rank))
-    return average_precision(PrCurve(tuple(points), num_gt))
+    """AP of ranked hit flags: the curve average_precision would get, built as arrays."""
+    tp = np.cumsum(flags, dtype=np.int64)
+    recall = tp / num_gt if num_gt else np.zeros(len(tp))
+    precision = tp / np.arange(1, len(tp) + 1)
+    _check_curve(recall, precision)
+    return _interpolated_ap(recall, precision, num_gt)
 
 
 def evaluate_detections(
@@ -216,7 +233,7 @@ def evaluate_detections(
     # index, position in its frame's order) follow the same order, and so
     # does every per-entry list below.
     orders = {f: score_order(preds[f]) for f in frames}
-    iou_rows = {f: [[iou(preds[f][i][0], g) for g in kept_gts[f]] for i in orders[f]] for f in frames}
+    iou_rows = {f: iou_matrix([preds[f][i][0] for i in orders[f]], kept_gts[f]).tolist() for f in frames}
     entries = [(f, i, position) for f in frames for position, i in enumerate(orders[f])]
     scores = [preds[f][i][1] for f, i, _ in entries]
     own_bucket = [size_bucket(preds[f][i][0]) for f, i, _ in entries]

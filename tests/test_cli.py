@@ -1,10 +1,11 @@
 """Command line behavior: exit codes, diagnostics, and stage chaining."""
 
+import random
 import tempfile
 import tracemalloc
 
 import pytest
-from oracles import ref_evaluate
+from oracles import ref_evaluate, ref_greedy_match
 
 import playlog.gamelog
 from playlog import (
@@ -315,6 +316,70 @@ class TestEvaluate:
             "1 malformed line(s) skipped",
         ]
 
+    def test_confusion_pairs_truth_below_the_area_floor(self, tmp_path, capsys):
+        # AP drops truth boxes under 32x32; the confusion block pairs digits
+        # over every truth box, so the two passes match against different lists
+        rng = random.Random(17)
+        truth_rows, pred_rows = {}, {}
+        for f in range(6):
+            # (x, y, w, h): one box under the floor, one small, one large
+            truth_rows[f] = [((x, 30, w, h), rng.randrange(100))
+                             for x, w, h in ((5, 20, 30), (60, 40, 60), (150, 120, 150))]
+            pred_rows[f] = []
+            for (x, y, w, h), number in truth_rows[f]:
+                if rng.random() < 0.8:
+                    number = int("".join(str(rng.randrange(10)) for _ in str(number)))
+                elif rng.random() < 0.5:
+                    number = rng.randrange(100)
+                box = (x + rng.randrange(3), y + rng.randrange(3), w, h)
+                pred_rows[f].append((box, round(rng.uniform(0.3, 0.99), 2), number))
+            rng.shuffle(pred_rows[f])
+
+        def write(path, rows):
+            path.write_text("".join(
+                serialize_detection(PlayerDetection(frame_index=f, box=BoundingBox(*b), score=score, number=n)) + "\n"
+                for f in sorted(rows) for b, score, n in rows[f]
+            ), encoding="utf-8")
+
+        preds = tmp_path / "preds.txt"
+        truth = tmp_path / "truth.txt"
+        write(preds, pred_rows)
+        write(truth, {f: [(b, 1.0, n) for b, n in rows] for f, rows in truth_rows.items()})
+        assert run(["evaluate", "--preds", str(preds), "--truth", str(truth), "--confusion"]) == 0
+        captured = capsys.readouterr()
+
+        scored = {f: [(b, score) for b, score, _ in rows] for f, rows in pred_rows.items()}
+        gts = {f: [b for b, _ in rows] for f, rows in truth_rows.items()}
+        counts = [[0] * 10 for _ in range(10)]
+        notes = []
+        below_floor_pairs = 0
+        for f in sorted(gts):
+            for i, g in enumerate(ref_greedy_match(scored[f], gts[f], 0.50)):
+                if g is None:
+                    continue
+                below_floor_pairs += g == 0
+                true, predicted = str(truth_rows[f][g][1]), str(pred_rows[f][i][2])
+                if len(true) != len(predicted):
+                    notes.append(f"frame {f}: digit counts differ ({true} vs {predicted}), pair skipped")
+                    continue
+                for t, p in zip(true, predicted):
+                    counts[int(t)][int(p)] += 1
+        assert below_floor_pairs == 6
+        top = max(sum(row) for row in counts)
+        assert captured.out.split("confusion_counts\n")[1] == (
+            "".join(" ".join(str(v) for v in row) + "\n" for row in counts)
+            + "confusion_normalized\n"
+            + "".join(" ".join("%.4f" % (v / top) for v in row) + "\n" for row in counts)
+        )
+        assert captured.err == "".join(note + "\n" for note in notes)
+
+        expected = ref_evaluate(scored, gts)
+        rows = dict(line.split() for line in captured.out.split("confusion_counts\n")[0].splitlines())
+        for name, key in (("AP_{0.5:0.95}", "ap_range"), ("AP_{0.50}", "ap_50"), ("AP_{0.75}", "ap_75"),
+                          ("AP_small", "ap_small"), ("AP_large", "ap_large"),
+                          ("AR_small", "ar_small"), ("AR_large", "ar_large")):
+            assert float(rows[name]) == pytest.approx(expected[key], abs=1e-6), name
+
     def test_match_iou_flag_is_gone(self, tmp_path, capsys):
         truth = tmp_path / "truth.txt"
         truth.write_text(self.frames_of_records((0,), 0, 1.0), encoding="utf-8")
@@ -587,17 +652,42 @@ class TestStreaming:
         data = path.read_bytes()
         middle = data.index(b"\n", len(data) // 2) + 1
         path.write_bytes(data[:middle] + b"\xff\xfe\n" + data[middle:])
+        line_number = data[:middle].count(b"\n") + 1
         workdir = tmp_path / "stages"
         code, out = self.pipeline(game_dir, game_dir / "clock.txt", game_dir / "detections.txt", tmp_path,
                                   "--workdir", str(workdir))
         assert code == 1
         err = capsys.readouterr().err.splitlines()
-        assert err[-1].startswith("error: 'utf-8' codec can't decode byte 0xff in position ")
+        assert err[-1] == (
+            f"error: {path} line {line_number}: invalid UTF-8 byte 0xff at byte 1 of the line (invalid start byte)"
+        )
         assert not any("Traceback" in line for line in err)
         assert not out.exists()
         # windows.txt is written once the clock is read, as before; nothing else is left
         expected = [] if bad == "clock.txt" else ["windows.txt"]
         assert sorted(p.name for p in workdir.iterdir()) == expected
+
+    def test_invalid_utf8_is_located_within_its_line(self, tmp_path, capsys):
+        records = tmp_path / "records.txt"
+        records.write_bytes((record(0) + "\n# caf").encode() + b"\xc3(\n" + (record(1) + "\n").encode())
+        out = tmp_path / "out.txt"
+        assert run(["assemble", "--input", str(records), "--output", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {records} line 2: invalid UTF-8 byte 0xc3 at byte 6 of the line (invalid continuation byte)\n"
+        )
+        assert not out.exists()
+
+    def test_record_error_before_a_bad_byte_surfaces_first(self, tmp_path, capsys):
+        # the file fits in one read buffer; decoding it whole would report the byte first
+        records = tmp_path / "records.txt"
+        records.write_bytes(b"garbage\n\xff\n")
+        argv = ["assemble", "--input", str(records)]
+        assert run(argv + ["--strict"]) == 1
+        assert capsys.readouterr().err == "error: record line 1: expected at least 9 fields, got 1\n"
+        assert run(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {records} line 2: invalid UTF-8 byte 0xff at byte 1 of the line (invalid start byte)\n"
+        )
 
     def test_failed_run_keeps_the_previous_intermediate(self, tmp_path, capsys):
         clock = tmp_path / "clock.txt"
@@ -731,6 +821,28 @@ class TestLineBreaks:
         captured = capsys.readouterr()
         assert len(captured.out.splitlines()) == 1
         assert captured.err.splitlines()[0] == "record line 3: expected at least 9 fields, got 1"
+
+    def test_lone_carriage_return_does_not_end_a_config_line(self, tmp_path, capsys):
+        cfg = tmp_path / "game.cfg"
+        cfg.write_bytes(b"min_appearances = 2\rmax_digits = 3\n")
+        windows = tmp_path / "windows.txt"
+        windows.write_text("1 1 0 20 15:00 14:56\n", encoding="utf-8")
+        records = tmp_path / "records.txt"
+        records.write_text(record(1) + "\n", encoding="utf-8")
+        assert run(["log", "--windows", str(windows), "--records", str(records), "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: config key min_appearances must be an integer (got '2\\rmax_digits = 3')\n"
+
+    def test_lone_carriage_return_does_not_end_a_windows_line(self, tmp_path, capsys):
+        windows = tmp_path / "windows.txt"
+        windows.write_bytes(b"1 1 0 20 15:00 14:56\r2 1 40 60 14:20 14:16\n")
+        records = tmp_path / "records.txt"
+        records.write_text(record(1) + "\n", encoding="utf-8")
+        assert run(["log", "--windows", str(windows), "--records", str(records)]) == 1
+        assert capsys.readouterr().err == (
+            "error: line 1: expected 6 window fields, got 12: '1 1 0 20 15:00 14:56\\r2 1 40 60 14:20 14:16'\n"
+        )
 
     def test_crlf_input(self, tmp_path, capsys):
         clock = tmp_path / "clock.txt"

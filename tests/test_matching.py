@@ -2,7 +2,10 @@
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from playlog import (
     Assignment,
@@ -11,6 +14,7 @@ from playlog import (
     SizeBucket,
     hungarian_assign,
     iou,
+    iou_matrix,
     match_detections,
     size_bucket,
 )
@@ -51,6 +55,51 @@ class TestIou:
             assert got == iou(box(*b), box(*a))
             assert got == pytest.approx(ref_iou(a, b), abs=1e-12)
             assert 0.0 <= got <= 1.0
+
+
+# Coordinates on a coarse integer grid make touching edges, shared corners
+# and containment common; the fractional ones exercise rounding.
+coordinates = st.one_of(
+    st.integers(0, 12),
+    st.floats(0, 50, allow_nan=False, allow_infinity=False),
+    st.integers(0, 400).map(lambda k: k / 8),
+)
+extents = st.one_of(
+    st.integers(1, 12),
+    st.floats(0.001, 50, allow_nan=False, allow_infinity=False),
+    st.integers(1, 400).map(lambda k: k / 8),
+)
+boxes = st.builds(BoundingBox, coordinates, coordinates, extents, extents)
+
+
+@st.composite
+def box_pairs(draw):
+    a = draw(st.lists(boxes, max_size=6))
+    # b may reuse a's boxes, so identical pairs come up
+    b = draw(st.lists(st.one_of(boxes, st.sampled_from(a)) if a else boxes, max_size=6))
+    return a, b
+
+
+class TestIouMatrix:
+    @settings(max_examples=300, deadline=None)
+    @given(box_pairs())
+    @example(([box(0, 0, 10, 10)], [box(10, 0, 10, 10), box(10, 10, 10, 10)]))  # edge and corner touch
+    @example(([box(0, 0, 10, 10)], [box(2, 2, 5, 5), box(0, 0, 10, 10)]))  # containment, identical
+    @example(([box(0.1, 0.2, 0.3, 0.7)], [box(0.2, 0.1, 0.7, 0.3)]))  # fractional
+    def test_every_entry_is_the_scalar_iou(self, pair):
+        a, b = pair
+        got = iou_matrix(a, b)
+        assert got.shape == (len(a), len(b))
+        assert got.dtype == np.float64
+        for i, p in enumerate(a):
+            for j, q in enumerate(b):
+                assert got[i, j] == iou(p, q), (p, q)
+
+    @pytest.mark.parametrize("n, m", [(0, 0), (0, 3), (3, 0)])
+    def test_empty_shapes(self, n, m):
+        a = [box(i, 0, 10, 10) for i in range(n)]
+        b = [box(0, i, 10, 10) for i in range(m)]
+        assert iou_matrix(a, b).shape == (n, m)
 
 
 class TestSizeBucket:

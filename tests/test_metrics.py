@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from playlog import (
@@ -24,6 +24,8 @@ from playlog import (
     match_detections,
     prf1,
 )
+
+from playlog.metrics import _ap_from_flags
 
 from oracles import ref_ap, ref_cross_entropy, ref_evaluate, ref_focal
 
@@ -118,16 +120,37 @@ class TestAveragePrecision:
             PrCurve(points=((0.5, 1.5),), num_gt=2)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.booleans(), max_size=60), st.integers(0, 10))
+    @given(st.lists(st.booleans(), max_size=80), st.integers(0, 20))
+    @example([False] * 7, 0)  # no hits at all
+    @example([False] * 7, 3)
+    @example([True, False, True], 0)  # every ground truth found
+    @example([], 4)
     def test_equals_reference_exactly(self, flags, extra_gt):
-        # exact equality: the curve is built the way the evaluator builds it
+        # exact equality: the curve is built the way ref_ap builds it, and
+        # the evaluator's array path from flags must agree with both
         num_gt = max(1, sum(flags) + extra_gt)
         tp = 0
         points = []
         for rank, hit in enumerate(flags, start=1):
             tp += hit
             points.append((tp / num_gt, tp / rank))
-        assert average_precision(PrCurve(tuple(points), num_gt)) == ref_ap(flags, num_gt)
+        expected = ref_ap(flags, num_gt)
+        assert average_precision(PrCurve(tuple(points), num_gt)) == expected
+        assert _ap_from_flags(flags, num_gt) == expected
+
+    def test_flags_without_ground_truth_warn_and_pin_to_zero(self):
+        with pytest.warns(DegenerateMetricWarning):
+            assert _ap_from_flags([True, False], 0) == 0.0
+
+    def test_flags_with_more_hits_than_ground_truth_are_rejected(self):
+        with pytest.raises(InvariantError, match=r"out of \[0, 1\]"):
+            _ap_from_flags([True, True, False], 1)
+
+    def test_first_bad_point_decides_the_message(self):
+        with pytest.raises(InvariantError, match="non-decreasing"):
+            PrCurve(points=((0.5, 1.0), (0.4, 1.0), (0.6, 1.5)), num_gt=2)
+        with pytest.raises(InvariantError, match=r"out of \[0, 1\] \(got \(0.6, 1.5\)\)"):
+            PrCurve(points=((0.5, 1.0), (0.6, 1.5), (0.4, 1.0)), num_gt=2)
 
 
 class TestPrf1:
