@@ -66,6 +66,7 @@ from .matching import match_detections
 from .metrics import confusion_matrix, evaluate_detections
 from .synth import SynthConfig, generate_game
 from .teamcolor import channel_histogram, classify_team, extract_strip
+from .textfile import read_lines
 
 
 CONFUSION_MATCH_IOU = 0.50  # IoU at which `evaluate --confusion` pairs digits
@@ -78,24 +79,6 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad usage; the documented contract is exit 1
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(f"{self.prog}: error: {message}\n{self.format_usage()}")
-
-
-def _lines(path: str) -> Iterator[str]:
-    # Only "\n" ends a line.  Universal newlines would also break at a lone
-    # "\r", and str.splitlines() at form feeds and other separators a
-    # comment may hold, shifting every later line number.  Each line is
-    # decoded on its own, so a bad byte is reported where it is, and only
-    # after every line before it has been handed on.
-    with open(path, "rb") as f:
-        for line_number, raw in enumerate(f, start=1):
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ValueError(
-                    f"{path} line {line_number}: invalid UTF-8 byte 0x{raw[exc.start]:02x}"
-                    f" at byte {exc.start + 1} of the line ({exc.reason})"
-                ) from None
-            yield line
 
 
 @contextmanager
@@ -138,7 +121,7 @@ def _report_diagnostics(messages: Sequence[str], skipped: int | None = None) -> 
 def _stage_parse_clock(
     input_path: str, segmenter: SegmenterConfig, strict: bool
 ) -> tuple[list[PlayWindow], tuple[str, ...]]:
-    result = parse_clock_stream(_lines(input_path), strict=strict)
+    result = parse_clock_stream(read_lines(input_path), strict=strict)
     return segment_plays(result.readings, segmenter), result.diagnostics
 
 
@@ -147,7 +130,7 @@ def _stage_assemble(
 ) -> Iterator[PlayerDetection]:
     return (
         d.with_number(assemble_number(suppress_digits(d.digits, cfg), cfg))
-        for _, d in iter_detections(_lines(input_path), skipped, strict)
+        for _, d in iter_detections(read_lines(input_path), skipped, strict)
     )
 
 
@@ -155,7 +138,7 @@ def _stage_classify_team(
     input_path: str, crops_dir: str, game_config: GameConfig, strict: bool
 ) -> tuple[tuple[PlayerDetection, ...], tuple[str, ...], int]:
     crops = Path(crops_dir)
-    records = read_detections(_lines(input_path), strict=strict)
+    records = read_detections(read_lines(input_path), strict=strict)
     notes = dict(records.skipped)  # line number -> diagnostic
     out: list[PlayerDetection] = []
     frame_counters: dict[int, int] = {}
@@ -206,8 +189,8 @@ def _matrix_rows(matrix, fmt: str) -> str:
 def _stage_evaluate(
     preds_path: str, truth_path: str, include_confusion: bool, strict: bool
 ) -> tuple[str, tuple[str, ...], int]:
-    preds_loaded = load_detections(_lines(preds_path), strict=strict)
-    truth_loaded = load_detections(_lines(truth_path), strict=strict)
+    preds_loaded = load_detections(read_lines(preds_path), strict=strict)
+    truth_loaded = load_detections(read_lines(truth_path), strict=strict)
     preds_map = {f: [(d.box, d.score) for d in ds] for f, ds in preds_loaded.by_frame.items()}
     gts_map = {f: [d.box for d in ds] for f, ds in truth_loaded.by_frame.items()}
     # the record format cannot express an empty frame: a truth frame the
@@ -267,9 +250,9 @@ def _cmd_classify_team(args: argparse.Namespace) -> int:
 
 def _cmd_log(args: argparse.Namespace) -> int:
     game_config = load_config(args.config)
-    windows = parse_play_windows("".join(_lines(args.windows)))
+    windows = parse_play_windows("".join(read_lines(args.windows)))
     skipped: list[tuple[int, str]] = []
-    records = (d for _, d in iter_detections(_lines(args.records), skipped, args.strict))
+    records = (d for _, d in iter_detections(read_lines(args.records), skipped, args.strict))
     text = _stage_log(game_config, windows, records, args.side, args.format)
     _report_diagnostics([message for _, message in skipped])
     _emit(text, args.output)

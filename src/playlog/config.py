@@ -16,6 +16,7 @@ from .clock import SegmenterConfig
 from .gamelog import GameConfig, load_roster
 from .jersey import AssemblyConfig
 from .teamcolor import DOMINANCE_MARGIN, STRIP_HEIGHT_FRACTION, STRIP_WIDTH_FRACTION, TeamColorProfile
+from .textfile import read_lines
 
 
 class ConfigError(ValueError):
@@ -91,10 +92,9 @@ def _profile(values: Mapping[str, str], label: str) -> TeamColorProfile:
 
 
 def _read_text(path: Path) -> str:
-    # newline="\n": only "\n" ends a line, as in record and clock files;
-    # universal newlines would also end one at a lone "\r"
-    with open(path, encoding="utf-8", newline="\n") as f:
-        return f.read()
+    # the reader of every text input: only "\n" ends a line, and a bad
+    # UTF-8 byte is reported with the file and line
+    return "".join(read_lines(path))
 
 
 def build_game_config(values: Mapping[str, str], base_dir: Path | None = None) -> GameConfig:

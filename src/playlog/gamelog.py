@@ -154,31 +154,31 @@ def parse_detection(line: str, line_number: int | None = None) -> PlayerDetectio
     """Inverse of serialize_detection."""
     prefix = f"record line {line_number}: " if line_number is not None else ""
     fields = line.split()
-    if len(fields) < 9:
-        raise RecordError(f"{prefix}expected at least 9 fields, got {len(fields)}")
+    n = len(fields)
+    if n < 9:
+        raise RecordError(f"{prefix}expected at least 9 fields, got {n}")
     try:
+        # Fields are indexed directly.  Conversions and checking constructors
+        # run in a fixed order (each digit's box before its class and
+        # confidence, the player's own range checks last), which decides
+        # the error reported for a line with several bad fields.
         frame = int(fields[0])
-        box = BoundingBox(*map(float, fields[1:5]))
+        box = BoundingBox(float(fields[1]), float(fields[2]), float(fields[3]), float(fields[4]))
         score = float(fields[5])
         team = fields[6]
         number = None if fields[7] == "-" else int(fields[7])
         count = int(fields[8])
-        digit_fields = fields[9:]
-        if count < 0 or len(digit_fields) != 6 * count:
-            raise ValueError(f"expected {6 * count} digit fields, got {len(digit_fields)}")
-        digits = []
-        for i in range(count):
-            chunk = digit_fields[6 * i : 6 * i + 6]
-            digits.append(
-                DigitDetection(
-                    box=BoundingBox(*map(float, chunk[2:6])),
-                    digit=int(chunk[0]),
-                    confidence=float(chunk[1]),
-                )
+        if n - 9 != 6 * count:  # a negative count never matches
+            raise ValueError(f"expected {6 * count} digit fields, got {n - 9}")
+        digits = tuple([
+            DigitDetection(
+                BoundingBox(float(fields[i + 2]), float(fields[i + 3]), float(fields[i + 4]), float(fields[i + 5])),
+                int(fields[i]),
+                float(fields[i + 1]),
             )
-        return PlayerDetection(
-            frame_index=frame, box=box, score=score, digits=tuple(digits), number=number, team=team
-        )
+            for i in range(9, n, 6)
+        ])
+        return PlayerDetection(frame, box, score, digits, number, team)
     except (ValueError, InvariantError) as exc:
         raise RecordError(f"{prefix}{exc}") from None
 

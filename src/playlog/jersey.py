@@ -34,7 +34,16 @@ class AssemblyConfig:
 def _rank_key(d: DigitDetection) -> tuple:
     # Value-determined ordering (no reliance on list position) so that
     # suppression and assembly are invariant under input permutation.
-    return (-d.confidence, d.box.center_x, d.digit, d.box.x, d.box.y, d.box.w, d.box.h)
+    box = d.box
+    return (-d.confidence, box.x + box.w / 2.0, d.digit, box.x, box.y, box.w, box.h)
+
+
+def _place_key(d: DigitDetection) -> tuple:
+    # Left to right by center; equal centers by rank.  Sorting by this key
+    # orders digits as a stable sort by (center, -confidence) of
+    # rank-ordered digits does.
+    box = d.box
+    return (box.x + box.w / 2.0, -d.confidence, d.digit, box.x, box.y, box.w, box.h)
 
 
 def suppress_digits(
@@ -49,13 +58,18 @@ def suppress_digits(
     Returns survivors in descending confidence order.  Idempotent.
     """
     cfg = config or AssemblyConfig()
-    candidates = sorted(
-        (d for d in digits if d.confidence >= cfg.confidence_threshold),
-        key=_rank_key,
-    )
+    threshold = cfg.confidence_threshold
+    candidates = [d for d in digits if d.confidence >= threshold]
+    if len(candidates) <= 1:
+        return candidates
+    candidates.sort(key=_rank_key)
+    overlap = cfg.iou_suppress_threshold
     kept: list[DigitDetection] = []
     for d in candidates:
-        if all(iou(d.box, k.box) < cfg.iou_suppress_threshold for k in kept):
+        for k in kept:
+            if iou(d.box, k.box) >= overlap:
+                break
+        else:
             kept.append(d)
     return kept
 
@@ -72,9 +86,15 @@ def assemble_number(
     and concatenates the digit classes as a decimal number.  No digits
     yields None.
     """
-    cfg = config or AssemblyConfig()
     if not digits:
         return None
-    kept = sorted(digits, key=_rank_key)[: cfg.max_digits]
-    ordered = sorted(kept, key=lambda d: (d.box.center_x, -d.confidence))
-    return int("".join(str(d.digit) for d in ordered))
+    if len(digits) == 1:
+        return int(digits[0].digit)
+    cfg = config or AssemblyConfig()
+    if len(digits) > cfg.max_digits:
+        # only a cut needs the rank order; within the cap _place_key decides
+        digits = sorted(digits, key=_rank_key)[: cfg.max_digits]
+    number = 0
+    for d in sorted(digits, key=_place_key):
+        number = 10 * number + d.digit
+    return number

@@ -195,3 +195,153 @@ def ref_participants(windows, records, side, min_appearances):
             if len({f for f, t, m in records if t == side and m == n and start <= f <= end}) >= min_appearances
         ))
     return out
+
+
+# -- detection record checks ---------------------------------------------------
+#
+# Plain restatements of what BoundingBox, DigitDetection and PlayerDetection
+# accept and of how parse_detection reads a record line.  A failed check
+# raises RefInvariant with the message the package gives; an accepted value
+# comes back as the tuple of what the package stores: a box is
+# (x, y, w, h), a digit (box, digit, confidence) and a player (frame, box,
+# score, digits, number, team).  A check of a value that holds another
+# value (a digit's box, a player's box and digits) is told by the caller
+# whether the held value has the right type.
+
+RECORD_TEAMS = ("away", "home", "unknown")
+
+
+class RefInvariant(ValueError):
+    """The reference's counterpart of InvariantError."""
+
+
+class RefRecordError(ValueError):
+    """The reference's counterpart of RecordError."""
+
+
+def _ref_int(owner, name, value):
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise RefInvariant(f"{owner}.{name} must be an integer (got {value!r})")
+    return int(value)
+
+
+def _ref_finite(owner, name, value):
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise RefInvariant(f"{owner}.{name} must be a number (got {value!r})")
+    if not math.isfinite(value):
+        raise RefInvariant(f"{owner}.{name} must be finite (got {value!r})")
+    return float(value)
+
+
+def ref_box(x, y, w, h):
+    for name, value in (("x", x), ("y", y), ("w", w), ("h", h)):
+        _ref_finite("BoundingBox", name, value)
+    for name, value in (("x", x), ("y", y)):
+        if value < 0:
+            raise RefInvariant(f"BoundingBox.{name} >= 0 violated (got {value!r})")
+    for name, value in (("w", w), ("h", h)):
+        if value <= 0:
+            raise RefInvariant(f"BoundingBox.{name} > 0 violated (got {value!r})")
+    return (x, y, w, h)
+
+
+def ref_digit(box, digit, confidence, box_ok):
+    if not box_ok:
+        raise RefInvariant("DigitDetection.box must be a BoundingBox")
+    d = _ref_int("DigitDetection", "digit", digit)
+    if d < 0 or d > 9:
+        raise RefInvariant(f"DigitDetection.digit in 0..9 violated (got {d})")
+    c = _ref_finite("DigitDetection", "confidence", confidence)
+    if c < 0.0 or c > 1.0:
+        raise RefInvariant(f"DigitDetection.confidence in [0, 1] violated (got {c!r})")
+    return (box, digit, confidence)
+
+
+def ref_jersey_number(number):
+    n = _ref_int("PlayerDetection", "number", number)
+    if n < 0 or n > 99:
+        raise RefInvariant(f"PlayerDetection.number in 0..99 violated (got {n})")
+
+
+def ref_team(team):
+    if team not in set(RECORD_TEAMS):
+        raise RefInvariant(f"PlayerDetection.team must be one of {list(RECORD_TEAMS)} (got {team!r})")
+
+
+def ref_player(frame, box, score, digits, number, team, box_ok, is_digit):
+    f = _ref_int("PlayerDetection", "frame_index", frame)
+    if f < 0:
+        raise RefInvariant(f"PlayerDetection.frame_index >= 0 violated (got {f})")
+    if not box_ok:
+        raise RefInvariant("PlayerDetection.box must be a BoundingBox")
+    s = _ref_finite("PlayerDetection", "score", score)
+    if s < 0.0 or s > 1.0:
+        raise RefInvariant(f"PlayerDetection.score in [0, 1] violated (got {s!r})")
+    digits = tuple(digits)
+    for d in digits:
+        if not is_digit(d):
+            raise RefInvariant("PlayerDetection.digits must hold DigitDetection values")
+    if number is not None:
+        ref_jersey_number(number)
+    ref_team(team)
+    return (frame, box, score, digits, number, team)
+
+
+def ref_parse_detection(line, line_number=None):
+    """A record line to its player tuple; RefRecordError with the package's text otherwise.
+
+    The line is ``frame x y w h score team number k`` followed by ``k``
+    groups of ``digit confidence x y w h``.  Fields convert with int() and
+    float(), the box before the score, and each digit's box before its
+    class and confidence; the player's own checks come after its digits.
+    """
+    prefix = "" if line_number is None else f"record line {line_number}: "
+    fields = line.split()
+    if len(fields) < 9:
+        raise RefRecordError(f"{prefix}expected at least 9 fields, got {len(fields)}")
+    try:
+        frame = int(fields[0])
+        box = ref_box(*[float(v) for v in fields[1:5]])
+        score = float(fields[5])
+        team = fields[6]
+        number = None if fields[7] == "-" else int(fields[7])
+        count = int(fields[8])
+        rest = fields[9:]
+        if count < 0 or len(rest) != 6 * count:
+            raise ValueError(f"expected {6 * count} digit fields, got {len(rest)}")
+        digits = []
+        for start in range(0, len(rest), 6):
+            group = rest[start:start + 6]
+            digit_box = ref_box(*[float(v) for v in group[2:6]])
+            digits.append(ref_digit(digit_box, int(group[0]), float(group[1]), box_ok=True))
+        return ref_player(frame, box, score, digits, number, team, box_ok=True, is_digit=lambda d: True)
+    except ValueError as exc:
+        raise RefRecordError(f"{prefix}{exc}") from None
+
+
+# -- jersey numbers --------------------------------------------------------------
+#
+# Digits are (digit, confidence, (x, y, w, h)) triples.
+
+
+def _ref_rank(d):
+    digit, confidence, (x, y, w, h) = d
+    return (-confidence, x + w / 2.0, digit, x, y, w, h)
+
+
+def ref_suppress_digits(digits, iou_threshold, confidence_threshold):
+    """Gate by confidence, then keep each digit, best rank first, that overlaps no kept one."""
+    kept = []
+    for d in sorted((d for d in digits if d[1] >= confidence_threshold), key=_ref_rank):
+        if all(ref_iou(d[2], k[2]) < iou_threshold for k in kept):
+            kept.append(d)
+    return kept
+
+
+def ref_assemble_number(digits, max_digits):
+    """The max_digits best-ranked digits read left to right (equal centers: more confident first)."""
+    if not digits:
+        return None
+    kept = sorted(digits, key=_ref_rank)[:max_digits]
+    ordered = sorted(kept, key=lambda d: (d[2][0] + d[2][2] / 2.0, -d[1]))
+    return int("".join(str(d[0]) for d in ordered))

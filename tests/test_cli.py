@@ -677,6 +677,28 @@ class TestStreaming:
         )
         assert not out.exists()
 
+    def test_invalid_utf8_in_config_names_file_and_line(self, tmp_path, capsys):
+        clock = tmp_path / "clock.txt"
+        clock.write_text(CLOCK_TEXT, encoding="utf-8")
+        cfg = tmp_path / "game.cfg"
+        cfg.write_bytes(b"home_team = Caf\xc3\xa9\n# caf\xff\nmax_digits = 2\n")
+        assert run(["parse-clock", "--input", str(clock), "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg} line 2: invalid UTF-8 byte 0xff at byte 6 of the line (invalid start byte)\n"
+        )
+
+    def test_invalid_utf8_in_roster_names_file_and_line(self, tmp_path, capsys):
+        clock = tmp_path / "clock.txt"
+        clock.write_text(CLOCK_TEXT, encoding="utf-8")
+        roster = tmp_path / "home.txt"
+        roster.write_bytes(b"# home\n3: Al\n7: Bo\xe9\n")
+        cfg = tmp_path / "game.cfg"
+        cfg.write_text("home_roster = home.txt\n", encoding="utf-8")
+        assert run(["parse-clock", "--input", str(clock), "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {roster} line 3: invalid UTF-8 byte 0xe9 at byte 6 of the line (invalid continuation byte)\n"
+        )
+
     def test_record_error_before_a_bad_byte_surfaces_first(self, tmp_path, capsys):
         # the file fits in one read buffer; decoding it whole would report the byte first
         records = tmp_path / "records.txt"

@@ -21,6 +21,8 @@ from playlog import (
     parse_play_windows,
     segment_plays,
 )
+from playlog.core import GAME_CLOCK_MAX, PLAY_CLOCK_MAX
+from playlog.synth import SynthConfig, generate_game
 
 
 def reading(frame, game, play=None):
@@ -90,6 +92,42 @@ class TestClockLine:
     def test_format_round_trip(self):
         for line in ("1520 12:41 25", "30 0 0", "7 14:59 0", "9 0 12"):
             assert format_clock_line(parse_clock_line(line)) == line
+
+
+# A present play clock is 1..PLAY_CLOCK_MAX here: the line form writes a
+# play clock of 0 as "0", which reads back as unreadable (see the xfail).
+readings = st.builds(
+    ClockReading,
+    frame_index=st.integers(0, 10**9),
+    game_clock=st.none() | st.integers(0, GAME_CLOCK_MAX),
+    play_clock=st.none() | st.integers(1, PLAY_CLOCK_MAX),
+)
+
+
+@st.composite
+def clock_lines(draw):
+    """A line in the form format_clock_line writes: no leading zeros, mm:ss with two-digit fields."""
+    frame = str(draw(st.integers(0, 10**9)))
+    game = draw(st.just("0") | st.integers(0, GAME_CLOCK_MAX).map(lambda s: f"{s // 60:02d}:{s % 60:02d}"))
+    play = str(draw(st.integers(0, PLAY_CLOCK_MAX)))
+    return f"{frame} {game} {play}"
+
+
+class TestClockLineRoundTrip:
+    @settings(deadline=None)
+    @given(readings)
+    def test_reading_round_trip(self, r):
+        assert parse_clock_line(format_clock_line(r)) == r
+
+    @settings(deadline=None)
+    @given(clock_lines())
+    def test_text_round_trip(self, line):
+        assert format_clock_line(parse_clock_line(line)) == line
+
+    @pytest.mark.xfail(strict=True, reason='a play clock of 0 is written "0", the unreadable marker')
+    def test_play_clock_zero_round_trip(self):
+        r = ClockReading(frame_index=5, game_clock=10, play_clock=0)
+        assert parse_clock_line(format_clock_line(r)) == r
 
 
 class TestClockStream:
@@ -295,6 +333,60 @@ class TestSegmentPlays:
 
     def test_empty_stream(self):
         assert segment_plays([]) == []
+
+
+@st.composite
+def reading_streams(draw):
+    """Readings with rising frames and any mix of clock values and gaps."""
+    steps = draw(st.lists(st.tuples(
+        st.integers(1, 3),
+        st.none() | st.integers(0, GAME_CLOCK_MAX) | st.sampled_from([0, 119, 120, 899, 900]),
+        st.none() | st.integers(0, PLAY_CLOCK_MAX),
+    ), max_size=50))
+    out, frame = [], draw(st.integers(0, 5))
+    for step, game, play in steps:
+        out.append(ClockReading(frame_index=frame, game_clock=game, play_clock=play))
+        frame += step
+    return out
+
+
+segmenter_configs = st.builds(
+    SegmenterConfig,
+    play_clock_reset_jump=st.integers(1, 10),
+    game_clock_gap=st.integers(1, 60),
+    quarter_start=st.sampled_from([GAME_CLOCK_MAX, 600]),
+    quarter_rearm_below=st.sampled_from([60, 120]),
+    min_play_frames=st.integers(1, 3),
+)
+
+
+class TestSegmenterInvariants:
+    @settings(deadline=None, max_examples=200)
+    @given(reading_streams(), segmenter_configs)
+    def test_windows_are_numbered_disjoint_and_ordered(self, stream_readings, cfg):
+        try:
+            windows = segment_plays(stream_readings, cfg)
+        except ClockStreamError:
+            return  # a fifth quarter: overtime is rejected, not segmented
+        assert [w.play_number for w in windows] == list(range(1, len(windows) + 1))
+        for earlier, later in zip(windows, windows[1:]):
+            assert earlier.frame_end < later.frame_start
+            assert earlier.quarter <= later.quarter
+        present = {r.frame_index for r in stream_readings if r.game_clock is not None}
+        for w in windows:
+            assert w.start_time >= w.end_time
+            assert 1 <= w.quarter <= 4
+            assert w.frame_start in present and w.frame_end in present
+
+    @settings(deadline=None, max_examples=25)
+    @given(st.integers(0, 10**6), st.integers(1, 4), st.integers(2, 5), st.integers(1, 5))
+    def test_clean_synth_streams_segment_to_the_truth(self, seed, quarters, plays, fps):
+        game = generate_game(SynthConfig(seed=seed, quarters=quarters, plays_per_quarter=plays,
+                                         frames_per_second=fps))
+        windows = segment_plays(parse_clock_stream(game.clock_lines, strict=True).readings)
+        assert [(w.play_number, w.quarter, w.start_time, w.end_time) for w in windows] == [
+            (e.play_number, e.quarter, e.start_time, e.end_time) for e in game.truth
+        ]
 
 
 @st.composite

@@ -7,6 +7,18 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import (
+    RefInvariant,
+    RefRecordError,
+    ref_box,
+    ref_digit,
+    ref_jersey_number,
+    ref_parse_detection,
+    ref_player,
+    ref_team,
+)
 
 from playlog import (
     BoundingBox,
@@ -20,6 +32,7 @@ from playlog import (
     RecordError,
     Roster,
     parse_detection,
+    serialize_detection,
 )
 
 
@@ -218,6 +231,195 @@ def test_record_error_names_line_and_invariant():
     with pytest.raises(RecordError) as info:
         parse_detection("0 10 20 40 60 1.5 home - 0", 4)
     assert str(info.value) == "record line 4: PlayerDetection.score in [0, 1] violated (got 1.5)"
+
+
+# -- record constructors and the record parser against tests/oracles.py ----
+#
+# The record types accept a value through one fast test and fall back to
+# their detailed checks otherwise; these properties hold both paths to the
+# plain checks in tests/oracles.py: the same stored fields (each with its
+# type) or the same error type and text.
+
+
+class _Real(float):
+    """A float subclass: a number, but not the exact float type."""
+
+
+class _Count(int):
+    """An int subclass: an integer, but not the exact int type."""
+
+
+class _Box(BoundingBox):
+    __slots__ = ()
+
+
+class _Digit(DigitDetection):
+    __slots__ = ()
+
+
+def _typed(value):
+    """Stored fields as nested tuples of (type, repr) leaves; record values become their field tuples."""
+    if isinstance(value, BoundingBox):
+        value = (value.x, value.y, value.w, value.h)
+    elif isinstance(value, DigitDetection):
+        value = (value.box, value.digit, value.confidence)
+    elif isinstance(value, PlayerDetection):
+        value = (value.frame_index, value.box, value.score, value.digits, value.number, value.team)
+    if isinstance(value, tuple):
+        return tuple(_typed(v) for v in value)
+    return (type(value), repr(value))
+
+
+def outcome(build, *args):
+    """What a constructor (or its reference) gives: its fields, or its error's kind and text."""
+    try:
+        value = build(*args)
+    except (InvariantError, RefInvariant) as exc:
+        return ("invariant", str(exc))
+    except (RecordError, RefRecordError) as exc:
+        return ("record", str(exc))
+    except (TypeError, OverflowError, ValueError) as exc:
+        return (type(exc).__name__, str(exc))
+    return ("ok", _typed(value))
+
+
+NAN, INF = float("nan"), float("inf")
+# the edges of every range, the other number types and a few non-numbers
+reals = st.floats() | st.integers(-3, 10**6) | st.sampled_from([
+    0.0, -0.0, 0.5, 1.0, 1.0000000000000002, 5e-324, -5e-324, 1e308, INF, -INF, NAN,
+    0, 1, -1, True, False, 10**400, _Real(0.5), _Real(0.0), _Real(-1.0), _Count(2), "1", None, [1.0],
+])
+integers = st.integers(-3, 10**7) | st.sampled_from([
+    0, 9, 10, 99, 100, -1, True, False, 10**400, _Count(3), _Count(-1), 3.0, NAN, "3", None,
+])
+valid_boxes = st.builds(BoundingBox, st.floats(0, 1e6), st.floats(0, 1e6), st.floats(1e-3, 1e6), st.floats(1e-3, 1e6))
+any_boxes = (
+    valid_boxes
+    | st.builds(_Box, st.floats(0, 10), st.floats(0, 10), st.just(1.0), st.just(2.0))
+    | st.sampled_from([None, (0.0, 0.0, 1.0, 1.0), "box"])
+)
+valid_digits = st.builds(DigitDetection, valid_boxes, st.integers(0, 9), st.floats(0, 1))
+digit_sequences = (
+    st.lists(valid_digits, max_size=3).map(tuple)
+    | st.lists(valid_digits, max_size=3)
+    | st.lists(valid_digits | st.builds(_Digit, valid_boxes, st.just(4), st.just(0.5)), max_size=3).map(tuple)
+    | st.sampled_from([(DIGIT, "x"), ("x",), 5, None, [DIGIT]])
+)
+numbers = st.none() | integers
+teams = st.sampled_from(["home", "away", "unknown", "Home", "", "offense", None, ["home"], 3])
+
+
+def _ref_player(frame, box, score, digits, number, team):
+    return ref_player(frame, box, score, digits, number, team, box_ok=isinstance(box, BoundingBox),
+                      is_digit=lambda d: isinstance(d, DigitDetection))
+
+
+class TestRecordChecksMatchReference:
+    @settings(max_examples=400, deadline=None)
+    @given(reals, reals, reals, reals)
+    @example(0.0, 0.0, 0.0, 1.0)
+    @example(0.0, 0.0, 1.0, 0.0)
+    @example(-0.0, -0.0, 1.0, 1.0)
+    @example(-5e-324, 0.0, 1.0, 1.0)
+    @example(0.0, 0.0, INF, 1.0)
+    @example(0.0, NAN, 1.0, 1.0)
+    @example(0.0, 0.0, 1.0, _Real(1.0))
+    @example(0, True, 1.0, 1.0)
+    def test_bounding_box(self, x, y, w, h):
+        assert outcome(BoundingBox, x, y, w, h) == outcome(ref_box, x, y, w, h)
+
+    @settings(max_examples=400, deadline=None)
+    @given(any_boxes, integers, reals)
+    @example(BOX, 10, 0.5)
+    @example(BOX, -1, 0.5)
+    @example(BOX, True, 0.5)
+    @example(BOX, 3, 1.0000000000000002)
+    @example(BOX, 3, -0.0)
+    @example(BOX, 3, NAN)
+    @example(BOX, 3, 1)
+    def test_digit_detection(self, box, digit, confidence):
+        assert outcome(DigitDetection, box, digit, confidence) == outcome(
+            lambda *a: ref_digit(*a, box_ok=isinstance(box, BoundingBox)), box, digit, confidence
+        )
+
+    @settings(max_examples=400, deadline=None)
+    @given(integers, any_boxes, reals, digit_sequences, numbers, teams)
+    @example(-1, BOX, 0.5, (), None, "home")
+    @example(0, BOX, 0.5, (), 100, "home")
+    @example(0, BOX, 0.5, (), True, "home")
+    @example(0, BOX, 1.0000000000000002, (), None, "home")
+    @example(0, BOX, 0.5, (DIGIT, "x"), None, ["home"])
+    @example(0, BOX, 0.5, [DIGIT], 7, "away")
+    @example(0, BOX, 0.5, (), None, "Home")
+    def test_player_detection(self, frame, box, score, digits, number, team):
+        assert outcome(PlayerDetection, frame, box, score, digits, number, team) == outcome(
+            _ref_player, frame, box, score, digits, number, team
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10**6), valid_boxes, st.floats(0, 1), st.lists(valid_digits, max_size=3).map(tuple),
+           st.none() | st.integers(0, 99), st.sampled_from(["home", "away", "unknown"]), numbers, teams)
+    @example(4, BOX, 0.5, (), None, "home", 100, "Home")
+    @example(4, BOX, 0.5, (), None, "home", True, None)
+    def test_copies_check_only_the_new_field(self, frame, box, score, digits, number, team, new_number, new_team):
+        d = PlayerDetection(frame, box, score, digits, number, team)
+
+        def ref_with_number(n):
+            if n is not None:
+                ref_jersey_number(n)
+            return (frame, box, score, digits, n, team)
+
+        def ref_with_team(t):
+            ref_team(t)
+            return (frame, box, score, digits, number, t)
+
+        assert outcome(d.with_number, new_number) == outcome(ref_with_number, new_number)
+        assert outcome(d.with_team, new_team) == outcome(ref_with_team, new_team)
+
+
+# Tokens that replace or join the fields of a well-formed record line:
+# non-finite and out-of-range numbers, spellings int() or float() may or
+# may not take, teams, digit classes and the "-" of an unassembled number.
+TOKEN_POOL = [
+    "nan", "NaN", "inf", "-inf", "Infinity", "-0.0", "-0", "1e999", "-1e999", "1e-400", "-1", "1_0", "0x10",
+    "True", "true", "False", "None", "+1", "1.5", "0", "1", "9", "10", "99", "100", "-", "home", "away",
+    "unknown", "Home", "blue", "\u0663", "\u00b2", "1e2", "3.0", "0.97", "1.0000000000000002",
+]
+record_lines = st.builds(
+    lambda *fields: serialize_detection(PlayerDetection(*fields)),
+    st.integers(0, 10**6), valid_boxes, st.floats(0, 1), st.lists(valid_digits, max_size=3).map(tuple),
+    st.none() | st.integers(0, 99), st.sampled_from(["home", "away", "unknown"]),
+)
+
+
+@st.composite
+def edited_record_lines(draw):
+    """A well-formed record line with up to two tokens replaced, dropped or added."""
+    tokens = draw(record_lines).split()
+    for _ in range(draw(st.integers(0, 2))):
+        edit = draw(st.sampled_from(["replace", "replace", "replace", "drop", "add"]))
+        if edit == "drop":
+            del tokens[draw(st.integers(0, len(tokens) - 1))]
+        elif edit == "add":
+            tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(TOKEN_POOL)))
+        else:
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(TOKEN_POOL))
+    return " ".join(tokens)
+
+
+class TestRecordParserMatchesReference:
+    @settings(max_examples=600, deadline=None)
+    @given(edited_record_lines(), st.none() | st.integers(1, 10**6))
+    @example("0 10 20 0 60 0.9 home - 0", 3)
+    @example("0 10 20 40 60 0.9 home - 1 10 0.99 -1 0 5 5", 3)
+    @example("0 10 20 40 60 0.9 home - 1 True 0.99 -1 0 5 5", 3)
+    @example("0 10 20 40 60 0.9 home - 1 1 true -1 0 5 5", 3)
+    @example("-1 10 20 40 60 0.9 home - 1 10 0.99 0 0 5 5", 3)
+    @example("0 10 20 40 60 1.5 Home 100 0", None)
+    @example("0 10 20 40 60 0.9 home 1_0 1 1 nan 0 0 5 5", 3)
+    @example("0 10 20 40 60 0.9 home - 1 1 0.5 0 0 5", 3)
+    def test_parse_detection(self, line, line_number):
+        assert outcome(parse_detection, line, line_number) == outcome(ref_parse_detection, line, line_number)
 
 
 class TestClockReading:

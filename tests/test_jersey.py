@@ -4,6 +4,9 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import ref_assemble_number, ref_suppress_digits
 
 from playlog import AssemblyConfig, BoundingBox, DigitDetection, InvariantError, assemble_number, suppress_digits
 
@@ -147,3 +150,43 @@ class TestEndToEnd:
             for _ in range(5):
                 rng.shuffle(shuffled)
                 assert assemble_number(suppress_digits(shuffled)) == expected
+
+
+def _triple(d):
+    return (d.digit, d.confidence, (d.box.x, d.box.y, d.box.w, d.box.h))
+
+
+# few distinct positions, sizes and confidences, so equal centers and equal
+# confidences (the tie-breaks) are common
+tied_digits = st.lists(
+    st.builds(
+        digit,
+        st.integers(0, 9),
+        st.sampled_from([0.5, 0.96, 0.97, 0.98, 0.99, 1.0]),
+        st.sampled_from([0, 0.5, 3, 6, 12]),
+        y=st.sampled_from([10, 11]),
+        w=st.sampled_from([6, 10, 12]),
+    ),
+    max_size=5,
+)
+configs = st.builds(
+    AssemblyConfig,
+    iou_suppress_threshold=st.sampled_from([0.2, 0.55, 0.9]),
+    confidence_threshold=st.sampled_from([0.5, 0.97, 0.99]),
+    max_digits=st.integers(1, 3),
+)
+
+
+class TestMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(tied_digits, configs)
+    @example([digit(2, 0.99, 0), digit(6, 0.99, 1, w=8)], AssemblyConfig())
+    @example([digit(7, 0.99, 0), digit(3, 0.99, 0)], AssemblyConfig(iou_suppress_threshold=0.99))
+    def test_suppress_then_assemble(self, digits, cfg):
+        iou_t, conf_t, cap = cfg.iou_suppress_threshold, cfg.confidence_threshold, cfg.max_digits
+        triples = [_triple(d) for d in digits]
+        survivors = suppress_digits(digits, cfg)
+        assert [_triple(d) for d in survivors] == ref_suppress_digits(triples, iou_t, conf_t)
+        assert assemble_number(survivors, cfg) == ref_assemble_number(ref_suppress_digits(triples, iou_t, conf_t), cap)
+        # any digits, in any order, not only suppression survivors
+        assert assemble_number(digits, cfg) == ref_assemble_number(triples, cap)
