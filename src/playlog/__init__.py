@@ -41,7 +41,6 @@ from .core import (
 )
 from .gamelog import (
     DetectionLoadResult,
-    DetectionRecords,
     GameConfig,
     RecordError,
     emit_game_log,
@@ -52,7 +51,6 @@ from .gamelog import (
     parse_detection,
     parse_game_log,
     presence_table,
-    read_detections,
     resolve_names,
     roster_lines,
     serialize_detection,

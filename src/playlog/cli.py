@@ -12,10 +12,13 @@ Subcommands cover each pipeline stage plus a chained run:
     synth          seeded synthetic game files
     pipeline       parse-clock + assemble + log, chained in memory
 
-Record files are read one line at a time.  `pipeline` and `log` stream
-them: each record is parsed (and, in `pipeline`, assembled) and folded
-into a per-frame table of the side's jersey numbers as it is read, so
-their memory stays flat in the record count.
+Record files are read one line at a time.  `pipeline`, `log`, `assemble`
+and `classify-team` stream them: each record is parsed, worked on and
+handed on as it is read, so diagnostics come out in line order and the
+parsed records are never held together.  `pipeline` and `log` fold each
+record into a per-frame table of the side's jersey numbers, so their
+memory stays flat in the record count; `assemble` and `classify-team`
+hold only their output text.
 
 Exit codes: 0 success, 1 input error, 2 internal error.  Diagnostics for
 skipped lines go to stderr; outputs go to --output or stdout.
@@ -45,7 +48,6 @@ from .gamelog import (
     iter_detections,
     load_detections,
     presence_table,
-    read_detections,
     roster_lines,
     serialize_detection,
     serialize_detections,
@@ -134,15 +136,16 @@ def _stage_assemble(
     )
 
 
+_TEAM_KEPT = ", team kept"  # ends the note on a record whose crop is missing
+
+
 def _stage_classify_team(
-    input_path: str, crops_dir: str, game_config: GameConfig, strict: bool
-) -> tuple[tuple[PlayerDetection, ...], tuple[str, ...], int]:
+    input_path: str, crops_dir: str, game_config: GameConfig, strict: bool, messages: list[tuple[int, str]]
+) -> Iterator[PlayerDetection]:
+    # a missing crop is noted in ``messages`` among the reader's skips, in line order
     crops = Path(crops_dir)
-    records = read_detections(read_lines(input_path), strict=strict)
-    notes = dict(records.skipped)  # line number -> diagnostic
-    out: list[PlayerDetection] = []
     frame_counters: dict[int, int] = {}
-    for line_number, d in zip(records.line_numbers, records.detections):
+    for line_number, d in iter_detections(read_lines(input_path), messages, strict):
         index = frame_counters.get(d.frame_index, 0)
         frame_counters[d.frame_index] = index + 1
         crop_path = crops / f"{d.frame_index}_{index}.ppm"
@@ -151,11 +154,10 @@ def _stage_classify_team(
                 read_image(crop_path), game_config.strip_height_fraction, game_config.strip_width_fraction
             )
             label = classify_team(channel_histogram(strip), game_config.home_profile, game_config.away_profile)
-            d = d.with_team(label)
+            yield d.with_team(label)
         else:
-            notes[line_number] = f"record line {line_number}: no crop {crop_path.name}, team kept"
-        out.append(d)
-    return tuple(out), tuple(notes[n] for n in sorted(notes)), len(records.skipped)
+            messages.append((line_number, f"record line {line_number}: no crop {crop_path.name}{_TEAM_KEPT}"))
+            yield d
 
 
 def _stage_log(
@@ -242,9 +244,10 @@ def _cmd_assemble(args: argparse.Namespace) -> int:
 
 def _cmd_classify_team(args: argparse.Namespace) -> int:
     game_config = load_config(args.config)
-    detections, messages, skipped = _stage_classify_team(args.input, args.crops, game_config, args.strict)
-    _report_diagnostics(messages, skipped)
-    _emit(serialize_detections(detections), args.output)
+    messages: list[tuple[int, str]] = []
+    text = serialize_detections(_stage_classify_team(args.input, args.crops, game_config, args.strict, messages))
+    _report_diagnostics([m for _, m in messages], sum(not m.endswith(_TEAM_KEPT) for _, m in messages))
+    _emit(text, args.output)
     return 0
 
 

@@ -19,6 +19,7 @@ from .core import (
     InvariantError,
     PlayWindow,
 )
+from .textfile import content_lines
 
 _MMSS_RE = re.compile(r"^(\d{1,2}):(\d{2})$")
 _INT_RE = re.compile(r"^\d+$")
@@ -130,9 +131,14 @@ def parse_clock_line(line: str, line_number: int | None = None) -> ClockReading:
 
 
 def format_clock_line(reading: ClockReading) -> str:
-    """Inverse of parse_clock_line; absent clocks serialize as 0."""
+    """Inverse of parse_clock_line; absent clocks serialize as 0, a play clock of 0 as 00."""
     game = format_mmss(reading.game_clock) if reading.game_clock is not None else "0"
-    play = str(reading.play_clock) if reading.play_clock is not None else "0"
+    if reading.play_clock is None:
+        play = "0"
+    elif reading.play_clock == 0:
+        play = "00"  # "0" is the unreadable marker
+    else:
+        play = str(reading.play_clock)
     return f"{reading.frame_index} {game} {play}"
 
 
@@ -148,10 +154,7 @@ def parse_clock_stream(lines: Iterable[str], strict: bool = False) -> ClockStrea
     readings: list[ClockReading] = []
     diagnostics: list[str] = []
     last_frame = -1
-    for number, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if stripped == "" or stripped.startswith("#"):
-            continue
+    for number, _, stripped in content_lines(lines):
         try:
             reading = parse_clock_line(stripped, number)
         except ClockParseError as exc:
@@ -290,10 +293,7 @@ def format_play_windows(windows: Sequence[PlayWindow]) -> str:
 def parse_play_windows(text: str) -> list[PlayWindow]:
     """Inverse of format_play_windows; blank lines and '#' comments skipped."""
     windows: list[PlayWindow] = []
-    for number, raw in enumerate(text.split("\n"), start=1):
-        stripped = raw.strip()
-        if stripped == "" or stripped.startswith("#"):
-            continue
+    for number, raw, stripped in content_lines(text.split("\n")):
         fields = stripped.split()
         if len(fields) != 6:
             raise ClockParseError(f"expected 6 window fields, got {len(fields)}: {raw!r}", number)

@@ -16,7 +16,7 @@ from .clock import SegmenterConfig
 from .gamelog import GameConfig, load_roster
 from .jersey import AssemblyConfig
 from .teamcolor import DOMINANCE_MARGIN, STRIP_HEIGHT_FRACTION, STRIP_WIDTH_FRACTION, TeamColorProfile
-from .textfile import read_lines
+from .textfile import content_lines, read_lines
 
 
 class ConfigError(ValueError):
@@ -50,10 +50,7 @@ DEFAULTS: Mapping[str, str] = {
 def parse_config_text(text: str) -> dict[str, str]:
     """Key-value lines to a dict over the defaults; unknown keys fail."""
     values = dict(DEFAULTS)
-    for line_number, raw in enumerate(text.split("\n"), start=1):
-        stripped = raw.strip()
-        if stripped == "" or stripped.startswith("#"):
-            continue
+    for line_number, raw, stripped in content_lines(text.split("\n")):
         key, sep, value = stripped.partition("=")
         if sep == "":
             raise ConfigError(f"config line {line_number}: expected 'key = value', got {raw!r}")

@@ -35,6 +35,7 @@ from .teamcolor import (
     TeamColorProfile,
     require_distinct_profiles,
 )
+from .textfile import content_lines
 
 LOG_HEADER = (
     "Play number",
@@ -95,10 +96,7 @@ def load_roster(lines: Iterable[str], team_name: str = "") -> Roster:
     (number, name) pair is an error, as is a number outside 0..99.
     """
     entries: dict[int, list[str]] = {}
-    for line_number, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if stripped == "" or stripped.startswith("#"):
-            continue
+    for line_number, raw, stripped in content_lines(lines):
         head, sep, tail = stripped.partition(":")
         # isdecimal, not isdigit: int() rejects superscripts such as '²'
         if sep == "" or not head.strip().isdecimal():
@@ -183,23 +181,6 @@ def parse_detection(line: str, line_number: int | None = None) -> PlayerDetectio
         raise RecordError(f"{prefix}{exc}") from None
 
 
-@dataclass(frozen=True)
-class DetectionRecords:
-    """Detections in input order plus one diagnostic per skipped line.
-
-    ``line_numbers[i]`` is the 1-based input line of ``detections[i]``;
-    ``skipped`` pairs each skipped line's number with its diagnostic.
-    """
-
-    detections: tuple[PlayerDetection, ...]
-    line_numbers: tuple[int, ...]
-    skipped: tuple[tuple[int, str], ...]
-
-    @property
-    def diagnostics(self) -> tuple[str, ...]:
-        return tuple(text for _, text in self.skipped)
-
-
 def iter_detections(
     lines: Iterable[str], skipped: list[tuple[int, str]], strict: bool = False
 ) -> Iterator[tuple[int, PlayerDetection]]:
@@ -210,10 +191,7 @@ def iter_detections(
     Each line is parsed when the caller asks for its record, so a caller
     that consumes records as they come never holds the whole stream.
     """
-    for line_number, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if stripped == "" or stripped.startswith("#"):
-            continue
+    for line_number, _, stripped in content_lines(lines):
         try:
             d = parse_detection(stripped, line_number)
         except RecordError as exc:
@@ -222,13 +200,6 @@ def iter_detections(
             skipped.append((line_number, str(exc)))
             continue
         yield line_number, d
-
-
-def read_detections(lines: Iterable[str], strict: bool = False) -> DetectionRecords:
-    """Parse a whole detection record stream, keeping input order (see iter_detections)."""
-    skipped: list[tuple[int, str]] = []
-    pairs = list(iter_detections(lines, skipped, strict))
-    return DetectionRecords(tuple(d for _, d in pairs), tuple(n for n, _ in pairs), tuple(skipped))
 
 
 def group_by_frame(detections: Iterable[PlayerDetection]) -> dict[int, tuple[PlayerDetection, ...]]:
@@ -253,8 +224,9 @@ def load_detections(lines: Iterable[str], strict: bool = False) -> DetectionLoad
     Order within a frame is preserved.  Malformed lines are skipped with a
     diagnostic, or raised when strict.
     """
-    records = read_detections(lines, strict)
-    return DetectionLoadResult(by_frame=group_by_frame(records.detections), diagnostics=records.diagnostics)
+    skipped: list[tuple[int, str]] = []
+    by_frame = group_by_frame(d for _, d in iter_detections(lines, skipped, strict))
+    return DetectionLoadResult(by_frame=by_frame, diagnostics=tuple(text for _, text in skipped))
 
 
 def serialize_detections(detections: Iterable[PlayerDetection]) -> str:

@@ -17,10 +17,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .clock import format_mmss
+from .clock import format_clock_line
 from .core import (
     GAME_CLOCK_MAX,
     BoundingBox,
+    ClockReading,
     DigitDetection,
     GameLogEntry,
     PlayerDetection,
@@ -48,7 +49,6 @@ _FRAME_H = 720
 _DURATION_RANGE = (4, 10)       # seconds of game clock per play
 _QUARTER_TAIL_RANGE = (5, 40)   # where the last play of a quarter ends
 _CUT_FRAMES_RANGE = (2, 5)      # absent-clock frames between plays
-_REARM_BELOW = 120
 
 _CORRUPT_GAME_FIELD = "9?:?7"   # never parses, so the line is skipped
 
@@ -229,7 +229,7 @@ def generate_game(cfg: SynthConfig) -> SynthGame:
             for second in range(start_time, end_time - 1, -1):
                 play_clock = 40 - (start_time - second)
                 for _ in range(cfg.frames_per_second):
-                    emit_clock_line(f"{frame} {format_mmss(second)} {play_clock}")
+                    emit_clock_line(format_clock_line(ClockReading(frame, second, play_clock)))
                     for number, team in [(n, "home") for n in participants] + [
                         (n, "away") for n in away_on_field
                     ]:
@@ -265,7 +265,7 @@ def generate_game(cfg: SynthConfig) -> SynthGame:
                     frame += 1
             # scene cut before whatever comes next
             for _ in range(rng.randint(*_CUT_FRAMES_RANGE)):
-                emit_clock_line(f"{frame} 0 0")
+                emit_clock_line(format_clock_line(ClockReading(frame)))
                 frame += 1
 
     return SynthGame(

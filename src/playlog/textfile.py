@@ -1,9 +1,9 @@
-"""The one reader of text input files: records, clock, windows, config and rosters."""
+"""The one reader of text input files (records, clock, windows, config and rosters) and their comment rule."""
 
 from __future__ import annotations
 
 import os
-from typing import Iterator
+from typing import Iterable, Iterator
 
 
 def read_lines(path: str | os.PathLike[str]) -> Iterator[str]:
@@ -26,3 +26,15 @@ def read_lines(path: str | os.PathLike[str]) -> Iterator[str]:
                     f" at byte {exc.start + 1} of the line ({exc.reason})"
                 ) from None
             yield line
+
+
+def content_lines(lines: Iterable[str]) -> Iterator[tuple[int, str, str]]:
+    """Yield ``(line number, raw line, stripped line)`` for each line that is not blank or a '#' comment.
+
+    Line numbers count every line, skipped ones included, from 1.  This is
+    the comment rule of every text input format.
+    """
+    for line_number, raw in enumerate(lines, start=1):
+        stripped = raw.strip()
+        if stripped and not stripped.startswith("#"):
+            yield line_number, raw, stripped

@@ -20,6 +20,7 @@ from playlog import (
     write_image,
 )
 from playlog.cli import run
+from playlog.textfile import content_lines, read_lines
 
 SUBCOMMANDS = (
     "parse-clock",
@@ -585,7 +586,7 @@ class TestPipeline:
 
 
 class TestStreaming:
-    """`pipeline`, `log` and `assemble` read records one line at a time."""
+    """`pipeline`, `log`, `assemble` and `classify-team` read records one line at a time."""
 
     @staticmethod
     def pipeline(game_dir, clock, records, tmp_path, *extra):
@@ -618,9 +619,9 @@ class TestStreaming:
         per_record = (peaks[1] - peaks[0]) / (lines[1] - lines[0])
         assert per_record < 100, f"peak grew {per_record:.0f} bytes per record line"
 
-    @pytest.mark.parametrize("command", ["pipeline", "assemble"])
+    @pytest.mark.parametrize("command", ["pipeline", "assemble", "classify-team"])
     def test_strict_fails_at_the_first_bad_line(self, command, tmp_path, capsys):
-        # an out-of-range number on line 1 is found before the malformed line 2
+        # line 1's out-of-range number, or its unreadable crop, is found before the malformed line 2
         digits = tuple(
             DigitDetection(digit=v, confidence=0.99, box=BoundingBox(14 * i, 0, 10, 20))
             for i, v in enumerate((1, 2, 3))
@@ -633,12 +634,19 @@ class TestStreaming:
         cfg.write_text("max_digits = 3\n", encoding="utf-8")
         out = tmp_path / "out.txt"
         workdir = tmp_path / "stages"
+        error = "error: PlayerDetection.number in 0..99 violated (got 123)\n"
         if command == "pipeline":
             argv = ["pipeline", "--clock", str(clock), "--records", str(records), "--workdir", str(workdir)]
-        else:
+        elif command == "assemble":
             argv = ["assemble", "--input", str(records)]
+        else:
+            crops = tmp_path / "crops"
+            crops.mkdir()
+            (crops / "0_0.ppm").write_bytes(b"XX\n1 1\n255\n\0\0\0")
+            argv = ["classify-team", "--input", str(records), "--crops", str(crops)]
+            error = "error: unsupported image magic b'XX' (want P5 or P6)\n"
         assert run(argv + ["--config", str(cfg), "--output", str(out), "--strict"]) == 1
-        assert capsys.readouterr().err == "error: PlayerDetection.number in 0..99 violated (got 123)\n"
+        assert capsys.readouterr().err == error
         assert not out.exists()
         assert not (workdir / "records_assembled.txt").exists()
 
@@ -843,6 +851,15 @@ class TestLineBreaks:
         captured = capsys.readouterr()
         assert len(captured.out.splitlines()) == 1
         assert captured.err.splitlines()[0] == "record line 3: expected at least 9 fields, got 1"
+
+    @pytest.mark.parametrize("separator", ["\x0c", "\r", "\x85", "\u2028"])
+    def test_separator_in_a_comment_keeps_content_line_numbers(self, separator, tmp_path):
+        path = tmp_path / "input.txt"
+        path.write_bytes(f"# a{separator}b\n\n  key = value\n#\nx{separator}y\n".encode())
+        assert list(content_lines(read_lines(path))) == [
+            (3, "  key = value\n", "key = value"),
+            (5, f"x{separator}y\n", f"x{separator}y"),
+        ]
 
     def test_lone_carriage_return_does_not_end_a_config_line(self, tmp_path, capsys):
         cfg = tmp_path / "game.cfg"

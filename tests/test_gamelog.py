@@ -25,7 +25,6 @@ from playlog import (
     parse_detection,
     parse_game_log,
     presence_table,
-    read_detections,
     resolve_names,
     roster_lines,
     serialize_detection,
@@ -206,7 +205,7 @@ class TestRecordLines:
             parse_detection("junk", 7)
 
 
-class TestReadDetections:
+class TestIterDetections:
     def test_keeps_input_order_and_line_numbers(self):
         lines = [
             "# header",
@@ -216,16 +215,18 @@ class TestReadDetections:
             serialize_detection(detection(frame=1)),
             serialize_detection(detection(frame=2, x=2)),
         ]
-        result = read_detections(lines)
-        assert [(d.frame_index, d.box.x) for d in result.detections] == [(2, 1), (1, 10), (2, 2)]
-        assert result.line_numbers == (2, 5, 6)
-        assert result.skipped == ((4, "record line 4: expected at least 9 fields, got 1"),)
-        assert result.diagnostics == ("record line 4: expected at least 9 fields, got 1",)
+        skipped = []
+        pairs = list(iter_detections(lines, skipped))
+        assert [(d.frame_index, d.box.x) for _, d in pairs] == [(2, 1), (1, 10), (2, 2)]
+        assert [n for n, _ in pairs] == [2, 5, 6]
+        assert skipped == [(4, "record line 4: expected at least 9 fields, got 1")]
+        assert load_detections(lines).diagnostics == ("record line 4: expected at least 9 fields, got 1",)
 
     def test_group_by_frame_matches_load_detections(self):
         lines = [serialize_detection(detection(frame=f, x=f)) for f in (3, 1, 3, 2)]
-        assert group_by_frame(read_detections(lines).detections) == load_detections(lines).by_frame
-        assert list(group_by_frame(read_detections(lines).detections)) == [3, 1, 2]
+        by_frame = group_by_frame(d for _, d in iter_detections(lines, []))
+        assert by_frame == load_detections(lines).by_frame
+        assert list(by_frame) == [3, 1, 2]
 
 
 class TestLoadDetections:
