@@ -54,7 +54,6 @@ from .gamelog import (
     resolve_names,
     roster_lines,
     serialize_detection,
-    serialize_detections,
     synchronize,
     synchronize_presence,
 )
@@ -84,8 +83,6 @@ from .metrics import (
     ConfusionMatrix,
     DegenerateMetricWarning,
     EvalReport,
-    PrCurve,
-    average_precision,
     confusion_matrix,
     evaluate_detections,
     focal_loss,

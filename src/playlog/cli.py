@@ -16,12 +16,16 @@ Record files are read one line at a time.  `pipeline`, `log`, `assemble`
 and `classify-team` stream them: each record is parsed, worked on and
 handed on as it is read, so diagnostics come out in line order and the
 parsed records are never held together.  `pipeline` and `log` fold each
-record into a per-frame table of the side's jersey numbers, so their
-memory stays flat in the record count; `assemble` and `classify-team`
-hold only their output text.
+record into a per-frame table of the side's jersey numbers, and
+`assemble` and `classify-team` write each record line as it is made, so
+the memory of all four stays flat in the record count.
 
 Exit codes: 0 success, 1 input error, 2 internal error.  Diagnostics for
-skipped lines go to stderr; outputs go to --output or stdout.
+skipped lines go to stderr; outputs go to --output or stdout.  Every text
+file is written through `_output`: an --output file (and each file that
+`pipeline --workdir` or `synth` writes) is replaced only when its run
+succeeds, while stdout streams, so a failed `assemble` or `classify-team`
+run may leave the record lines it already wrote there.
 """
 
 from __future__ import annotations
@@ -50,7 +54,6 @@ from .gamelog import (
     presence_table,
     roster_lines,
     serialize_detection,
-    serialize_detections,
     synchronize_presence,
 )
 from .imageops import (
@@ -84,8 +87,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 @contextmanager
-def _replaced_on_success(path: Path) -> Iterator[TextIO]:
-    """Write ``path`` under a temporary name, renamed into place only if the block succeeds."""
+def _output(path: str | Path | None) -> Iterator[TextIO]:
+    """Yield stdout, or ``path.partial``, renamed to ``path`` only if the block succeeds."""
+    if path is None:
+        yield sys.stdout  # looked up per call, so a swapped sys.stdout is honoured
+        return
+    path = Path(path)
     partial = path.with_name(path.name + ".partial")
     try:
         with open(partial, "w", encoding="utf-8") as out:
@@ -93,13 +100,6 @@ def _replaced_on_success(path: Path) -> Iterator[TextIO]:
         os.replace(partial, path)
     finally:
         partial.unlink(missing_ok=True)
-
-
-def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        Path(output).write_text(text, encoding="utf-8")
 
 
 def _report_diagnostics(messages: Sequence[str], skipped: int | None = None) -> None:
@@ -229,25 +229,28 @@ def _cmd_parse_clock(args: argparse.Namespace) -> int:
     game_config = load_config(args.config)
     windows, diagnostics = _stage_parse_clock(args.input, game_config.segmenter, args.strict)
     _report_diagnostics(diagnostics)
-    _emit(format_play_windows(windows), args.output)
+    with _output(args.output) as out:
+        out.write(format_play_windows(windows))
     return 0
 
 
 def _cmd_assemble(args: argparse.Namespace) -> int:
     game_config = load_config(args.config)
     skipped: list[tuple[int, str]] = []
-    text = serialize_detections(_stage_assemble(args.input, game_config.assembly, args.strict, skipped))
+    with _output(args.output) as out:
+        for _ in _written(_stage_assemble(args.input, game_config.assembly, args.strict, skipped), out):
+            pass
     _report_diagnostics([message for _, message in skipped])
-    _emit(text, args.output)
     return 0
 
 
 def _cmd_classify_team(args: argparse.Namespace) -> int:
     game_config = load_config(args.config)
     messages: list[tuple[int, str]] = []
-    text = serialize_detections(_stage_classify_team(args.input, args.crops, game_config, args.strict, messages))
+    with _output(args.output) as out:
+        for _ in _written(_stage_classify_team(args.input, args.crops, game_config, args.strict, messages), out):
+            pass
     _report_diagnostics([m for _, m in messages], sum(not m.endswith(_TEAM_KEPT) for _, m in messages))
-    _emit(text, args.output)
     return 0
 
 
@@ -258,14 +261,16 @@ def _cmd_log(args: argparse.Namespace) -> int:
     records = (d for _, d in iter_detections(read_lines(args.records), skipped, args.strict))
     text = _stage_log(game_config, windows, records, args.side, args.format)
     _report_diagnostics([message for _, message in skipped])
-    _emit(text, args.output)
+    with _output(args.output) as out:
+        out.write(text)
     return 0
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     text, messages, skipped = _stage_evaluate(args.preds, args.truth, args.confusion, args.strict)
     _report_diagnostics(messages, skipped)
-    _emit(text, args.output)
+    with _output(args.output) as out:
+        out.write(text)
     return 0
 
 
@@ -330,7 +335,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         ),
     }
     for name, text in files.items():
-        (out_dir / name).write_text(text, encoding="utf-8")
+        with _output(out_dir / name) as out:
+            out.write(text)
     print(f"wrote {len(files)} files to {out_dir}", file=sys.stderr)
     return 0
 
@@ -345,17 +351,19 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     windows, diagnostics = _stage_parse_clock(args.clock, game_config.segmenter, args.strict)
     _report_diagnostics(diagnostics)
     if workdir is not None:
-        (workdir / "windows.txt").write_text(format_play_windows(windows), encoding="utf-8")
+        with _output(workdir / "windows.txt") as out:
+            out.write(format_play_windows(windows))
 
     skipped: list[tuple[int, str]] = []
     detections = _stage_assemble(args.records, game_config.assembly, args.strict, skipped)
     if workdir is None:
         text = _stage_log(game_config, windows, detections, args.side, args.format)
     else:
-        with _replaced_on_success(workdir / "records_assembled.txt") as out:
+        with _output(workdir / "records_assembled.txt") as out:
             text = _stage_log(game_config, windows, _written(detections, out), args.side, args.format)
     _report_diagnostics([message for _, message in skipped])
-    _emit(text, args.output)
+    with _output(args.output) as out:
+        out.write(text)
     return 0
 
 

@@ -91,6 +91,16 @@ def format_mmss(seconds: int) -> str:
     return f"{seconds // 60:02d}:{seconds % 60:02d}"
 
 
+def _int_field(text: str) -> int | None:
+    """A field of digits as an int, or None; int() refuses more than 4,300 digits."""
+    if not _INT_RE.match(text):
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
 def parse_clock_line(line: str, line_number: int | None = None) -> ClockReading:
     """Parse one ``frame game_clock play_clock`` line.
 
@@ -102,9 +112,9 @@ def parse_clock_line(line: str, line_number: int | None = None) -> ClockReading:
         raise ClockParseError(f"expected 3 fields, got {len(fields)}: {line!r}", line_number)
     frame_text, game_text, play_text = fields
 
-    if not _INT_RE.match(frame_text):
+    frame = _int_field(frame_text)
+    if frame is None:
         raise ClockParseError(f"bad frame number {frame_text!r}", line_number)
-    frame = int(frame_text)
 
     game_clock: int | None
     if game_text == "0":
@@ -117,15 +127,13 @@ def parse_clock_line(line: str, line_number: int | None = None) -> ClockReading:
         if game_clock > GAME_CLOCK_MAX:
             raise ClockParseError(f"game clock {game_text!r} above {format_mmss(GAME_CLOCK_MAX)}", line_number)
 
-    play_clock: int | None
-    if play_text == "0":
-        play_clock = None
-    elif _INT_RE.match(play_text):
-        play_clock = int(play_text)
+    play_clock: int | None = None
+    if play_text != "0":
+        play_clock = _int_field(play_text)
+        if play_clock is None:
+            raise ClockParseError(f"bad play clock {play_text!r}", line_number)
         if play_clock > PLAY_CLOCK_MAX:
             raise ClockParseError(f"play clock {play_clock} above {PLAY_CLOCK_MAX}", line_number)
-    else:
-        raise ClockParseError(f"bad play clock {play_text!r}", line_number)
 
     return ClockReading(frame_index=frame, game_clock=game_clock, play_clock=play_clock)
 

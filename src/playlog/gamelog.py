@@ -98,10 +98,14 @@ def load_roster(lines: Iterable[str], team_name: str = "") -> Roster:
     entries: dict[int, list[str]] = {}
     for line_number, raw, stripped in content_lines(lines):
         head, sep, tail = stripped.partition(":")
+        digits = head.strip()
         # isdecimal, not isdigit: int() rejects superscripts such as '²'
-        if sep == "" or not head.strip().isdecimal():
+        if sep == "" or not digits.isdecimal():
             raise RecordError(f"roster line {line_number}: expected 'number: name[; name]...', got {raw!r}")
-        number = int(head.strip())
+        try:
+            number = int(digits)
+        except ValueError:  # more digits than int() converts
+            raise RecordError(f"roster line {line_number}: number of {len(digits)} digits outside 0..99") from None
         if number > 99:
             raise RecordError(f"roster line {line_number}: number {number} outside 0..99")
         names = [n.strip() for n in tail.split(";")]
@@ -227,11 +231,6 @@ def load_detections(lines: Iterable[str], strict: bool = False) -> DetectionLoad
     skipped: list[tuple[int, str]] = []
     by_frame = group_by_frame(d for _, d in iter_detections(lines, skipped, strict))
     return DetectionLoadResult(by_frame=by_frame, diagnostics=tuple(text for _, text in skipped))
-
-
-def serialize_detections(detections: Iterable[PlayerDetection]) -> str:
-    """Serialize records in the given order, one per line."""
-    return "".join(serialize_detection(d) + "\n" for d in detections)
 
 
 def resolve_names(number: int, roster: Roster) -> str:

@@ -64,46 +64,30 @@ def focal_loss(dist: ClassDistribution) -> float:
     return -math.log(p) * (1.0 - p) ** dist.gamma
 
 
-@dataclass(frozen=True)
-class PrCurve:
-    """Cumulative (recall, precision) points in ranked-score order."""
-
-    points: tuple[tuple[float, float], ...]
-    num_gt: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "points", tuple((float(r), float(p)) for r, p in self.points)
-        )
-        if not (isinstance(self.num_gt, int) and self.num_gt >= 0):
-            raise InvariantError(f"PrCurve.num_gt >= 0 violated (got {self.num_gt!r})")
-        _check_curve(*_curve_arrays(self))
-
-
-def _curve_arrays(curve: PrCurve) -> tuple[np.ndarray, np.ndarray]:
-    recall, precision = np.array(curve.points, dtype=np.float64).reshape(-1, 2).T
-    return recall, precision
-
-
 def _check_curve(recall: np.ndarray, precision: np.ndarray) -> None:
-    """Raise at the first point out of [0, 1] or below the previous recall."""
+    """Raise at the first (recall, precision) point out of [0, 1] or below the previous recall."""
     in_range = (recall >= 0.0) & (recall <= 1.0) & (precision >= 0.0) & (precision <= 1.0)
     bad = ~in_range
     bad[1:] |= recall[1:] < recall[:-1]
     if bad.any():
         k = int(np.argmax(bad))
         if in_range[k]:
-            raise InvariantError("PrCurve recall must be non-decreasing")
-        raise InvariantError(f"PrCurve point out of [0, 1] (got {(float(recall[k]), float(precision[k]))!r})")
+            raise InvariantError("PR curve recall must be non-decreasing")
+        raise InvariantError(f"PR curve point out of [0, 1] (got {(float(recall[k]), float(precision[k]))!r})")
 
 
 _GRID = np.array(RECALL_GRID)
 
 
 def _interpolated_ap(recall: np.ndarray, precision: np.ndarray, num_gt: int) -> float:
-    """101-point interpolated AP of a checked curve (the core of average_precision)."""
+    """101-point interpolated AP of a checked curve.
+
+    Mean over the recall grid {0.00, 0.01, .., 1.00} of the best precision
+    achieved at or beyond each grid recall.  With no ground truth the value
+    is 0 and a DegenerateMetricWarning is emitted.
+    """
     if num_gt == 0:
-        warnings.warn("average_precision with num_gt = 0 pinned to 0", DegenerateMetricWarning)
+        warnings.warn("AP with num_gt = 0 pinned to 0", DegenerateMetricWarning)
         return 0.0
     # recalls never decrease, so the points at or beyond a grid recall form
     # a suffix: best_from[k] is the best precision from point k on, and 0
@@ -114,16 +98,6 @@ def _interpolated_ap(recall: np.ndarray, precision: np.ndarray, num_gt: int) -> 
     for v in best_from[np.searchsorted(recall, _GRID, side="left")].tolist():
         total += v
     return total / len(RECALL_GRID)
-
-
-def average_precision(curve: PrCurve) -> float:
-    """101-point interpolated AP.
-
-    Mean over the recall grid {0.00, 0.01, .., 1.00} of the best precision
-    achieved at or beyond each grid recall.  With no ground truth the value
-    is 0 and a DegenerateMetricWarning is emitted.
-    """
-    return _interpolated_ap(*_curve_arrays(curve), curve.num_gt)
 
 
 def prf1(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
@@ -188,7 +162,7 @@ class EvalReport:
 
 
 def _ap_from_flags(flags: Sequence[bool], num_gt: int) -> float:
-    """AP of ranked hit flags: the curve average_precision would get, built as arrays."""
+    """AP of ranked hit flags, with the curve built as arrays."""
     tp = np.cumsum(flags, dtype=np.int64)
     recall = tp / num_gt if num_gt else np.zeros(len(tp))
     precision = tp / np.arange(1, len(tp) + 1)

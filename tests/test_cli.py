@@ -118,6 +118,18 @@ class TestParseClock:
         assert run(["parse-clock", "--input", str(clock), "--strict"]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_field_too_long_for_int_is_skipped_unless_strict(self, tmp_path, capsys):
+        # int() refuses more than 4,300 digits; the line is malformed, not an abort
+        long_frame = "1" * 4301
+        clock = tmp_path / "clock.txt"
+        clock.write_text(CLOCK_TEXT + f"{long_frame} 14:14 34\n", encoding="utf-8")
+        assert run(["parse-clock", "--input", str(clock)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "1 1 0 20 15:00 14:56\n2 1 40 60 14:20 14:16\n"
+        assert captured.err == f"line 8: bad frame number '{long_frame}'\n1 malformed line(s) skipped\n"
+        assert run(["parse-clock", "--input", str(clock), "--strict"]) == 1
+        assert capsys.readouterr().err == f"error: line 8: bad frame number '{long_frame}'\n"
+
     def test_out_of_order_line_is_skipped_unless_strict(self, tmp_path, capsys):
         # a repeated frame is skipped and counted like a malformed line
         lines = CLOCK_TEXT.splitlines()
@@ -595,26 +607,38 @@ class TestStreaming:
                     "--records", str(records), "--output", str(out), *extra])
         return code, out
 
-    def test_memory_is_flat_in_the_record_count(self, tmp_path):
-        # a game four times longer may not raise the peak by the parsed records it holds
+    @pytest.mark.parametrize("command", ["pipeline", "assemble"])
+    def test_memory_is_flat_in_the_record_count(self, command, tmp_path):
+        # a game four times longer may not raise the peak by the records it holds or writes
+        def one_run(game_dir):
+            records = game_dir / "detections.txt"
+            if command == "pipeline":
+                return self.pipeline(game_dir, game_dir / "clock.txt", records, tmp_path)
+            out = tmp_path / "assembled.txt"
+            return run(["assemble", "--config", str(game_dir / "game.cfg"), "--input", str(records),
+                        "--output", str(out)]), out
+
         games, lines, peaks = [], [], []
         for plays in (2, 8):
             game_dir = tmp_path / f"game{plays}"
             assert run(["synth", "--seed", "5", "--output", str(game_dir), "--quarters", "1",
                         "--plays-per-quarter", str(plays), "--fps", "10"]) == 0
             games.append(game_dir)
-        self.pipeline(games[0], games[0] / "clock.txt", games[0] / "detections.txt", tmp_path)  # warm-up
+        one_run(games[0])  # warm-up
         for game_dir in games:
             records = game_dir / "detections.txt"
             tracemalloc.start()
             try:
-                code, out = self.pipeline(game_dir, game_dir / "clock.txt", records, tmp_path)
+                code, out = one_run(game_dir)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
             assert code == 0
-            assert out.read_bytes() == (game_dir / "truth_log.csv").read_bytes()
             lines.append(len(records.read_text(encoding="utf-8").splitlines()))
+            if command == "pipeline":
+                assert out.read_bytes() == (game_dir / "truth_log.csv").read_bytes()
+            else:
+                assert len(out.read_text(encoding="utf-8").splitlines()) == lines[-1]
         assert lines == [1820, 7150]
         per_record = (peaks[1] - peaks[0]) / (lines[1] - lines[0])
         assert per_record < 100, f"peak grew {per_record:.0f} bytes per record line"
@@ -649,6 +673,44 @@ class TestStreaming:
         assert capsys.readouterr().err == error
         assert not out.exists()
         assert not (workdir / "records_assembled.txt").exists()
+
+    @pytest.mark.parametrize("command", ["parse-clock", "assemble", "classify-team", "log", "evaluate", "pipeline"])
+    def test_failed_strict_run_keeps_the_previous_output_file(self, command, tmp_path, capsys):
+        clock = tmp_path / "clock.txt"
+        clock.write_text(CLOCK_TEXT, encoding="utf-8")
+        windows = tmp_path / "windows.txt"
+        assert run(["parse-clock", "--input", str(clock), "--output", str(windows)]) == 0
+        good = tmp_path / "good.txt"
+        good.write_text(record(0) + "\n", encoding="utf-8")
+        bad = tmp_path / "bad.txt"
+        bad.write_text(record(0) + "\ngarbage\n", encoding="utf-8")
+        (tmp_path / "crops").mkdir()
+        argv = {
+            "parse-clock": ["--input", str(bad)],
+            "assemble": ["--input", str(bad)],
+            "classify-team": ["--input", str(bad), "--crops", str(tmp_path / "crops")],
+            "log": ["--windows", str(windows), "--records", str(bad)],
+            "evaluate": ["--preds", str(bad), "--truth", str(good)],
+            "pipeline": ["--clock", str(clock), "--records", str(bad)],
+        }[command]
+        out = tmp_path / "out.txt"
+        out.write_bytes(b"previous output\n")
+        capsys.readouterr()
+        assert run([command, *argv, "--output", str(out), "--strict"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert out.read_bytes() == b"previous output\n"
+        assert not list(tmp_path.glob("*.partial"))
+
+    def test_failed_run_keeps_the_record_lines_already_on_stdout(self, tmp_path, capsys):
+        # stdout streams: the records before the bad line are written, then the run fails
+        records = tmp_path / "records.txt"
+        records.write_text(record(0) + "\ngarbage\n" + record(1) + "\n", encoding="utf-8")
+        assert run(["assemble", "--input", str(records), "--strict"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == record(0) + "\n"
+        assert captured.err == "error: record line 2: expected at least 9 fields, got 1\n"
 
     @pytest.mark.parametrize("bad", ["clock.txt", "detections.txt"])
     def test_invalid_utf8_is_an_input_error(self, bad, tmp_path, capsys):

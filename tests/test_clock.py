@@ -143,6 +143,18 @@ class TestClockStream:
         with pytest.raises(ClockParseError):
             parse_clock_stream(["10 15:00 40", "junk line here"], strict=True)
 
+    @pytest.mark.parametrize("line, message", [
+        ("1" * 4301 + " 14:59 39", "bad frame number '" + "1" * 4301 + "'"),
+        ("11 14:59 " + "1" * 4301, "bad play clock '" + "1" * 4301 + "'"),
+    ], ids=["frame", "play-clock"])
+    def test_field_too_long_for_int_is_a_bad_line(self, line, message):
+        # int() refuses more than 4,300 digits; the line is malformed, not fatal
+        result = parse_clock_stream(["10 15:00 40", line, "12 14:58 38"])
+        assert [r.frame_index for r in result.readings] == [10, 12]
+        assert result.diagnostics == (f"line 2: {message}",)
+        with pytest.raises(ClockParseError, match="^line 2: bad "):
+            parse_clock_stream(["10 15:00 40", line], strict=True)
+
     @pytest.mark.parametrize("second", ["10 14:59 39", "9 14:59 39"])
     def test_frame_order_skipped_when_lenient(self, second):
         # the out-of-order line is skipped like a malformed one; later lines are kept

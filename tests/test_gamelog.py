@@ -28,7 +28,6 @@ from playlog import (
     resolve_names,
     roster_lines,
     serialize_detection,
-    serialize_detections,
     synchronize,
     synchronize_presence,
 )
@@ -83,6 +82,11 @@ class TestRoster:
         ):
             load_roster(["1: A", "²: Bob"])
         assert load_roster(["١٢: Arabic-Indic Digits"]).entries == {12: ("Arabic-Indic Digits",)}
+
+    def test_number_too_long_for_int_is_a_record_error(self):
+        # int() refuses more than 4,300 digits
+        with pytest.raises(RecordError, match=r"^roster line 2: number of 4301 digits outside 0\.\.99$"):
+            load_roster(["1: A", "1" * 4301 + ": Bob"])
 
 
 class TestResolveNames:
@@ -253,7 +257,7 @@ class TestLoadDetections:
 
     def test_serialize_round_trip(self):
         ds = [detection(frame=f, x=f) for f in (3, 1, 3)]
-        text = serialize_detections(ds)
+        text = "".join(serialize_detection(d) + "\n" for d in ds)
         result = load_detections(text.splitlines())
         assert len(result.by_frame[3]) == 2
 

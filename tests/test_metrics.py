@@ -16,8 +16,6 @@ from playlog import (
     DegenerateMetricWarning,
     EvalReport,
     InvariantError,
-    PrCurve,
-    average_precision,
     confusion_matrix,
     evaluate_detections,
     focal_loss,
@@ -25,7 +23,7 @@ from playlog import (
     prf1,
 )
 
-from playlog.metrics import _ap_from_flags
+from playlog.metrics import _ap_from_flags, _check_curve, _interpolated_ap
 
 from oracles import ref_ap, ref_cross_entropy, ref_evaluate, ref_focal
 
@@ -96,28 +94,32 @@ class TestClassDistribution:
             ClassDistribution(probs=(0.5, 0.5), true_index=0, gamma=-1.0)
 
 
+def check_points(*points):
+    recall, precision = np.array(points, dtype=np.float64).reshape(-1, 2).T
+    _check_curve(recall, precision)
+
+
 class TestAveragePrecision:
     def test_perfect_detector(self):
-        curve = PrCurve(points=((0.5, 1.0), (1.0, 1.0)), num_gt=2)
-        assert average_precision(curve) == 1.0
+        # curve (0.5, 1.0), (1.0, 1.0)
+        assert _ap_from_flags([True, True], 2) == 1.0
 
     def test_true_then_false_positive(self):
-        # one of two gts found, then an fp: precision 1.0 holds up to
-        # recall 0.5, nothing beyond
-        curve = PrCurve(points=((0.5, 1.0), (0.5, 0.5)), num_gt=2)
-        assert average_precision(curve) == pytest.approx(51 / 101)
+        # one of two gts found, then an fp: the curve (0.5, 1.0), (0.5, 0.5)
+        # holds precision 1.0 up to recall 0.5, nothing beyond
+        assert _ap_from_flags([True, False], 2) == pytest.approx(51 / 101)
 
     def test_no_ground_truth_warns_and_pins_to_zero(self):
         with pytest.warns(DegenerateMetricWarning):
-            assert average_precision(PrCurve(points=(), num_gt=0)) == 0.0
+            assert _ap_from_flags([], 0) == 0.0
 
     def test_recall_must_not_decrease(self):
-        with pytest.raises(InvariantError):
-            PrCurve(points=((0.5, 1.0), (0.4, 1.0)), num_gt=2)
+        with pytest.raises(InvariantError, match="non-decreasing"):
+            check_points((0.5, 1.0), (0.4, 1.0))
 
     def test_point_range_enforced(self):
-        with pytest.raises(InvariantError):
-            PrCurve(points=((0.5, 1.5),), num_gt=2)
+        with pytest.raises(InvariantError, match=r"out of \[0, 1\]"):
+            check_points((0.5, 1.5))
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.booleans(), max_size=80), st.integers(0, 20))
@@ -126,16 +128,19 @@ class TestAveragePrecision:
     @example([True, False, True], 0)  # every ground truth found
     @example([], 4)
     def test_equals_reference_exactly(self, flags, extra_gt):
-        # exact equality: the curve is built the way ref_ap builds it, and
-        # the evaluator's array path from flags must agree with both
+        # exact equality: the curve is built point by point the way ref_ap
+        # builds it, and the evaluator's array path from flags must agree with both
         num_gt = max(1, sum(flags) + extra_gt)
         tp = 0
-        points = []
+        recall, precision = [], []
         for rank, hit in enumerate(flags, start=1):
             tp += hit
-            points.append((tp / num_gt, tp / rank))
+            recall.append(tp / num_gt)
+            precision.append(tp / rank)
         expected = ref_ap(flags, num_gt)
-        assert average_precision(PrCurve(tuple(points), num_gt)) == expected
+        recall, precision = np.array(recall, dtype=np.float64), np.array(precision, dtype=np.float64)
+        _check_curve(recall, precision)
+        assert _interpolated_ap(recall, precision, num_gt) == expected
         assert _ap_from_flags(flags, num_gt) == expected
 
     def test_flags_without_ground_truth_warn_and_pin_to_zero(self):
@@ -148,9 +153,9 @@ class TestAveragePrecision:
 
     def test_first_bad_point_decides_the_message(self):
         with pytest.raises(InvariantError, match="non-decreasing"):
-            PrCurve(points=((0.5, 1.0), (0.4, 1.0), (0.6, 1.5)), num_gt=2)
+            check_points((0.5, 1.0), (0.4, 1.0), (0.6, 1.5))
         with pytest.raises(InvariantError, match=r"out of \[0, 1\] \(got \(0.6, 1.5\)\)"):
-            PrCurve(points=((0.5, 1.0), (0.6, 1.5), (0.4, 1.0)), num_gt=2)
+            check_points((0.5, 1.0), (0.6, 1.5), (0.4, 1.0))
 
 
 class TestPrf1:
