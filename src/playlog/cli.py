@@ -88,11 +88,21 @@ class _Parser(argparse.ArgumentParser):
 
 @contextmanager
 def _output(path: str | Path | None) -> Iterator[TextIO]:
-    """Yield stdout, or ``path.partial``, renamed to ``path`` only if the block succeeds."""
+    """Yield stdout, or ``path.partial``, renamed to ``path`` only if the block succeeds.
+
+    A path that is not a regular file (/dev/null, /dev/stdout, a pipe) is
+    written in place; a symlink is followed, so its target is replaced.
+    """
     if path is None:
         yield sys.stdout  # looked up per call, so a swapped sys.stdout is honoured
         return
     path = Path(path)
+    if path.exists() and not path.is_file():
+        with open(path, "w", encoding="utf-8") as out:
+            yield out
+        return
+    if path.is_symlink():
+        path = path.resolve()
     partial = path.with_name(path.name + ".partial")
     try:
         with open(partial, "w", encoding="utf-8") as out:
