@@ -18,7 +18,9 @@ handed on as it is read, so diagnostics come out in line order and the
 parsed records are never held together.  `pipeline` and `log` fold each
 record into a per-frame table of the side's jersey numbers, and
 `assemble` and `classify-team` write each record line as it is made, so
-the memory of all four stays flat in the record count.
+the memory of all four stays flat in the record count.  `evaluate` folds
+each record into flat columns (frame, box, score and number) as it streams
+past, and scores every frame at once from them.
 
 Exit codes: 0 success, 1 input error, 2 internal error.  Diagnostics for
 skipped lines go to stderr; outputs go to --output or stdout.  Every text
@@ -33,9 +35,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from array import array
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
+
+import numpy as np
 
 from .clock import (
     SegmenterConfig,
@@ -50,7 +55,6 @@ from .gamelog import (
     GameConfig,
     emit_game_log,
     iter_detections,
-    load_detections,
     presence_table,
     roster_lines,
     serialize_detection,
@@ -67,8 +71,8 @@ from .imageops import (
     write_image,
 )
 from .jersey import AssemblyConfig, assemble_number, suppress_digits
-from .matching import match_detections
-from .metrics import confusion_matrix, evaluate_detections
+from .matching import DetectionColumns
+from .metrics import confusion_matrix, evaluate_columns
 from .synth import SynthConfig, generate_game
 from .teamcolor import channel_histogram, classify_team, extract_strip
 from .textfile import read_lines
@@ -198,41 +202,70 @@ def _matrix_rows(matrix, fmt: str) -> str:
     return "".join(" ".join(fmt % v for v in row) + "\n" for row in matrix)
 
 
+class _RecordColumns:
+    """One record file folded into flat columns as it streams past: per record,
+    its frame, box, score and jersey number (0..99, or -1 for none); the
+    records themselves are not kept."""
+
+    def __init__(self, records: Iterable[PlayerDetection]) -> None:
+        self.frame_ids: dict[int, int] = {}  # frame index -> id, in order of first sight
+        ids = array("q")
+        values = array("d")
+        numbers = array("b")
+        for d in records:
+            b = d.box
+            ids.append(self.frame_ids.setdefault(d.frame_index, len(self.frame_ids)))
+            values.extend((b.x, b.y, b.w, b.h, d.score))
+            numbers.append(-1 if d.number is None else d.number)
+        self._ids = np.frombuffer(ids, dtype=np.int64)
+        self._values = np.frombuffer(values, dtype=np.float64).reshape(-1, 5)
+        self.numbers = np.frombuffer(numbers, dtype=np.int8)
+
+    def columns(self, position: dict[int, int]) -> DetectionColumns:
+        """The detection columns, each frame given as its ``position``."""
+        frame_position = np.array([position[f] for f in self.frame_ids], dtype=np.int64)
+        return DetectionColumns(frame_position[self._ids], self._values[:, :4], self._values[:, 4])
+
+
 def _stage_evaluate(
     preds_path: str, truth_path: str, include_confusion: bool, strict: bool
 ) -> tuple[str, tuple[str, ...], int]:
-    preds_loaded = load_detections(read_lines(preds_path), strict=strict)
-    truth_loaded = load_detections(read_lines(truth_path), strict=strict)
-    preds_map = {f: [(d.box, d.score) for d in ds] for f, ds in preds_loaded.by_frame.items()}
-    gts_map = {f: [d.box for d in ds] for f, ds in truth_loaded.by_frame.items()}
+    skipped: list[tuple[int, str]] = []
+    preds = _RecordColumns(d for _, d in iter_detections(read_lines(preds_path), skipped, strict))
+    truth = _RecordColumns(d for _, d in iter_detections(read_lines(truth_path), skipped, strict))
+    diagnostics = [message for _, message in skipped]
     # the record format cannot express an empty frame: a truth frame the
-    # detector missed altogether is scored as an empty prediction list
-    for f in gts_map:
-        preds_map.setdefault(f, [])
-    text = evaluate_detections(preds_map, gts_map).to_text()
-    diagnostics = list(preds_loaded.diagnostics) + list(truth_loaded.diagnostics)
-    skipped = len(diagnostics)
-    if include_confusion:
-        pairs: list[tuple[int, int]] = []
-        for f in sorted(gts_map):
-            matches = match_detections(preds_map[f], gts_map[f], CONFUSION_MATCH_IOU)
-            for i, g in enumerate(matches):
-                if g is None:
-                    continue
-                predicted = preds_loaded.by_frame[f][i].number
-                true = truth_loaded.by_frame[f][g].number
-                if predicted is None or true is None:
-                    continue
-                if len(str(predicted)) != len(str(true)):
-                    diagnostics.append(
-                        f"frame {f}: digit counts differ ({true} vs {predicted}), pair skipped"
-                    )
-                    continue
-                pairs.extend((int(t), int(p)) for t, p in zip(str(true), str(predicted)))
-        cm = confusion_matrix(pairs)
+    # detector missed altogether scores as empty, and predictions in a frame
+    # without truth records (nobody in view) are all false positives
+    frames = sorted(preds.frame_ids.keys() | truth.frame_ids.keys())
+    position = {f: k for k, f in enumerate(frames)}
+    pred_columns = preds.columns(position)
+    report, pairs = evaluate_columns(
+        pred_columns, truth.columns(position), pairing_iou=CONFUSION_MATCH_IOU if include_confusion else None
+    )
+    text = report.to_text()
+    if pairs is not None:
+        # pairs in (frame, prediction line) order
+        rows = np.argsort(pred_columns.frame, kind="stable")
+        rows = rows[pairs[rows] >= 0]
+        true_numbers = truth.numbers[pairs[rows]]
+        predicted_numbers = preds.numbers[rows]
+        numbered = (true_numbers >= 0) & (predicted_numbers >= 0)
+        true_digits, predicted_digits = array("b"), array("b")
+        for k, true, predicted in zip(
+            pred_columns.frame[rows[numbered]].tolist(),
+            true_numbers[numbered].tolist(),
+            predicted_numbers[numbered].tolist(),
+        ):
+            if len(str(predicted)) != len(str(true)):
+                diagnostics.append(f"frame {frames[k]}: digit counts differ ({true} vs {predicted}), pair skipped")
+                continue
+            true_digits.extend(int(t) for t in str(true))
+            predicted_digits.extend(int(p) for p in str(predicted))
+        cm = confusion_matrix(zip(true_digits, predicted_digits))
         text += "confusion_counts\n" + _matrix_rows(cm.counts, "%d")
         text += "confusion_normalized\n" + _matrix_rows(cm.normalized, "%.4f")
-    return text, tuple(diagnostics), skipped
+    return text, tuple(diagnostics), len(skipped)
 
 
 def _cmd_parse_clock(args: argparse.Namespace) -> int:

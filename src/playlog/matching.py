@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,27 +39,33 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return inter / union
 
 
-def _box_columns(boxes: Sequence[BoundingBox]) -> tuple[np.ndarray, ...]:
-    """x, y, right, bottom and area of each box, as float64 columns."""
-    x, y, w, h = np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4).T
-    return x, y, x + w, y + h, w * h
+def _iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of boxes ``a`` and ``b``, each (x, y, w, h) on the last axis, broadcast over the others.
+
+    Each entry takes the same float operations in the same order as
+    ``iou``, so it equals ``iou`` of the two boxes bit for bit.
+    """
+    ax, ay, aw, ah = np.moveaxis(a, -1, 0)
+    bx, by, bw, bh = np.moveaxis(b, -1, 0)
+    inter_w = np.maximum(0.0, np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx))
+    inter_h = np.maximum(0.0, np.minimum(ay + ah, by + bh) - np.maximum(ay, by))
+    inter = inter_w * inter_h
+    # iou returns 0.0 without dividing where inter <= 0; so does every such pair here
+    disjoint = inter <= 0.0
+    union = np.where(disjoint, 1.0, aw * ah + bw * bh - inter)
+    return np.where(disjoint, 0.0, inter / union)
+
+
+def _box_array(boxes: Sequence[BoundingBox]) -> np.ndarray:
+    return np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4)
 
 
 def iou_matrix(a_boxes: Sequence[BoundingBox], b_boxes: Sequence[BoundingBox]) -> np.ndarray:
     """IoU of every (a, b) pair, as a len(a) x len(b) float64 array.
 
-    Each entry takes the same float operations in the same order as
-    ``iou``, so it equals ``iou(a_boxes[i], b_boxes[j])`` bit for bit.
+    Each entry equals ``iou(a_boxes[i], b_boxes[j])`` bit for bit.
     """
-    ax, ay, ar, ab, a_area = (c[:, None] for c in _box_columns(a_boxes))
-    bx, by, br, bb, b_area = _box_columns(b_boxes)
-    inter_w = np.maximum(0.0, np.minimum(ar, br) - np.maximum(ax, bx))
-    inter_h = np.maximum(0.0, np.minimum(ab, bb) - np.maximum(ay, by))
-    inter = inter_w * inter_h
-    # iou returns 0.0 without dividing where inter <= 0; so does every such pair here
-    disjoint = inter <= 0.0
-    union = np.where(disjoint, 1.0, a_area + b_area - inter)
-    return np.where(disjoint, 0.0, inter / union)
+    return _iou(_box_array(a_boxes)[:, None, :], _box_array(b_boxes)[None, :, :])
 
 
 def size_bucket(box: BoundingBox) -> SizeBucket:
@@ -158,28 +164,119 @@ def hungarian_assign(cost: Sequence[Sequence[float]]) -> Assignment:
     return Assignment(tuple(pairs), float(total))
 
 
-def score_order(preds: Sequence[tuple[BoundingBox, float]]) -> list[int]:
-    """Greedy visiting order of the predictions (score desc, then index); checks every score."""
-    for _, score in preds:
-        if not (isinstance(score, (int, float)) and 0.0 <= score <= 1.0):
-            raise InvariantError(f"prediction score in [0, 1] violated (got {score!r})")
-    return sorted(range(len(preds)), key=lambda i: (-preds[i][1], i))
+def checked_score(score: float) -> float:
+    """A prediction score, or InvariantError if it is not a number in [0, 1]."""
+    if not (isinstance(score, (int, float)) and 0.0 <= score <= 1.0):
+        raise InvariantError(f"prediction score in [0, 1] violated (got {score!r})")
+    return score
 
 
-def greedy_match(iou_rows: Sequence[Sequence[float]], iou_threshold: float) -> list[int | None]:
-    """Matched gt index (or None) per row of IoUs with every ground truth, rows in
-    visiting order: each takes the free gt of highest IoU >= threshold (ties: lower index)."""
-    taken: set[int] = set()
-    result: list[int | None] = []
-    for row in iou_rows:
-        best: int | None = None
-        for g, v in enumerate(row):
-            if v >= iou_threshold and (best is None or v > row[best]) and g not in taken:
-                best = g
-        if best is not None:
-            taken.add(best)
-        result.append(best)
-    return result
+class DetectionColumns(NamedTuple):
+    """Detections as flat columns, one row per detection.
+
+    ``frame`` is each row's frame as its position in the caller's sorted
+    list of frames, so a frame index of any size fits; ``box`` holds
+    (x, y, w, h) per row.
+    """
+
+    frame: np.ndarray  # int64, (n,)
+    box: np.ndarray  # float64, (n, 4)
+    score: np.ndarray  # float64, (n,)
+
+
+def detection_columns(rows: Iterable[tuple[int, BoundingBox, float]]) -> DetectionColumns:
+    """Columns of ``(frame position, box, score)`` rows, in row order."""
+    frame: list[int] = []
+    boxes: list[BoundingBox] = []
+    score: list[float] = []
+    for f, b, s in rows:
+        frame.append(f)
+        boxes.append(b)
+        score.append(s)
+    return DetectionColumns(np.array(frame, dtype=np.int64), _box_array(boxes), np.array(score, dtype=np.float64))
+
+
+# IoU cells per padded batch of frames; bounds the size of the matcher's working arrays
+_BATCH_CELLS = 1 << 14
+
+
+def match_frames(
+    preds: DetectionColumns, truth: DetectionColumns, thresholds: Sequence[float], open_truth: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy score-ranked matching in every frame, at every threshold at once.
+
+    Each frame's predictions are visited in descending score order (ties:
+    lower row first); each takes the still-free truth box of its frame with
+    the highest IoU at or above the threshold (ties: lower row).  At
+    ``thresholds[k]`` only the truth rows where ``open_truth[k]`` is true
+    can be taken.
+
+    Returns ``(order, matched)``: ``order`` lists the prediction rows in
+    visiting order (by frame, then score, then row), and ``matched[k, e]``
+    is the truth row that ``order[e]`` takes at ``thresholds[k]``, or -1.
+    """
+    thresholds = np.asarray(thresholds, dtype=np.float64)
+    lanes = len(thresholds)
+    order = np.lexsort((-preds.score, preds.frame))
+    matched = np.full((lanes, len(order)), -1, dtype=np.int64)
+    truth_order = np.argsort(truth.frame, kind="stable")
+    truth_frame = truth.frame[truth_order]
+    frames, p_start, p_count = np.unique(preds.frame[order], return_index=True, return_counts=True)
+    g_start = np.searchsorted(truth_frame, frames)
+    g_count = np.searchsorted(truth_frame, frames, side="right") - g_start
+
+    # frames whose prediction and truth counts have the same bit length share
+    # a batch, padded to the batch's largest; a frame with no truth matches nothing
+    size_class = np.frexp(p_count)[1] * 64 + np.frexp(g_count)[1]
+    for c in np.unique(size_class[g_count > 0]):
+        same_class = np.flatnonzero((size_class == c) & (g_count > 0))
+        rows_wide = int(p_count[same_class].max())
+        cols_wide = int(g_count[same_class].max())
+        per_batch = max(1, _BATCH_CELLS // (max(rows_wide, lanes) * cols_wide))
+        for lo in range(0, len(same_class), per_batch):
+            batch = same_class[lo:lo + per_batch]
+            entries = p_start[batch, None] + np.arange(rows_wide)
+            entry_ok = np.arange(rows_wide) < p_count[batch, None]
+            cols = g_start[batch, None] + np.arange(cols_wide)
+            col_ok = np.arange(cols_wide) < g_count[batch, None]
+            # padding repeats a frame's first row or column: a padded prediction
+            # comes after every real one of its frame, a padded truth box is never free
+            pred_rows = order[np.where(entry_ok, entries, entries[:, :1])]
+            truth_rows = truth_order[np.where(col_ok, cols, cols[:, :1])]
+            ious = _iou(preds.box[pred_rows][:, :, None, :], truth.box[truth_rows][:, None, :, :])
+            free = open_truth[:, truth_rows].transpose(1, 0, 2) & col_ok[:, None, :]
+            picks = _greedy_padded(ious, free, thresholds)
+            taken = np.where(picks >= 0, truth_rows[np.arange(len(batch))[:, None, None], picks], -1)
+            matched[:, entries[entry_ok]] = taken.transpose(1, 0, 2)[:, entry_ok]
+    return order, matched
+
+
+def _greedy_padded(ious: np.ndarray, free: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Greedy matching over a padded batch of frames, one row position at a time.
+
+    ``ious`` is (frames, rows, cols), rows in visiting order; ``free`` is
+    (frames, lanes, cols), the truth columns open at each threshold.
+    Returns (frames, lanes, rows): the column each row takes, or -1.
+    """
+    n_frames, rows_wide, cols_wide = ious.shape
+    lanes = len(thresholds)
+    # a taken or closed column scores -inf, so it is never the best
+    penalty = np.ascontiguousarray(np.where(free, 0.0, -np.inf))
+    scored = np.empty_like(penalty)
+    penalty_flat, scored_flat = penalty.reshape(-1), scored.reshape(-1)
+    # the flat index of each (frame, lane)'s first column, and its threshold
+    row_base = np.arange(n_frames * lanes) * cols_wide
+    lane_threshold = np.tile(thresholds, n_frames)
+    picks = np.empty((rows_wide, n_frames * lanes), dtype=np.int64)
+    for p in range(rows_wide):
+        np.add(ious[:, p, None, :], penalty, out=scored)
+        # argmax takes the first of equal IoUs: the lower column wins a tie
+        picks[p] = scored.argmax(axis=2).reshape(-1)
+        at = row_base + picks[p]
+        hit = scored_flat[at] >= lane_threshold
+        penalty_flat[at[hit]] = -np.inf
+        picks[p, ~hit] = -1
+    return picks.T.reshape(n_frames, lanes, rows_wide)
 
 
 def match_detections(
@@ -196,7 +293,11 @@ def match_detections(
     """
     if not (0.0 < iou_threshold <= 1.0):
         raise InvariantError(f"iou_threshold in (0, 1] violated (got {iou_threshold!r})")
-    order = score_order(preds)
-    matches = greedy_match(iou_matrix([preds[i][0] for i in order], gts).tolist(), iou_threshold)
-    by_index = dict(zip(order, matches))
-    return [by_index[i] for i in range(len(preds))]
+    columns = detection_columns((0, box, checked_score(score)) for box, score in preds)
+    truth = detection_columns((0, g, 0.0) for g in gts)
+    order, matched = match_frames(columns, truth, (iou_threshold,), np.ones((1, len(gts)), dtype=bool))
+    result: list[int | None] = [None] * len(preds)
+    for i, g in zip(order.tolist(), matched[0].tolist()):
+        if g >= 0:
+            result[i] = g
+    return result

@@ -5,12 +5,19 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .core import BoundingBox, InvariantError
-from .matching import SizeBucket, greedy_match, iou_matrix, score_order, size_bucket
+from .matching import (
+    SMALL_MAX_AREA,
+    SMALL_MIN_AREA,
+    DetectionColumns,
+    checked_score,
+    detection_columns,
+    match_frames,
+)
 
 PROB_FLOOR = 1e-12  # keeps log() off exact zeros
 
@@ -170,6 +177,94 @@ def _ap_from_flags(flags: Sequence[bool], num_gt: int) -> float:
     return _interpolated_ap(recall, precision, num_gt)
 
 
+# size bucket codes of the array core; a prediction that matched nothing counts as _UNMATCHED
+_EXCLUDED, _SMALL, _LARGE, _UNMATCHED = 0, 1, 2, 3
+
+
+def _size_codes(box: np.ndarray) -> np.ndarray:
+    """``size_bucket`` of each (x, y, w, h) row, as a bucket code."""
+    area = box[:, 2] * box[:, 3]
+    codes = np.where(area < SMALL_MIN_AREA, _EXCLUDED, np.where(area <= SMALL_MAX_AREA, _SMALL, _LARGE))
+    return codes.astype(np.int8)
+
+
+def evaluate_columns(
+    preds: DetectionColumns,
+    truth: DetectionColumns,
+    *,
+    max_detections: int = MAX_DETECTIONS,
+    pairing_iou: float | None = None,
+) -> tuple[EvalReport, np.ndarray | None]:
+    """The array core of ``evaluate_detections``, over the columns of all frames at once.
+
+    A frame with predictions and no truth scores them all as false
+    positives; a frame with truth and no predictions scores as empty.  With
+    ``pairing_iou``, the second value gives, per prediction row, the truth
+    row it matches at that IoU against every truth box, the ones below the
+    area floor included (or -1); it is None otherwise.
+    """
+    truth_code = _size_codes(truth.box)
+    kept = truth_code != _EXCLUDED
+    num_gt = int(np.count_nonzero(kept))
+    num_gt_by_bucket = {b: int(np.count_nonzero(truth_code == b)) for b in (_SMALL, _LARGE)}
+
+    thresholds = IOU_THRESHOLDS
+    open_truth = np.broadcast_to(kept, (len(IOU_THRESHOLDS), len(kept)))
+    if pairing_iou is not None:
+        thresholds += (pairing_iou,)
+        open_truth = np.vstack([open_truth, np.ones((1, len(kept)), dtype=bool)])
+    order, matched = match_frames(preds, truth, thresholds, open_truth)
+
+    # entries are the predictions in visiting order: by frame, then score
+    frame = preds.frame[order]
+    capped = np.arange(len(order)) - np.searchsorted(frame, frame) < max_detections
+    own_code = _size_codes(preds.box)[order]
+    # global ranking by (score desc, frame, position): the sort is stable
+    rank = np.argsort(-preds.score[order], kind="stable")
+    matched_code = np.append(truth_code, _UNMATCHED)  # index -1 is no match
+
+    ap_at: dict[float, float] = {}
+    ap_bucket_sum = {_SMALL: 0.0, _LARGE: 0.0}
+    ar_bucket_sum = {_SMALL: 0.0, _LARGE: 0.0}
+    ar_degenerate = False
+
+    for t, lane in zip(IOU_THRESHOLDS, matched):
+        got = matched_code[lane]
+        hit = got != _UNMATCHED
+        ap_at[t] = _ap_from_flags(hit[rank], num_gt)
+
+        # a prediction counts in its ground truth's bucket, or unmatched in its own
+        counted_in = np.where(hit, got, own_code)[rank]
+        got_ranked = got[rank]
+        for b in (_SMALL, _LARGE):
+            ap_bucket_sum[b] += _ap_from_flags(got_ranked[counted_in == b] == b, num_gt_by_bucket[b])
+            # greedy matching visits a frame in the same order with or without
+            # the cap, so recall under the cap is read from the uncapped matching
+            if num_gt_by_bucket[b] > 0:
+                ar_bucket_sum[b] += int(np.count_nonzero((got == b) & capped)) / num_gt_by_bucket[b]
+            else:
+                ar_degenerate = True
+
+    if ar_degenerate:
+        warnings.warn("AR over an empty size bucket pinned to 0", DegenerateMetricWarning)
+
+    n_t = len(IOU_THRESHOLDS)
+    report = EvalReport(
+        ap_range=sum(ap_at.values()) / n_t,
+        ap_50=ap_at[0.50],
+        ap_75=ap_at[0.75],
+        ap_small=ap_bucket_sum[_SMALL] / n_t,
+        ap_large=ap_bucket_sum[_LARGE] / n_t,
+        ar_small=ar_bucket_sum[_SMALL] / n_t,
+        ar_large=ar_bucket_sum[_LARGE] / n_t,
+    )
+    if pairing_iou is None:
+        return report, None
+    pairs = np.empty(len(order), dtype=np.int64)
+    pairs[order] = matched[-1]
+    return report, pairs
+
+
 def evaluate_detections(
     preds: Mapping[int, Sequence[tuple[BoundingBox, float]]],
     gts: Mapping[int, Sequence[BoundingBox]],
@@ -187,72 +282,12 @@ def evaluate_detections(
     if set(preds) != set(gts):
         orphans = sorted(set(preds) ^ set(gts))
         raise InvariantError(f"prediction and ground-truth frame sets differ; orphan frames: {orphans}")
-
-    kept_gts: dict[int, list[BoundingBox]] = {}
-    gt_buckets: dict[int, list[SizeBucket]] = {}
-    for f in gts:
-        kept = [g for g in gts[f] if size_bucket(g) is not SizeBucket.EXCLUDED]
-        kept_gts[f] = kept
-        gt_buckets[f] = [size_bucket(g) for g in kept]
-
-    num_gt = sum(len(v) for v in kept_gts.values())
-    num_gt_by_bucket = {
-        b: sum(bl.count(b) for bl in gt_buckets.values())
-        for b in (SizeBucket.SMALL, SizeBucket.LARGE)
-    }
-
     frames = sorted(preds)
-    # Each frame's IoU rows, in its greedy visiting order, are computed once
-    # and reused at every threshold.  Entries (one per prediction: frame,
-    # index, position in its frame's order) follow the same order, and so
-    # does every per-entry list below.
-    orders = {f: score_order(preds[f]) for f in frames}
-    iou_rows = {f: iou_matrix([preds[f][i][0] for i in orders[f]], kept_gts[f]).tolist() for f in frames}
-    entries = [(f, i, position) for f in frames for position, i in enumerate(orders[f])]
-    scores = [preds[f][i][1] for f, i, _ in entries]
-    own_bucket = [size_bucket(preds[f][i][0]) for f, i, _ in entries]
-    capped = [e for e, (_, _, position) in enumerate(entries) if position < max_detections]
-    # Global ranking by (score desc, frame, index): entries of equal score
-    # already sit in (frame, index) order, and the sort is stable.
-    rank = sorted(range(len(entries)), key=lambda e: -scores[e])
-
-    ap_at: dict[float, float] = {}
-    ap_bucket_sum = {SizeBucket.SMALL: 0.0, SizeBucket.LARGE: 0.0}
-    ar_bucket_sum = {SizeBucket.SMALL: 0.0, SizeBucket.LARGE: 0.0}
-    ar_degenerate = False
-
-    for t in IOU_THRESHOLDS:
-        matched: list[SizeBucket | None] = []
-        for f in frames:
-            matched.extend(None if g is None else gt_buckets[f][g] for g in greedy_match(iou_rows[f], t))
-
-        ap_at[t] = _ap_from_flags([matched[e] is not None for e in rank], num_gt)
-
-        # a prediction counts in its ground truth's bucket, or unmatched in its own
-        counted_in = [own if m is None else m for m, own in zip(matched, own_bucket)]
-        for b in (SizeBucket.SMALL, SizeBucket.LARGE):
-            bucket_flags = [matched[e] is b for e in rank if counted_in[e] is b]
-            ap_bucket_sum[b] += _ap_from_flags(bucket_flags, num_gt_by_bucket[b])
-            # greedy matching visits a frame in the same order with or without
-            # the cap, so recall under the cap is read from the uncapped matching
-            if num_gt_by_bucket[b] > 0:
-                ar_bucket_sum[b] += sum(matched[e] is b for e in capped) / num_gt_by_bucket[b]
-            else:
-                ar_degenerate = True
-
-    if ar_degenerate:
-        warnings.warn("AR over an empty size bucket pinned to 0", DegenerateMetricWarning)
-
-    n_t = len(IOU_THRESHOLDS)
-    return EvalReport(
-        ap_range=sum(ap_at.values()) / n_t,
-        ap_50=ap_at[0.50],
-        ap_75=ap_at[0.75],
-        ap_small=ap_bucket_sum[SizeBucket.SMALL] / n_t,
-        ap_large=ap_bucket_sum[SizeBucket.LARGE] / n_t,
-        ar_small=ar_bucket_sum[SizeBucket.SMALL] / n_t,
-        ar_large=ar_bucket_sum[SizeBucket.LARGE] / n_t,
+    pred_columns = detection_columns(
+        (k, box, checked_score(score)) for k, f in enumerate(frames) for box, score in preds[f]
     )
+    truth_columns = detection_columns((k, g, 0.0) for k, f in enumerate(frames) for g in gts[f])
+    return evaluate_columns(pred_columns, truth_columns, max_detections=max_detections)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,7 +311,7 @@ class ConfusionMatrix:
         )
 
 
-def confusion_matrix(pairs: Sequence[tuple[int, int]]) -> ConfusionMatrix:
+def confusion_matrix(pairs: Iterable[tuple[int, int]]) -> ConfusionMatrix:
     """10x10 confusion matrix over (true digit, predicted digit) pairs."""
     counts = np.zeros((10, 10), dtype=np.int64)
     for true, pred in pairs:

@@ -1,6 +1,7 @@
 """Box overlap, size buckets, optimal assignment, greedy matching."""
 
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,9 @@ from playlog import (
     match_detections,
     size_bucket,
 )
+from playlog import matching
+from playlog.matching import detection_columns, match_frames
+from playlog.metrics import IOU_THRESHOLDS
 
 from oracles import brute_force_assignment, ref_greedy_match, ref_iou
 
@@ -249,3 +253,94 @@ class TestMatchDetections:
             assert got == ref_greedy_match(preds_raw, gts_raw, t)
             claimed = [g for g in got if g is not None]
             assert len(claimed) == len(set(claimed))
+
+
+# Boxes span all three size buckets (32*32 and 96*96 are the bucket edges)
+# and overlap often; the few score values make score ties.
+SCENE_BOXES = st.tuples(st.integers(0, 50), st.integers(0, 50), st.integers(8, 130), st.integers(8, 130))
+TINY_BOXES = st.tuples(st.integers(0, 50), st.integers(0, 50), st.integers(4, 31), st.integers(4, 31))
+SCENE_SCORES = st.sampled_from((0.25, 0.5, 0.75, 1.0))
+
+
+@st.composite
+def ragged_scenes(draw):
+    """Per-frame truth boxes and scored predictions, frames of very different sizes.
+
+    Frames may have no predictions or no truth; one frame's truth may be all
+    below the area floor, and one frame may hold 40 or more predictions.
+    Duplicate boxes make IoU ties.
+    """
+    gts, preds = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        truth = draw(st.lists(SCENE_BOXES, max_size=6))
+        if truth and draw(st.booleans()):
+            truth.append(draw(st.sampled_from(truth)))  # an IoU tie among the truth
+        scored = draw(st.lists(st.tuples(SCENE_BOXES, SCENE_SCORES), max_size=7))
+        if truth:  # some predictions cover all, 3/4 or 1/2 of a truth box: an IoU of exactly 1, 0.75 or 0.5
+            covering = st.tuples(st.sampled_from(truth), st.sampled_from((1.0, 0.75, 0.5)))
+            for (x, y, w, h), part in draw(st.lists(covering, max_size=4)):
+                scored.append(((x, y, w, h * part), draw(SCENE_SCORES)))
+        gts.append(truth)
+        preds.append(scored)
+    if draw(st.booleans()):
+        gts.append(draw(st.lists(TINY_BOXES, min_size=1, max_size=4)))
+        preds.append(draw(st.lists(st.tuples(st.sampled_from(gts[-1]), SCENE_SCORES), max_size=4)))
+    if draw(st.booleans()):
+        gts.append(draw(st.lists(SCENE_BOXES, min_size=1, max_size=12)))
+        preds.append(draw(st.lists(st.tuples(SCENE_BOXES, SCENE_SCORES), min_size=40, max_size=50)))
+    return preds, gts
+
+
+def interleaved_columns(frames, rng):
+    """Columns of per-frame rows, frames interleaved at random; rows keep their order within a frame.
+
+    Returns the columns and, per column row, its (frame, index in frame).
+    """
+    queues = [list(enumerate(rows)) for rows in frames]
+    labels = [f for f, rows in enumerate(frames) for _ in rows]
+    rng.shuffle(labels)
+    placed = [(f, *queues[f].pop(0)) for f in labels]
+    columns = detection_columns((f, box(*b), s) for f, _, (b, s) in placed)
+    return columns, [(f, i) for f, i, _ in placed]
+
+
+class TestMatchFrames:
+    @settings(max_examples=150, deadline=None)
+    @given(ragged_scenes(), st.randoms(use_true_random=False), st.sampled_from((1, 64, 1 << 14)))
+    def test_every_frame_and_threshold_agrees_with_reference(self, scene, rng, batch_cells):
+        preds, gts = scene
+        pred_columns, pred_at = interleaved_columns(preds, rng)
+        truth_columns, truth_at = interleaved_columns([[(g, 0.0) for g in frame] for frame in gts], rng)
+        kept = np.array([size_bucket(box(*gts[f][i])) is not SizeBucket.EXCLUDED for f, i in truth_at])
+        thresholds = IOU_THRESHOLDS + (0.50,)
+        open_truth = np.vstack([np.broadcast_to(kept, (len(IOU_THRESHOLDS), len(kept))), np.ones_like(kept)])
+        # a batch of one frame, a few frames, and the default
+        with mock.patch.object(matching, "_BATCH_CELLS", batch_cells):
+            order, matched = match_frames(pred_columns, truth_columns, thresholds, open_truth)
+
+        assert sorted(order.tolist()) == list(range(len(pred_at)))
+        for k, t in enumerate(thresholds):
+            # (frame, index in frame) of each prediction -> that of the truth it takes, or None
+            got = {
+                pred_at[row]: None if g < 0 else truth_at[g]
+                for row, g in zip(order.tolist(), matched[k].tolist())
+            }
+            for f, (frame_preds, frame_gts) in enumerate(zip(preds, gts)):
+                # the AP lanes match against the truth above the area floor, the last against all
+                open_index = [
+                    i for i, g in enumerate(frame_gts)
+                    if k == len(IOU_THRESHOLDS) or size_bucket(box(*g)) is not SizeBucket.EXCLUDED
+                ]
+                want = ref_greedy_match(frame_preds, [frame_gts[i] for i in open_index], t)
+                assert [got[f, i] for i in range(len(frame_preds))] == [
+                    None if g is None else (f, open_index[g]) for g in want
+                ], (f, t)
+
+    def test_visiting_order_is_frame_then_score_then_row(self):
+        columns = detection_columns(
+            [(1, box(0, 0, 40, 40), 0.5), (0, box(0, 0, 40, 40), 0.5), (1, box(0, 0, 40, 40), 0.9),
+             (0, box(0, 0, 40, 40), 0.5)]
+        )
+        order, matched = match_frames(columns, detection_columns([]), (0.5,), np.ones((1, 0), dtype=bool))
+        assert order.tolist() == [1, 3, 2, 0]
+        assert matched.tolist() == [[-1, -1, -1, -1]]

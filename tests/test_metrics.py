@@ -246,8 +246,9 @@ SCORES = st.sampled_from((0.25, 0.5, 0.75, 1.0))
 
 @st.composite
 def scenes(draw):
+    # a frame may hold no predictions, no ground truth, or neither
     preds, gts = {}, {}
-    for f in range(draw(st.integers(1, 3))):
+    for f in range(draw(st.integers(1, 6))):
         gts[f] = draw(st.lists(BOXES, max_size=5))
         preds[f] = draw(st.lists(st.tuples(BOXES, SCORES), max_size=7))
         if gts[f]:  # some predictions sit exactly on a ground truth
