@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from array import array
 from contextlib import contextmanager
 from pathlib import Path
@@ -72,7 +73,7 @@ from .imageops import (
 )
 from .jersey import AssemblyConfig, assemble_number, suppress_digits
 from .matching import DetectionColumns
-from .metrics import confusion_matrix, evaluate_columns
+from .metrics import DegenerateMetricWarning, confusion_matrix, evaluate_columns
 from .synth import SynthConfig, generate_game
 from .teamcolor import channel_histogram, classify_team, extract_strip
 from .textfile import read_lines
@@ -310,7 +311,15 @@ def _cmd_log(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    text, messages, skipped = _stage_evaluate(args.preds, args.truth, args.confusion, args.strict)
+    with warnings.catch_warnings(record=True) as caught:
+        text, messages, skipped = _stage_evaluate(args.preds, args.truth, args.confusion, args.strict)
+    # a pinned-to-0 metric is one plain line per distinct message, without
+    # the source location that Python's warning display adds
+    for message in dict.fromkeys(str(w.message) for w in caught if issubclass(w.category, DegenerateMetricWarning)):
+        print(f"warning: {message}", file=sys.stderr)
+    for w in caught:
+        if not issubclass(w.category, DegenerateMetricWarning):
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     _report_diagnostics(messages, skipped)
     with _output(args.output) as out:
         out.write(text)

@@ -19,10 +19,9 @@ from .core import (
     InvariantError,
     PlayWindow,
 )
-from .textfile import content_lines
+from .textfile import content_lines, keeps_number_rule, number_rule_break
 
-_MMSS_RE = re.compile(r"^(\d{1,2}):(\d{2})$")
-_INT_RE = re.compile(r"^\d+$")
+_MMSS_RE = re.compile(r"([0-9]{1,2}):([0-9]{2})")
 
 
 class ClockParseError(ValueError):
@@ -74,8 +73,8 @@ class ClockStreamResult:
 
 
 def parse_mmss(text: str) -> int:
-    """mm:ss to seconds; seconds field must be 00..59."""
-    m = _MMSS_RE.match(text)
+    """mm:ss to seconds: one or two ASCII digits, ':', two ASCII digits, nothing else; seconds 00..59."""
+    m = _MMSS_RE.fullmatch(text)
     if m is None:
         raise ValueError(f"bad mm:ss value {text!r}")
     minutes, seconds = int(m.group(1)), int(m.group(2))
@@ -91,16 +90,6 @@ def format_mmss(seconds: int) -> str:
     return f"{seconds // 60:02d}:{seconds % 60:02d}"
 
 
-def _int_field(text: str) -> int | None:
-    """A field of digits as an int, or None; int() refuses more than 4,300 digits."""
-    if not _INT_RE.match(text):
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        return None
-
-
 def parse_clock_line(line: str, line_number: int | None = None) -> ClockReading:
     """Parse one ``frame game_clock play_clock`` line.
 
@@ -110,16 +99,17 @@ def parse_clock_line(line: str, line_number: int | None = None) -> ClockReading:
     fields = line.split()
     if len(fields) != 3:
         raise ClockParseError(f"expected 3 fields, got {len(fields)}: {line!r}", line_number)
+    if not keeps_number_rule(line):
+        raise ClockParseError(number_rule_break(line), line_number)
     frame_text, game_text, play_text = fields
 
-    frame = _int_field(frame_text)
-    if frame is None:
-        raise ClockParseError(f"bad frame number {frame_text!r}", line_number)
+    try:
+        frame = int(frame_text)
+    except ValueError:
+        raise ClockParseError(f"bad frame number {frame_text!r}", line_number) from None
 
-    game_clock: int | None
-    if game_text == "0":
-        game_clock = None
-    else:
+    game_clock: int | None = None
+    if game_text != "0":
         try:
             game_clock = parse_mmss(game_text)
         except ValueError as exc:
@@ -129,13 +119,17 @@ def parse_clock_line(line: str, line_number: int | None = None) -> ClockReading:
 
     play_clock: int | None = None
     if play_text != "0":
-        play_clock = _int_field(play_text)
-        if play_clock is None:
-            raise ClockParseError(f"bad play clock {play_text!r}", line_number)
+        try:
+            play_clock = int(play_text)
+        except ValueError:
+            raise ClockParseError(f"bad play clock {play_text!r}", line_number) from None
         if play_clock > PLAY_CLOCK_MAX:
             raise ClockParseError(f"play clock {play_clock} above {PLAY_CLOCK_MAX}", line_number)
 
-    return ClockReading(frame_index=frame, game_clock=game_clock, play_clock=play_clock)
+    try:
+        return ClockReading(frame_index=frame, game_clock=game_clock, play_clock=play_clock)
+    except InvariantError as exc:  # a negative frame or play clock
+        raise ClockParseError(str(exc), line_number) from None
 
 
 def format_clock_line(reading: ClockReading) -> str:
@@ -305,6 +299,8 @@ def parse_play_windows(text: str) -> list[PlayWindow]:
         fields = stripped.split()
         if len(fields) != 6:
             raise ClockParseError(f"expected 6 window fields, got {len(fields)}: {raw!r}", number)
+        if not keeps_number_rule(stripped):
+            raise ClockParseError(f"bad play window: {number_rule_break(stripped)}", number)
         try:
             windows.append(
                 PlayWindow(

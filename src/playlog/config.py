@@ -16,7 +16,7 @@ from .clock import SegmenterConfig
 from .gamelog import GameConfig, load_roster
 from .jersey import AssemblyConfig
 from .teamcolor import DOMINANCE_MARGIN, STRIP_HEIGHT_FRACTION, STRIP_WIDTH_FRACTION, TeamColorProfile
-from .textfile import content_lines, read_lines
+from .textfile import content_lines, number_token, read_lines
 
 
 class ConfigError(ValueError):
@@ -63,14 +63,14 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 def _int_value(values: Mapping[str, str], key: str) -> int:
     try:
-        return int(values[key])
+        return int(number_token(values[key]))
     except ValueError:
         raise ConfigError(f"config key {key} must be an integer (got {values[key]!r})") from None
 
 
 def _float_value(values: Mapping[str, str], key: str) -> float:
     try:
-        return float(values[key])
+        return float(number_token(values[key]))
     except ValueError:
         raise ConfigError(f"config key {key} must be a number (got {values[key]!r})") from None
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -35,7 +36,7 @@ from .teamcolor import (
     TeamColorProfile,
     require_distinct_profiles,
 )
-from .textfile import content_lines
+from .textfile import content_lines, keeps_number_rule, number_rule_break, number_token
 
 LOG_HEADER = (
     "Play number",
@@ -98,15 +99,13 @@ def load_roster(lines: Iterable[str], team_name: str = "") -> Roster:
     entries: dict[int, list[str]] = {}
     for line_number, raw, stripped in content_lines(lines):
         head, sep, tail = stripped.partition(":")
-        digits = head.strip()
-        # isdecimal, not isdigit: int() rejects superscripts such as '²'
-        if sep == "" or not digits.isdecimal():
-            raise RecordError(f"roster line {line_number}: expected 'number: name[; name]...', got {raw!r}")
         try:
-            number = int(digits)
-        except ValueError:  # more digits than int() converts
-            raise RecordError(f"roster line {line_number}: number of {len(digits)} digits outside 0..99") from None
-        if number > 99:
+            number = int(number_token(head))
+        except ValueError:
+            number = None
+        if sep == "" or number is None:
+            raise RecordError(f"roster line {line_number}: expected 'number: name[; name]...', got {raw!r}")
+        if not 0 <= number <= 99:
             raise RecordError(f"roster line {line_number}: number {number} outside 0..99")
         names = [n.strip() for n in tail.split(";")]
         if any(n == "" for n in names):
@@ -127,8 +126,9 @@ def roster_lines(roster: Roster) -> str:
 
 
 def _format_value(value: float) -> str:
-    # integers stay integers so record lines round-trip byte-identically
-    if float(value) == int(value):
+    # integers stay integers so record lines round-trip byte-identically;
+    # an int is written exactly, also above 2**53 where float() would round it
+    if isinstance(value, int) or float(value) == int(value):
         return str(int(value))
     return repr(float(value))
 
@@ -152,6 +152,24 @@ def serialize_detection(detection: PlayerDetection) -> str:
     return " ".join(parts)
 
 
+_EXACT = 2.0 ** 53  # from here up a float no longer holds every integer
+
+
+def _box_value(text: str) -> float:
+    """A box field: float(text), but an integer token whose float is at least 2**53 reads as an exact int."""
+    value = float(text)
+    if value >= _EXACT and math.isfinite(value):
+        try:
+            return int(text)
+        except ValueError:  # a fraction or an exponent: not an integer token
+            pass
+    return value
+
+
+def _exact_box(texts: Sequence[str]) -> BoundingBox:
+    return BoundingBox(*map(_box_value, texts))
+
+
 def parse_detection(line: str, line_number: int | None = None) -> PlayerDetection:
     """Inverse of serialize_detection."""
     prefix = f"record line {line_number}: " if line_number is not None else ""
@@ -159,28 +177,31 @@ def parse_detection(line: str, line_number: int | None = None) -> PlayerDetectio
     n = len(fields)
     if n < 9:
         raise RecordError(f"{prefix}expected at least 9 fields, got {n}")
+    if not keeps_number_rule(line):
+        raise RecordError(f"{prefix}{number_rule_break(line)}")
     try:
         # Fields are indexed directly.  Conversions and checking constructors
         # run in a fixed order (each digit's box before its class and
         # confidence, the player's own range checks last), which decides
-        # the error reported for a line with several bad fields.
+        # the error reported for a line with several bad fields.  A box
+        # whose fields sum below 2**53 has none at or above it (a negative
+        # field makes the box invalid anyway), so only a larger sum takes
+        # the exact path of _box_value.
         frame = int(fields[0])
-        box = BoundingBox(float(fields[1]), float(fields[2]), float(fields[3]), float(fields[4]))
+        x, y, w, h = float(fields[1]), float(fields[2]), float(fields[3]), float(fields[4])
+        box = BoundingBox(x, y, w, h) if x + y + w + h < _EXACT else _exact_box(fields[1:5])
         score = float(fields[5])
         team = fields[6]
         number = None if fields[7] == "-" else int(fields[7])
         count = int(fields[8])
         if n - 9 != 6 * count:  # a negative count never matches
             raise ValueError(f"expected {6 * count} digit fields, got {n - 9}")
-        digits = tuple([
-            DigitDetection(
-                BoundingBox(float(fields[i + 2]), float(fields[i + 3]), float(fields[i + 4]), float(fields[i + 5])),
-                int(fields[i]),
-                float(fields[i + 1]),
-            )
-            for i in range(9, n, 6)
-        ])
-        return PlayerDetection(frame, box, score, digits, number, team)
+        digits = []
+        for i in range(9, n, 6):
+            x, y, w, h = float(fields[i + 2]), float(fields[i + 3]), float(fields[i + 4]), float(fields[i + 5])
+            digit_box = BoundingBox(x, y, w, h) if x + y + w + h < _EXACT else _exact_box(fields[i + 2:i + 6])
+            digits.append(DigitDetection(digit_box, int(fields[i]), float(fields[i + 1])))
+        return PlayerDetection(frame, box, score, tuple(digits), number, team)
     except (ValueError, InvariantError) as exc:
         raise RecordError(f"{prefix}{exc}") from None
 

@@ -1,4 +1,4 @@
-"""The one reader of text input files (records, clock, windows, config and rosters) and their comment rule."""
+"""The one reader of text input files (records, clock, windows, config, rosters) and their comment and number rules."""
 
 from __future__ import annotations
 
@@ -38,3 +38,32 @@ def content_lines(lines: Iterable[str]) -> Iterator[tuple[int, str, str]]:
         stripped = raw.strip()
         if stripped and not stripped.startswith("#"):
             yield line_number, raw, stripped
+
+
+def keeps_number_rule(text: str) -> bool:
+    """Whether ``text`` keeps the number-token rule of every text input format: ASCII only, and no '_'.
+
+    A number token is what int() or float() reads, restricted to ASCII
+    characters without '_'; int() and float() alone also read other Unicode
+    digits ('\u0663'), '_' between digits ('1_0') and Unicode whitespace
+    around a token.  Record, clock and window lines hold no free text, so
+    their readers test a whole line once; the roster and config readers,
+    whose names may be any text, test each number token.
+    """
+    return text.isascii() and "_" not in text
+
+
+def number_rule_break(text: str) -> str:
+    """The diagnostic for ``text`` that breaks the rule: its first bad token, or else its first bad separator."""
+    for token in text.split():
+        if not keeps_number_rule(token):
+            return f"token {token!r} breaks the number-token rule (ASCII only, no '_')"
+    separator = next(c for c in text if not c.isascii())
+    return f"separator {separator!r} breaks the number-token rule (ASCII only, no '_')"
+
+
+def number_token(text: str) -> str:
+    """``text`` itself, for int() or float() to read, if it keeps the rule; ValueError otherwise."""
+    if not keeps_number_rule(text):
+        raise ValueError(number_rule_break(text))
+    return text

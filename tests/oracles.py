@@ -287,21 +287,40 @@ def ref_player(frame, box, score, digits, number, team, box_ok, is_digit):
     return (frame, box, score, digits, number, team)
 
 
+def ref_box_value(token):
+    """float(token), or int(token) when that float is finite and at least 2**53 and int() reads the token."""
+    value = float(token)
+    if math.isfinite(value) and value >= 2**53:
+        try:
+            return int(token)
+        except ValueError:
+            pass
+    return value
+
+
 def ref_parse_detection(line, line_number=None):
     """A record line to its player tuple; RefRecordError with the package's text otherwise.
 
     The line is ``frame x y w h score team number k`` followed by ``k``
-    groups of ``digit confidence x y w h``.  Fields convert with int() and
-    float(), the box before the score, and each digit's box before its
-    class and confidence; the player's own checks come after its digits.
+    groups of ``digit confidence x y w h``.  Every token, and so every
+    separator, must be ASCII without '_' before any field converts.  Fields
+    convert with int() and float() (box fields with ref_box_value), the box
+    before the score, and each digit's box before its class and confidence;
+    the player's own checks come after its digits.
     """
     prefix = "" if line_number is None else f"record line {line_number}: "
     fields = line.split()
     if len(fields) < 9:
         raise RefRecordError(f"{prefix}expected at least 9 fields, got {len(fields)}")
+    for token in fields:
+        if not token.isascii() or "_" in token:
+            raise RefRecordError(f"{prefix}token {token!r} breaks the number-token rule (ASCII only, no '_')")
+    for c in line:
+        if not c.isascii():
+            raise RefRecordError(f"{prefix}separator {c!r} breaks the number-token rule (ASCII only, no '_')")
     try:
         frame = int(fields[0])
-        box = ref_box(*[float(v) for v in fields[1:5]])
+        box = ref_box(*[ref_box_value(v) for v in fields[1:5]])
         score = float(fields[5])
         team = fields[6]
         number = None if fields[7] == "-" else int(fields[7])
@@ -312,7 +331,7 @@ def ref_parse_detection(line, line_number=None):
         digits = []
         for start in range(0, len(rest), 6):
             group = rest[start:start + 6]
-            digit_box = ref_box(*[float(v) for v in group[2:6]])
+            digit_box = ref_box(*[ref_box_value(v) for v in group[2:6]])
             digits.append(ref_digit(digit_box, int(group[0]), float(group[1]), box_ok=True))
         return ref_player(frame, box, score, digits, number, team, box_ok=True, is_digit=lambda d: True)
     except ValueError as exc:

@@ -294,6 +294,17 @@ class TestEvaluate:
             for i, (x, w, h) in enumerate(self.TRUTH_BOXES)
         )
 
+    def test_degenerate_metrics_are_one_plain_line_each(self, tmp_path, capsys):
+        # no path, line number or source line; shown again on every run in one process
+        empty = tmp_path / "empty.txt"
+        empty.write_text("", encoding="utf-8")
+        for _ in range(2):
+            assert run(["evaluate", "--preds", str(empty), "--truth", str(empty)]) == 0
+            assert capsys.readouterr().err == (
+                "warning: AP with num_gt = 0 pinned to 0\n"
+                "warning: AR over an empty size bucket pinned to 0\n"
+            )
+
     def test_truth_frame_without_predictions_scores_empty(self, tmp_path, capsys):
         truth = tmp_path / "truth.txt"
         preds = tmp_path / "preds.txt"

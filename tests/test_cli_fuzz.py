@@ -1,6 +1,7 @@
 """Robustness fuzz: mutated input files never crash the CLI.
 
-Seeded, mutated copies of a small synthetic game go through `pipeline` and
+Seeded, mutated copies of a small synthetic game (some with a number token
+that int() reads but the number-token rule refuses) go through `pipeline` and
 `evaluate --confusion`.  A damaged input may be rejected (exit 1) or read
 around (exit 0), but never ends in an internal error (exit 2) or a
 traceback on stderr.
@@ -16,7 +17,11 @@ from playlog.cli import run
 # the file to a few seconds
 PIPELINE_RUNS = 100
 EVALUATE_RUNS = 30
-MUTATIONS = ("swap_chars", "delete_line", "duplicate_line", "swap_lines", "truncate_line")
+MUTATIONS = (
+    "swap_chars", "delete_line", "duplicate_line", "swap_lines", "truncate_line",
+    "underscore_in_number", "non_ascii_digit",
+)
+DIGITS = "0123456789"
 
 
 def mutate(lines, rng):
@@ -40,6 +45,17 @@ def mutate(lines, rng):
         lines[i], lines[j] = lines[j], lines[i]
     elif kind == "truncate_line":
         lines[i] = line[: rng.randrange(len(line) + 1)]
+    elif kind == "underscore_in_number":
+        # a token that int() and float() read but the number-token rule refuses
+        spots = [k for k in range(1, len(line)) if line[k - 1] in DIGITS and line[k] in DIGITS]
+        if spots:
+            k = rng.choice(spots)
+            lines[i] = line[:k] + "_" + line[k:]
+    elif kind == "non_ascii_digit":
+        spots = [k for k, c in enumerate(line) if c in DIGITS]
+        if spots:
+            k = rng.choice(spots)
+            lines[i] = line[:k] + "\u0663" + line[k + 1:]
 
 
 @pytest.fixture(scope="module")

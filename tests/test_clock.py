@@ -40,7 +40,10 @@ class TestMmss:
     def test_parse(self, text, seconds):
         assert parse_mmss(text) == seconds
 
-    @pytest.mark.parametrize("bad", ["1241", "12:4", "12:456", "12:60", "-1:00", "aa:bb", "103:00", ""])
+    @pytest.mark.parametrize("bad", [
+        "1241", "12:4", "12:456", "12:60", "-1:00", "aa:bb", "103:00", "",
+        "12:34\n", " 12:34", "1\u0663:53", "12:3\u0664", "1_2:34",
+    ])
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_mmss(bad)

@@ -418,6 +418,8 @@ class TestRecordParserMatchesReference:
     @example("0 10 20 40 60 1.5 Home 100 0", None)
     @example("0 10 20 40 60 0.9 home 1_0 1 1 nan 0 0 5 5", 3)
     @example("0 10 20 40 60 0.9 home - 1 1 0.5 0 0 5", 3)
+    @example("0 0 0 9007199254740993 1e16 0.9 unknown - 1 1 0.5 0 0 18014398509481985.0 5", 3)
+    @example("0 10 20 40\xa060 0.9 home - 0", 3)
     def test_parse_detection(self, line, line_number):
         assert outcome(parse_detection, line, line_number) == outcome(ref_parse_detection, line, line_number)
 

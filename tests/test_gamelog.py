@@ -76,17 +76,27 @@ class TestRoster:
             load_roster(["1: A", "bad"])
 
     def test_non_decimal_digit_is_a_record_error(self):
-        # '²' passes str.isdigit() but int() rejects it
-        with pytest.raises(
-            RecordError, match=r"^roster line 2: expected 'number: name\[; name\]\.\.\.', got '²: Bob'$"
-        ):
-            load_roster(["1: A", "²: Bob"])
-        assert load_roster(["١٢: Arabic-Indic Digits"]).entries == {12: ("Arabic-Indic Digits",)}
+        # '²' passes str.isdigit() but int() rejects it; int() reads '١٢', the number-token rule does not
+        for head in ("²", "١٢"):
+            with pytest.raises(
+                RecordError, match=rf"^roster line 2: expected 'number: name\[; name\]\.\.\.', got '{head}: Bob'$"
+            ):
+                load_roster(["1: A", f"{head}: Bob"])
 
     def test_number_too_long_for_int_is_a_record_error(self):
         # int() refuses more than 4,300 digits
-        with pytest.raises(RecordError, match=r"^roster line 2: number of 4301 digits outside 0\.\.99$"):
+        with pytest.raises(RecordError, match=r"^roster line 2: expected 'number: name\[; name\]\.\.\.', got '1111"):
             load_roster(["1: A", "1" * 4301 + ": Bob"])
+
+    @pytest.mark.parametrize("head", ["٣", "1_0", "5\u2003", "5.0"])
+    def test_number_outside_the_token_rule_is_a_record_error(self, head):
+        with pytest.raises(RecordError, match=r"^roster line 1: expected 'number: name\[; name\]\.\.\.', got "):
+            load_roster([f"{head}: Bob"])
+
+    def test_number_is_read_as_int_reads_it(self):
+        assert load_roster(["+07 : A", " 0: B"]).entries == {7: ("A",), 0: ("B",)}
+        with pytest.raises(RecordError, match=r"^roster line 1: number -5 outside 0\.\.99$"):
+            load_roster(["-5: A"])
 
 
 class TestResolveNames:
@@ -154,10 +164,11 @@ class TestRecordLines:
         line = serialize_detection(d)
         assert serialize_detection(parse_detection(line)) == line
 
-    @pytest.mark.xfail(strict=True, reason="an int box field above 2**53 is written as a rounded float")
     def test_text_round_trip_of_an_int_above_float_precision(self):
         line = serialize_detection(detection(w=2**53 + 1))
+        assert line == "0 10 20 9007199254740993 60 0.9 home - 0"
         assert serialize_detection(parse_detection(line)) == line
+        assert parse_detection(line).box.w == 2**53 + 1
 
     def test_bare_record(self):
         line = serialize_detection(detection())
@@ -487,6 +498,12 @@ class TestEmitGameLog:
     def test_parse_rejects_bad_line(self):
         with pytest.raises(RecordError, match="game log line 1"):
             parse_game_log('{"play_number": 1}')
+
+    def test_parse_rejects_a_clock_with_a_trailing_newline(self):
+        line = emit_game_log(sample_entries()[:1], format="structured").replace('"15:00"', '"00:10\\n"')
+        assert '"00:10\\n"' in line
+        with pytest.raises(RecordError, match=r"^game log line 1: bad mm:ss value '00:10\\n'$"):
+            parse_game_log(line)
 
 
 class TestGameConfig:
