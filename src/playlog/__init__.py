@@ -44,6 +44,7 @@ from .gamelog import (
     GameConfig,
     RecordError,
     emit_game_log,
+    fold_presence,
     group_by_frame,
     iter_detections,
     load_detections,

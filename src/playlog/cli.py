@@ -12,15 +12,18 @@ Subcommands cover each pipeline stage plus a chained run:
     synth          seeded synthetic game files
     pipeline       parse-clock + assemble + log, chained in memory
 
-Record files are read one line at a time.  `pipeline`, `log`, `assemble`
-and `classify-team` stream them: each record is parsed, worked on and
-handed on as it is read, so diagnostics come out in line order and the
-parsed records are never held together.  `pipeline` and `log` fold each
-record into a per-frame table of the side's jersey numbers, and
-`assemble` and `classify-team` write each record line as it is made, so
-the memory of all four stays flat in the record count.  `evaluate` folds
-each record into flat columns (frame, box, score and number) as it streams
-past, and scores every frame at once from them.
+Record files are streamed, so the parsed records are never held together
+and diagnostics come out in line order.  `pipeline` and `log` read records
+in blocks of about 1k lines (`gamelog.fold_presence`): each block is split
+once, its fields converted into arrays and checked there, `pipeline`
+assembles the jersey numbers on those arrays, and the records fold into a
+per-frame table of the side's jersey numbers.  A line the arrays reject
+takes the scalar path (parse, assemble), which alone reports it.
+`assemble`, `classify-team` and `pipeline --workdir` parse, work on and
+write each record line as it is read.  So the memory of all of them stays
+flat in the record count.  `evaluate` folds each record into flat columns
+(frame, box, score and number) as it streams past, and scores every frame
+at once from them.
 
 Exit codes: 0 success, 1 input error, 2 internal error.  Diagnostics for
 skipped lines go to stderr; outputs go to --output or stdout.  Every text
@@ -55,6 +58,7 @@ from .core import PlayerDetection, PlayWindow
 from .gamelog import (
     GameConfig,
     emit_game_log,
+    fold_presence,
     iter_detections,
     presence_table,
     roster_lines,
@@ -71,12 +75,12 @@ from .imageops import (
     to_grayscale,
     write_image,
 )
-from .jersey import AssemblyConfig, assemble_number, suppress_digits
+from .jersey import AssemblyConfig, assemble_detection
 from .matching import DetectionColumns
 from .metrics import DegenerateMetricWarning, confusion_matrix, evaluate_columns
 from .synth import SynthConfig, generate_game
 from .teamcolor import channel_histogram, classify_team, extract_strip
-from .textfile import read_lines
+from .textfile import number_token, read_lines
 
 
 CONFUSION_MATCH_IOU = 0.50  # IoU at which `evaluate --confusion` pairs digits
@@ -89,6 +93,35 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad usage; the documented contract is exit 1
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(f"{self.prog}: error: {message}\n{self.format_usage()}")
+
+
+def _number_option(convert):
+    """An argparse ``type`` that reads a number token with ``convert`` (int or float).
+
+    A token that breaks the number-token rule is a usage error naming it;
+    any other bad value keeps argparse's "invalid int value" message.
+    """
+    def option(text: str):
+        try:
+            token = number_token(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return convert(token)
+
+    option.__name__ = convert.__name__
+    return option
+
+
+_INT = _number_option(int)
+_FLOAT = _number_option(float)
+
+
+def _factors(text: str) -> list[float]:
+    # the --factors type: comma-separated number tokens, empty items skipped
+    try:
+        return [_FLOAT(f) for f in text.split(",") if f.strip() != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be comma-separated numbers (got {text!r})") from None
 
 
 @contextmanager
@@ -145,10 +178,7 @@ def _stage_parse_clock(
 def _stage_assemble(
     input_path: str, cfg: AssemblyConfig, strict: bool, skipped: list[tuple[int, str]]
 ) -> Iterator[PlayerDetection]:
-    return (
-        d.with_number(assemble_number(suppress_digits(d.digits, cfg), cfg))
-        for _, d in iter_detections(read_lines(input_path), skipped, strict)
-    )
+    return (assemble_detection(d, cfg) for _, d in iter_detections(read_lines(input_path), skipped, strict))
 
 
 _TEAM_KEPT = ", team kept"  # ends the note on a record whose crop is missing
@@ -176,14 +206,13 @@ def _stage_classify_team(
 
 
 def _stage_log(
-    game_config: GameConfig, windows: Sequence[PlayWindow], detections: Iterable[PlayerDetection],
-    side: str, fmt: str,
+    game_config: GameConfig, windows: Sequence[PlayWindow], presence: dict[int, int], side: str, fmt: str
 ) -> str:
-    # each record is folded into the presence table and dropped as it streams past
+    # ``presence``: the side's presence table, folded from the records as they streamed past
     roster = game_config.home_roster if side == "home" else game_config.away_roster
     entries = synchronize_presence(
         windows,
-        presence_table(detections, side),
+        presence,
         roster,
         home_team=game_config.home_team,
         away_team=game_config.away_team,
@@ -302,8 +331,8 @@ def _cmd_log(args: argparse.Namespace) -> int:
     game_config = load_config(args.config)
     windows = parse_play_windows("".join(read_lines(args.windows)))
     skipped: list[tuple[int, str]] = []
-    records = (d for _, d in iter_detections(read_lines(args.records), skipped, args.strict))
-    text = _stage_log(game_config, windows, records, args.side, args.format)
+    presence = fold_presence(read_lines(args.records), args.side, skipped, args.strict)
+    text = _stage_log(game_config, windows, presence, args.side, args.format)
     _report_diagnostics([message for _, message in skipped])
     with _output(args.output) as out:
         out.write(text)
@@ -345,11 +374,7 @@ def _cmd_augment(args: argparse.Namespace) -> int:
     blur_path = out_dir / f"{stem}_blur{suffix}"
     write_image(gaussian_blur(image, args.sigma), blur_path)
     written.append(blur_path)
-    try:
-        factors = [float(f) for f in args.factors.split(",") if f.strip() != ""]
-    except ValueError:
-        raise _UsageError(f"--factors must be comma-separated numbers (got {args.factors!r})") from None
-    for factor in factors:
+    for factor in args.factors:
         path = out_dir / f"{stem}_x{factor:g}{suffix}"
         write_image(scale(image, factor), path)
         written.append(path)
@@ -407,12 +432,16 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
             out.write(format_play_windows(windows))
 
     skipped: list[tuple[int, str]] = []
-    detections = _stage_assemble(args.records, game_config.assembly, args.strict, skipped)
     if workdir is None:
-        text = _stage_log(game_config, windows, detections, args.side, args.format)
+        presence = fold_presence(
+            read_lines(args.records), args.side, skipped, args.strict, assembly=game_config.assembly
+        )
     else:
+        # the scalar path, since each record is written out
+        detections = _stage_assemble(args.records, game_config.assembly, args.strict, skipped)
         with _output(workdir / "records_assembled.txt") as out:
-            text = _stage_log(game_config, windows, _written(detections, out), args.side, args.format)
+            presence = presence_table(_written(detections, out), args.side)
+    text = _stage_log(game_config, windows, presence, args.side, args.format)
     _report_diagnostics([message for _, message in skipped])
     with _output(args.output) as out:
         out.write(text)
@@ -463,28 +492,28 @@ def build_parser() -> _Parser:
     p = sub.add_parser("preprocess", help="grayscale + threshold + invert for OCR")
     p.add_argument("--input", required=True, help="PPM/PGM image")
     p.add_argument("--output", required=True, help="output PGM path")
-    p.add_argument("--threshold", type=int, default=128, help="binarization threshold 0..255")
+    p.add_argument("--threshold", type=_INT, default=128, help="binarization threshold 0..255")
     p.add_argument("--pad", action="store_true", help="zero-pad to a square")
     p.set_defaults(func=_cmd_preprocess)
 
     p = sub.add_parser("augment", help="blurred and scaled copies of an image")
     p.add_argument("--input", required=True, help="PPM/PGM image")
     p.add_argument("--output-dir", required=True, dest="output_dir", help="directory for the copies")
-    p.add_argument("--sigma", type=float, default=1.0, help="Gaussian blur sigma")
-    p.add_argument("--factors", default="0.5,2.0", help="comma-separated scale factors")
+    p.add_argument("--sigma", type=_FLOAT, default=1.0, help="Gaussian blur sigma")
+    p.add_argument("--factors", type=_factors, default="0.5,2.0", help="comma-separated scale factors")
     p.set_defaults(func=_cmd_augment)
 
     p = sub.add_parser("synth", help="generate a seeded synthetic game")
-    p.add_argument("--seed", type=int, required=True, help="generator seed (required)")
+    p.add_argument("--seed", type=_INT, required=True, help="generator seed (required)")
     p.add_argument("--output", required=True, help="directory for the generated files")
-    p.add_argument("--quarters", type=int, default=2)
-    p.add_argument("--plays-per-quarter", type=int, dest="plays_per_quarter", default=3)
-    p.add_argument("--fps", type=int, default=30, help="frames per game-clock second")
-    p.add_argument("--players-min", type=int, dest="players_min", default=6)
-    p.add_argument("--players-max", type=int, dest="players_max", default=11)
-    p.add_argument("--ocr-corruption", type=float, dest="ocr_corruption", default=0.0)
-    p.add_argument("--digit-error", type=float, dest="digit_error", default=0.0)
-    p.add_argument("--detection-drop", type=float, dest="detection_drop", default=0.0)
+    p.add_argument("--quarters", type=_INT, default=2)
+    p.add_argument("--plays-per-quarter", type=_INT, dest="plays_per_quarter", default=3)
+    p.add_argument("--fps", type=_INT, default=30, help="frames per game-clock second")
+    p.add_argument("--players-min", type=_INT, dest="players_min", default=6)
+    p.add_argument("--players-max", type=_INT, dest="players_max", default=11)
+    p.add_argument("--ocr-corruption", type=_FLOAT, dest="ocr_corruption", default=0.0)
+    p.add_argument("--digit-error", type=_FLOAT, dest="digit_error", default=0.0)
+    p.add_argument("--detection-drop", type=_FLOAT, dest="detection_drop", default=0.0)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("pipeline", help="parse-clock + assemble + log, chained")

@@ -16,8 +16,10 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress, islice
 from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .clock import SegmenterConfig, format_mmss, parse_mmss
 from .core import (
@@ -28,8 +30,9 @@ from .core import (
     PlayerDetection,
     PlayWindow,
     Roster,
+    VALID_TEAMS,
 )
-from .jersey import AssemblyConfig
+from .jersey import ABOVE_99, AssemblyConfig, assemble_detection, assemble_numbers
 from .teamcolor import (
     STRIP_HEIGHT_FRACTION,
     STRIP_WIDTH_FRACTION,
@@ -216,7 +219,14 @@ def iter_detections(
     Each line is parsed when the caller asks for its record, so a caller
     that consumes records as they come never holds the whole stream.
     """
-    for line_number, _, stripped in content_lines(lines):
+    return _parsed(((n, stripped) for n, _, stripped in content_lines(lines)), skipped, strict)
+
+
+def _parsed(
+    numbered: Iterable[tuple[int, str]], skipped: list[tuple[int, str]], strict: bool
+) -> Iterator[tuple[int, PlayerDetection]]:
+    # iter_detections over (line number, stripped content line) pairs
+    for line_number, stripped in numbered:
         try:
             d = parse_detection(stripped, line_number)
         except RecordError as exc:
@@ -271,10 +281,166 @@ def presence_table(detections: Iterable[PlayerDetection], side: str) -> dict[int
     side has no numbered record are absent.
     """
     table: dict[int, int] = {}
+    _fold(table, detections, side)
+    return table
+
+
+def _fold(table: dict[int, int], detections: Iterable[PlayerDetection], side: str) -> None:
     for d in detections:
         if d.team == side and d.number is not None:
             table[d.frame_index] = table.get(d.frame_index, 0) | 1 << d.number
-    return table
+
+
+# Record lines that fold_presence reads and checks together.  Blocks of
+# about 1k lines are as fast as larger ones, and each larger block raises
+# the peak memory.
+BLOCK_LINES = 1024
+
+
+def fold_presence(
+    lines: Iterable[str],
+    side: str,
+    skipped: list[tuple[int, str]],
+    strict: bool = False,
+    assembly: AssemblyConfig | None = None,
+) -> dict[int, int]:
+    """presence_table of a record stream, read in blocks of lines checked on arrays.
+
+    Equals ``presence_table`` over ``iter_detections(lines, skipped,
+    strict)``, each record first given the number that ``assembly`` makes
+    of its digits when ``assembly`` is given (``jersey.assemble_detection``).
+    Each block of BLOCK_LINES content lines is split once, its fields
+    read with int() and float() into arrays, and every line checked there
+    with the accept tests of the record types.  A line the arrays reject,
+    and every line of the block with as many fields as one whose fields
+    do not convert, goes through that scalar chain itself, in line order:
+    so each diagnostic in ``skipped``, each strict error and the error for
+    an assembled number above 99 comes from the one scalar code path, and
+    an error raised by the reader of ``lines`` comes only after every line
+    before it is folded.
+    """
+    table: dict[int, int] = {}
+    errors: list[Exception] = []  # what the reader of ``lines`` raised, such as a bad UTF-8 byte
+    numbered = _until_error(content_lines(lines), errors)
+    while True:
+        block = list(islice(numbered, BLOCK_LINES))
+        if block:
+            _fold_block(table, block, side, skipped, strict, assembly)
+        if errors:
+            raise errors[0]
+        if len(block) < BLOCK_LINES:
+            return table
+
+
+def _until_error(items: Iterable, errors: list[Exception]) -> Iterator:
+    # ``items`` until reading one raises an input error, which is put in ``errors``
+    try:
+        yield from items
+    except (ValueError, OSError) as exc:
+        errors.append(exc)
+
+
+def _fold_block(
+    table: dict[int, int],
+    block: list[tuple[int, str, str]],
+    side: str,
+    skipped: list[tuple[int, str]],
+    strict: bool,
+    assembly: AssemblyConfig | None,
+) -> None:
+    texts = [stripped for _, _, stripped in block]
+    rows = [text.split() for text in texts]
+    sizes = np.fromiter(map(len, rows), np.int64, len(rows))
+    if not keeps_number_rule("".join(texts)):
+        sizes[[i for i, text in enumerate(texts) if not keeps_number_rule(text)]] = -1
+    scalar: list[int] = []  # positions of the lines that take the scalar path
+    for n in np.unique(sizes).tolist():
+        members = np.flatnonzero(sizes == n).tolist()
+        k, rest = divmod(n - 9, 6)
+        if k < 0 or rest:
+            scalar.extend(members)
+            continue
+        try:
+            columns = _columns([rows[i] for i in members], k)
+        except (ValueError, OverflowError):
+            scalar.extend(members)
+            continue
+        frame, number, on_side, accepted = _checked(columns, k, side, assembly)
+        scalar.extend(members[i] for i in np.flatnonzero(~accepted).tolist())
+        folded = accepted & on_side & (number >= 0)
+        for f, v in zip(frame[folded].tolist(), number[folded].tolist()):
+            table[f] = table.get(f, 0) | 1 << v
+    if scalar:
+        scalar.sort()
+        detections: Iterable[PlayerDetection] = (
+            d for _, d in _parsed(((block[i][0], texts[i]) for i in scalar), skipped, strict)
+        )
+        if assembly is not None:
+            detections = (assemble_detection(d, assembly) for d in detections)
+        _fold(table, detections, side)
+
+
+def _columns(rows: list[list[str]], k: int) -> tuple:
+    """int() and float() of the fields of record lines with ``k`` digits each, as arrays.
+
+    Raises what int() or float() raise, or OverflowError for an int
+    outside int64.  Gives the ints (frame, count, then each digit class)
+    and the floats (box, score, then each digit's confidence and box),
+    one row per field, and the team and number fields as they are.
+    """
+    m = len(rows)
+    fields = list(zip(*rows))
+    digit_starts = range(9, 9 + 6 * k, 6)
+    int_fields = [0, 8, *digit_starts]
+    float_fields = [1, 2, 3, 4, 5, *(i + j for i in digit_starts for j in range(1, 6))]
+    ints = np.fromiter(
+        map(int, chain.from_iterable(fields[i] for i in int_fields)), np.int64, len(int_fields) * m
+    ).reshape(len(int_fields), m)
+    floats = np.fromiter(
+        map(float, chain.from_iterable(fields[i] for i in float_fields)), np.float64, len(float_fields) * m
+    ).reshape(len(float_fields), m)
+    numbers = fields[7]
+    dashes = np.fromiter(map("-".__eq__, numbers), bool, m)
+    number = np.full(m, -1, dtype=np.int64)
+    number[~dashes] = np.fromiter(map(int, compress(numbers, map("-".__ne__, numbers))), np.int64)
+    return ints, floats, fields[6], dashes, number
+
+
+def _box_ok(x: np.ndarray, y: np.ndarray, w: np.ndarray, h: np.ndarray) -> np.ndarray:
+    # BoundingBox's accept test on parse_detection's float path: with no
+    # field negative, a sum below 2**53 leaves none infinite
+    return (0.0 <= x) & (0.0 <= y) & (0.0 < w) & (0.0 < h) & (x + y + w + h < _EXACT)
+
+
+def _checked(columns: tuple, k: int, side: str, assembly: AssemblyConfig | None) -> tuple:
+    """Per row: frame, number (-1 for none), whether the team is ``side``, and whether the row is accepted.
+
+    A row is accepted when parse_detection reads it to a valid record by
+    the float path and, with ``assembly``, its assembled number is 0..99
+    or none.  The number is the assembled one with ``assembly``, else the
+    number field.
+    """
+    ints, floats, teams, dashes, number = columns
+    m = len(teams)
+    frame, count, digit = ints[0], ints[1], ints[2:]
+    conf, digit_box = floats[5::5], floats[5:].reshape(k, 5, m)[:, 1:]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf + -inf in a box sum, say
+        accepted = (
+            (frame >= 0) & _box_ok(*floats[:4]) & (0.0 <= floats[4]) & (floats[4] <= 1.0)
+            & np.fromiter(map(VALID_TEAMS.__contains__, teams), bool, m)
+            & (dashes | ((0 <= number) & (number <= 99))) & (count == k)
+            & np.all((0 <= digit) & (digit <= 9) & (0.0 <= conf) & (conf <= 1.0), axis=0)
+            & np.all(_box_ok(*digit_box.transpose(1, 0, 2)), axis=0)
+        )
+    on_side = np.fromiter(map(side.__eq__, teams), bool, m)
+    if assembly is not None:
+        number = np.full(m, -1, dtype=np.int64)
+        rows = np.flatnonzero(accepted)
+        number[rows] = assemble_numbers(
+            digit[:, rows].T, conf[:, rows].T, digit_box[:, :, rows].transpose(2, 0, 1), assembly
+        )
+        accepted &= number != ABOVE_99
+    return frame, number, on_side, accepted
 
 
 def synchronize(

@@ -2,7 +2,8 @@
 
 A player crop yields zero or more digit detections; a confidence gate and
 overlap suppression clean them up, and the survivors are read left to
-right as one decimal number.
+right as one decimal number.  ``assemble_numbers`` does the same for many
+crops at once, on arrays.
 """
 
 from __future__ import annotations
@@ -10,8 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import DigitDetection, InvariantError
-from .matching import iou
+import numpy as np
+
+from .core import DigitDetection, InvariantError, PlayerDetection
+from .matching import _iou, iou
 
 
 @dataclass(frozen=True)
@@ -98,3 +101,52 @@ def assemble_number(
     for d in sorted(digits, key=_place_key):
         number = 10 * number + d.digit
     return number
+
+
+def assemble_detection(detection: PlayerDetection, config: AssemblyConfig) -> PlayerDetection:
+    """``detection`` with the number that suppress_digits and assemble_number make of its digits."""
+    return detection.with_number(assemble_number(suppress_digits(detection.digits, config), config))
+
+
+ABOVE_99 = 100  # what assemble_numbers gives for a number above 99
+
+
+def assemble_numbers(
+    digits: np.ndarray, confidences: np.ndarray, boxes: np.ndarray, config: AssemblyConfig
+) -> np.ndarray:
+    """assemble_number(suppress_digits(...)) of each row of k digit detections, on arrays.
+
+    ``digits`` and ``confidences`` are (rows, k), ``boxes`` (rows, k, 4)
+    holding x, y, w, h; every value must pass the checks of DigitDetection
+    and BoundingBox.  Gives one int64 per row: -1 for no number, ABOVE_99
+    for a number above 99 (the composition saturates there, so it cannot
+    overflow), else the number.  Each step keeps the scalar one's order:
+    the rank and place orders sort by the fields of _rank_key and
+    _place_key (ties keep input order, as a stable sort does), and the
+    suppression compares the IoU that ``iou`` gives, bit for bit.
+    """
+    rows, k = digits.shape
+    if k == 0:
+        return np.full(rows, -1, dtype=np.int64)
+    x, y, w, h = np.moveaxis(boxes, -1, 0)
+    center = x + w / 2.0
+    gated = confidences >= config.confidence_threshold
+    # rank order, gated-out digits last
+    rank = np.lexsort((h, w, y, x, digits, center, -confidences, ~gated))
+    gated, digits, confidences, center, x, y, w, h = (
+        np.take_along_axis(a, rank, axis=1) for a in (gated, digits, confidences, center, x, y, w, h)
+    )
+    ranked = np.stack((x, y, w, h), axis=-1)
+    # overlaps[r, i, j]: digit i overlaps digit j at the threshold, iou(box i, box j) as suppress_digits takes it
+    overlaps = _iou(ranked[:, :, None, :], ranked[:, None, :, :]) >= config.iou_suppress_threshold
+    kept = np.zeros((rows, k), dtype=bool)
+    for i in range(k):
+        kept[:, i] = gated[:, i] & ~(kept[:, :i] & overlaps[:, i, :i]).any(axis=1)
+    kept &= np.cumsum(kept, axis=1) <= config.max_digits
+    # place order, dropped digits last
+    place = np.lexsort((h, w, y, x, digits, -confidences, center, ~kept))
+    kept, digits = np.take_along_axis(kept, place, axis=1), np.take_along_axis(digits, place, axis=1)
+    composed = np.zeros(rows, dtype=np.int64)
+    for i in range(k):
+        composed = np.where(kept[:, i], np.minimum(10 * composed + digits[:, i], ABOVE_99), composed)
+    return np.where(kept[:, 0], composed, -1)

@@ -602,6 +602,8 @@ class TestPipeline:
         assert (workdir / "records_assembled.txt").read_bytes() == assembled.read_bytes()
 
     def test_parses_each_record_once_in_memory(self, game_dir, tmp_path, monkeypatch):
+        # well-formed lines are checked on arrays; each line the arrays reject
+        # is parsed once by the scalar parse_detection, and no record is written
         calls = {"parse": 0}
         parse = playlog.gamelog.parse_detection
 
@@ -615,16 +617,35 @@ class TestPipeline:
         monkeypatch.setattr(playlog.gamelog, "parse_detection", counting_parse)
         monkeypatch.setattr(playlog.gamelog, "serialize_detection", forbidden)
         monkeypatch.setattr(tempfile, "mkdtemp", forbidden)
-        out = tmp_path / "log.csv"
-        assert run(
-            ["pipeline", "--config", str(game_dir / "game.cfg"),
-             "--clock", str(game_dir / "clock.txt"),
-             "--records", str(game_dir / "detections.txt"),
-             "--output", str(out)]
-        ) == 0
+
+        def log(records):
+            calls["parse"] = 0
+            out = tmp_path / "log.csv"
+            assert run(
+                ["pipeline", "--config", str(game_dir / "game.cfg"),
+                 "--clock", str(game_dir / "clock.txt"),
+                 "--records", str(records), "--output", str(out)]
+            ) == 0
+            return out.read_bytes()
+
+        truth = (game_dir / "truth_log.csv").read_bytes()
+        assert log(game_dir / "detections.txt") == truth
+        assert calls["parse"] == 0
+        # skipped lines, and a valid record in a frame past int64 that no window holds;
+        # each has 9 fields, as no record of this game has, so a line whose fields
+        # do not convert takes no well-formed line to the scalar path with it
+        rejected = [
+            "garbage", "0 10 20 40 60 0.9 home 100 0", "0 10 20 40 60 0.9 Home - 0", "0 nan 20 40 60 0.9 home - 0",
+            "1\u0663 10 20 40 60 0.9 home - 0", "0 10 20 40 60 0.9 home - 1", f"{2**63} 10 20 40 60 0.9 home 7 0",
+        ]
         lines = (game_dir / "detections.txt").read_text(encoding="utf-8").splitlines()
-        assert calls["parse"] == sum(1 for line in lines if line.strip()) > 0
-        assert out.read_bytes() == (game_dir / "truth_log.csv").read_bytes()
+        rng = random.Random(11)
+        for line in rejected * 3:
+            lines.insert(rng.randrange(len(lines) + 1), line)
+        mutated = tmp_path / "mutated.txt"
+        mutated.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert log(mutated) == truth
+        assert calls["parse"] == 3 * len(rejected)
 
 
 class TestStreaming:

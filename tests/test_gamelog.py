@@ -1,13 +1,17 @@
 """Rosters, record lines, synchronization, log emission."""
 
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import ref_participants
+from test_core import edited_record_lines
 
+import playlog.gamelog
 from playlog import (
+    AssemblyConfig,
     BoundingBox,
     DigitDetection,
     GameConfig,
@@ -31,6 +35,9 @@ from playlog import (
     synchronize,
     synchronize_presence,
 )
+from playlog.gamelog import BLOCK_LINES, fold_presence
+from playlog.jersey import assemble_detection
+from playlog.textfile import read_lines
 
 
 class TestRoster:
@@ -521,3 +528,107 @@ class TestGameConfig:
     def test_rosters_required(self):
         with pytest.raises(InvariantError):
             GameConfig(home_team="A", away_team="B", home_roster={}, away_roster={})
+
+
+# lines the arrays reject besides test_core's edited ones: a frame past int64,
+# a box field past 2**53, a count mismatch, a number past 99 and a team
+# outside the three labels, then one line per accept test and a number token
+# that int() reads but the rule refuses
+REJECTED_LINES = [
+    f"{2**63} 10 20 40 60 0.9 home 7 0",
+    f"3 10 20 {2**53 + 1} 60 0.9 home 7 0",
+    "3 10 20 40 60 0.9 home 7 1",
+    "3 10 20 40 60 0.9 home 100 0",
+    "3 10 20 40 60 0.9 visitors 7 0",
+    "-1 10 20 40 60 0.9 home 7 0",
+    "3 inf 20 40 60 0.9 home 7 0",
+    "3 10 20 0 60 0.9 home 7 0",
+    "3 10 20 40 60 1.5 home 7 0",
+    "3 10 20 40 60 0.9 home 7 1 10 0.99 0 0 5 5",
+    "3 10 20 40 60 0.9 home 7 1 1 1.5 0 0 5 5",
+    "3 10 20 40 60 0.9 home 7 1 1 0.99 0 0 5 -5",
+    "3 10 20 40 60 0.9 home 1_0 0",
+]
+stream_lines = st.lists(
+    edited_record_lines() | st.sampled_from(REJECTED_LINES + ["# comment", ""]), max_size=12
+)
+assemblies = st.none() | st.builds(
+    AssemblyConfig, confidence_threshold=st.sampled_from([0.1, 0.5, 0.97]), max_digits=st.integers(1, 3)
+)
+
+
+class ReaderError(ValueError):
+    pass
+
+
+def reader(lines, fail_at):
+    """The lines, then a reader error in place of line ``fail_at`` (None: no error)."""
+    for i, line in enumerate(lines):
+        if i == fail_at:
+            raise ReaderError(f"line {i + 1}: invalid UTF-8 byte")
+        yield line
+
+
+def folded(fold, skipped):
+    """What ``fold(skipped)`` gives: the table, or the error's type and text; with ``skipped`` after it."""
+    try:
+        result = ("ok", fold(skipped))
+    except ValueError as exc:
+        result = (type(exc), str(exc))
+    return result, skipped
+
+
+def scalar_fold(lines, side, strict, assembly):
+    def fold(skipped):
+        detections = (d for _, d in iter_detections(lines, skipped, strict))
+        if assembly is not None:
+            detections = (assemble_detection(d, assembly) for d in detections)
+        return presence_table(detections, side)
+    return fold
+
+
+class TestFoldPresence:
+    @settings(max_examples=300, deadline=None)
+    @given(stream_lines, st.sampled_from(["home", "away"]), st.booleans(), assemblies, st.none() | st.integers(0, 12))
+    def test_equals_presence_table_over_iter_detections(self, lines, side, strict, assembly, fail_at):
+        expected = folded(scalar_fold(reader(lines, fail_at), side, strict, assembly), [])
+        for size in (1, 2, 3, BLOCK_LINES):
+            with patch.object(playlog.gamelog, "BLOCK_LINES", size):
+                got = folded(lambda skipped: fold_presence(reader(lines, fail_at), side, skipped, strict, assembly), [])
+            assert got == expected, size
+
+    @pytest.mark.parametrize("size", [1, 2, 3, BLOCK_LINES])
+    def test_a_bad_byte_after_a_strict_error_in_the_block(self, size, tmp_path):
+        good = record_line(4)
+        path = tmp_path / "records.txt"
+        path.write_bytes(f"{good}\ngarbage\n".encode() + b"\xff\n" + f"{good}\n".encode())
+        with patch.object(playlog.gamelog, "BLOCK_LINES", size):
+            with pytest.raises(RecordError, match="^record line 2: expected at least 9 fields, got 1$"):
+                fold_presence(read_lines(path), "home", [], strict=True)
+            skipped = []
+            with pytest.raises(ValueError, match="line 3: invalid UTF-8 byte 0xff"):
+                fold_presence(read_lines(path), "home", skipped)
+        assert skipped == [(2, "record line 2: expected at least 9 fields, got 1")]
+
+    def test_digit_boxes_past_2_53_are_read_exactly(self):
+        # read exactly, the second box overlaps the first at IoU E (1.1102230246251557e-16)
+        # and is suppressed at that threshold; as floats their IoU falls just below it
+        e = 2**53
+        line = f"3 10 20 40 60 0.9 home - 2 1 0.99 {e} 2 {e} {e} 2 0.99 {e + 3} {e + 1} {e + 3} {e + 3}"
+        at_overlap = AssemblyConfig(iou_suppress_threshold=1.1102230246251557e-16)
+        expected = scalar_fold([line], "home", False, at_overlap)([])
+        assert expected == {3: 1 << 1}
+        assert fold_presence([line], "home", [], assembly=at_overlap) == expected
+
+    def test_assembled_number_past_99_is_fatal_after_earlier_skips(self):
+        three = AssemblyConfig(max_digits=3)
+        digits = tuple(digit(v, 0.99, 14 * i) for i, v in enumerate((1, 2, 3)))
+        lines = ["garbage", serialize_detection(detection(frame=2, digits=digits)), "more garbage"]
+        for strict in (False, True):
+            expected = folded(scalar_fold(lines, "home", strict, three), [])
+            assert folded(lambda skipped: fold_presence(lines, "home", skipped, strict, three), []) == expected
+        assert expected[0] == (RecordError, "record line 1: expected at least 9 fields, got 1")
+        skipped = []
+        with pytest.raises(InvariantError, match=r"number in 0\.\.99 violated \(got 123\)"):
+            fold_presence(lines, "home", skipped, assembly=three)
+        assert skipped == [(1, "record line 1: expected at least 9 fields, got 1")]

@@ -3,12 +3,14 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import ref_assemble_number, ref_suppress_digits
 
 from playlog import AssemblyConfig, BoundingBox, DigitDetection, InvariantError, assemble_number, suppress_digits
+from playlog.jersey import ABOVE_99, assemble_numbers
 
 
 def digit(value, conf, x, y=10, w=10, h=14):
@@ -190,3 +192,68 @@ class TestMatchesReference:
         assert assemble_number(survivors, cfg) == ref_assemble_number(ref_suppress_digits(triples, iou_t, conf_t), cap)
         # any digits, in any order, not only suppression survivors
         assert assemble_number(digits, cfg) == ref_assemble_number(triples, cap)
+
+
+# positions and widths where IoU lands exactly on a threshold: boxes at x 0
+# and 1 of width 2 overlap at IoU 1/3, of width 4 at 0.6; -0.0 and 0 are
+# equal centers and equal rank keys
+exact_digits = st.builds(
+    digit,
+    st.sampled_from([0, 0, 0, 1, 7, 9]),
+    st.sampled_from([0.5, 0.96, 0.97, 0.98, 1.0]),
+    st.sampled_from([-0.0, 0, 1, 3, 6, 12]),
+    y=st.sampled_from([10, 11]),
+    w=st.sampled_from([2, 4, 10]),
+    h=st.just(1),
+)
+exact_configs = st.builds(
+    AssemblyConfig,
+    iou_suppress_threshold=st.sampled_from([1 / 3, 0.55, 0.6]),
+    confidence_threshold=st.sampled_from([0.5, 0.97, 0.98]),
+    max_digits=st.integers(1, 4),
+)
+
+
+def assembled_rows(rows, cfg):
+    """assemble_numbers of equal-length rows of digit detections, as a list."""
+    k = len(rows[0])
+    digits = np.array([[d.digit for d in r] for r in rows], dtype=np.int64).reshape(len(rows), k)
+    confidences = np.array([[d.confidence for d in r] for r in rows], dtype=np.float64).reshape(len(rows), k)
+    boxes = np.array(
+        [[(d.box.x, d.box.y, d.box.w, d.box.h) for d in r] for r in rows], dtype=np.float64
+    ).reshape(len(rows), k, 4)
+    return assemble_numbers(digits, confidences, boxes, cfg).tolist()
+
+
+def reference_number(row, cfg):
+    """The reference number of one row, as assemble_numbers encodes it."""
+    number = ref_assemble_number(
+        ref_suppress_digits([_triple(d) for d in row], cfg.iou_suppress_threshold, cfg.confidence_threshold),
+        cfg.max_digits,
+    )
+    return -1 if number is None else min(number, ABOVE_99)
+
+
+class TestArrayAssembly:
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(0, 5).flatmap(lambda k: st.lists(st.lists(exact_digits, min_size=k, max_size=k), min_size=1,
+                                                          max_size=6)), exact_configs)
+    @example([[digit(2, 0.97, -0.0, w=2), digit(6, 0.97, 1, w=2)]], AssemblyConfig(iou_suppress_threshold=1 / 3))
+    @example([[digit(2, 0.98, 0, w=4), digit(6, 0.97, 1, w=4)]], AssemblyConfig(iou_suppress_threshold=0.6))
+    @example([[digit(0, 0.99, 0), digit(0, 0.99, 12), digit(7, 0.99, 24)]], AssemblyConfig(max_digits=3))
+    @example([[digit(1, 0.99, 0), digit(0, 0.99, 12), digit(7, 0.99, 24), digit(3, 0.99, 36)]],
+             AssemblyConfig(max_digits=4))
+    @example([[digit(5, 0.99, -0.0), digit(3, 0.99, 0)]], AssemblyConfig(iou_suppress_threshold=0.99))
+    def test_equals_the_reference_suppression_and_assembly(self, rows, cfg):
+        assert assembled_rows(rows, cfg) == [reference_number(row, cfg) for row in rows]
+
+    def test_exact_threshold_edges(self):
+        # IoU exactly 1/3 suppresses at threshold 1/3; a confidence exactly at the gate passes it
+        at_gate = AssemblyConfig(iou_suppress_threshold=1 / 3, confidence_threshold=0.97)
+        assert assembled_rows([[digit(2, 0.97, 0, w=2, h=1), digit(6, 0.97, 1, w=2, h=1)]], at_gate) == [2]
+        assert assembled_rows([[digit(2, 0.96, 0, w=2, h=1), digit(6, 0.97, 1, w=2, h=1)]], at_gate) == [6]
+        # leading zeros read at most 99; past 99 the number saturates
+        three = AssemblyConfig(max_digits=3)
+        assert assembled_rows([[digit(0, 0.99, 0), digit(4, 0.99, 12), digit(2, 0.99, 24)]], three) == [42]
+        assert assembled_rows([[digit(1, 0.99, 0), digit(4, 0.99, 12), digit(2, 0.99, 24)]], three) == [ABOVE_99]
+        assert assembled_rows([[]], three) == [-1]

@@ -4,7 +4,8 @@ A number token is what int() or float() reads, restricted to ASCII
 characters without '_'.  Each reader (record lines, clock lines, play
 windows, rosters and run configuration) rejects a token with '_' between
 two digits or with a non-ASCII digit in any number field, and reads every
-ASCII token to the value int() or float() gives it.
+ASCII token to the value int() or float() gives it.  The numeric command
+line options follow the same rule.
 """
 
 import re
@@ -34,6 +35,7 @@ from playlog import (
     parse_play_windows,
     serialize_detection,
 )
+from playlog.cli import build_parser, run
 from playlog.gamelog import iter_detections
 from playlog.textfile import keeps_number_rule, number_rule_break, number_token
 
@@ -247,3 +249,43 @@ class TestRosterAndConfig:
     def test_config_numbers_read_as_float_does(self, key, head, tail):
         token = head + DEFAULTS[key] + tail
         assert FLOAT_KEYS[key](build_game_config(parse_config_text(f"{key} = {token}"))) == float(token)
+
+
+# -- numeric command line options ---------------------------------------------------
+
+SYNTH_ARGV = ["synth", "--seed", "3", "--quarters", "1", "--plays-per-quarter", "1", "--fps", "2"]
+# (subcommand argv, option, a token that int() or float() reads but the rule refuses)
+OPTION_CASES = [
+    (SYNTH_ARGV, "--seed", "٣"),
+    (SYNTH_ARGV, "--quarters", "1_0"),
+    (SYNTH_ARGV, "--plays-per-quarter", "١"),
+    (SYNTH_ARGV, "--fps", "1_0"),
+    (SYNTH_ARGV, "--players-min", "٦"),
+    (SYNTH_ARGV, "--players-max", "1_1"),
+    (SYNTH_ARGV, "--ocr-corruption", "0.0_1"),
+    (SYNTH_ARGV, "--digit-error", "0.١"),
+    (SYNTH_ARGV, "--detection-drop", "0.0_1"),
+    (["preprocess", "--input", "crop.ppm"], "--threshold", "1_28"),
+    (["augment", "--input", "crop.ppm"], "--sigma", "١.5"),
+    (["augment", "--input", "crop.ppm"], "--factors", "0.5,2_0"),
+]
+
+
+class TestCommandLineOptions:
+    @pytest.mark.parametrize("argv, option, value", OPTION_CASES, ids=[case[1] for case in OPTION_CASES])
+    def test_option_refuses_a_broken_token(self, argv, option, value, tmp_path, capsys):
+        out = tmp_path / "out"
+        output = ["--output-dir" if argv[0] == "augment" else "--output", str(out)]
+        assert run([*argv, *output, option, value]) == 1
+        token = value.split(",")[-1]
+        err = capsys.readouterr().err
+        assert err.startswith(f"playlog {argv[0]}: error: argument {option}: token {token!r} {RULE}\n")
+        assert not out.exists()
+
+    def test_ascii_spellings_read_as_int_and_float_do(self, tmp_path):
+        args = build_parser().parse_args(
+            ["synth", "--seed", "+03", "--output", str(tmp_path), "--fps", "0030", "--digit-error", "5e-2"]
+        )
+        assert (args.seed, args.fps, args.digit_error) == (3, 30, 0.05)
+        args = build_parser().parse_args(["augment", "--input", "a", "--output-dir", "b", "--factors", "0.5, 2e0,"])
+        assert args.factors == [0.5, 2.0]
