@@ -42,9 +42,9 @@ from .core import (
 from .gamelog import (
     DetectionLoadResult,
     GameConfig,
+    RecordBlock,
     RecordError,
     emit_game_log,
-    fold_presence,
     group_by_frame,
     iter_detections,
     load_detections,
@@ -52,6 +52,7 @@ from .gamelog import (
     parse_detection,
     parse_game_log,
     presence_table,
+    read_records,
     resolve_names,
     roster_lines,
     serialize_detection,

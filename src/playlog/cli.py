@@ -13,17 +13,16 @@ Subcommands cover each pipeline stage plus a chained run:
     pipeline       parse-clock + assemble + log, chained in memory
 
 Record files are streamed, so the parsed records are never held together
-and diagnostics come out in line order.  `pipeline` and `log` read records
-in blocks of about 1k lines (`gamelog.fold_presence`): each block is split
-once, its fields converted into arrays and checked there, `pipeline`
-assembles the jersey numbers on those arrays, and the records fold into a
-per-frame table of the side's jersey numbers.  A line the arrays reject
-takes the scalar path (parse, assemble), which alone reports it.
-`assemble`, `classify-team` and `pipeline --workdir` parse, work on and
-write each record line as it is read.  So the memory of all of them stays
-flat in the record count.  `evaluate` folds each record into flat columns
-(frame, box, score and number) as it streams past, and scores every frame
-at once from them.
+and diagnostics come out in line order.  All record commands but
+`classify-team`, which works on each line as it is read, share one reader
+(`gamelog.read_records`): blocks of about 1k lines, each split once, its
+fields converted into arrays, checked and (`assemble`, `pipeline`) given
+jersey numbers there; a line the arrays reject takes the scalar path
+(parse, assemble), which alone reports it.  `log` and `pipeline` fold the
+blocks into a per-frame table of the side's jersey numbers, `assemble` and
+`pipeline --workdir` write their record lines, and `evaluate` folds them
+into flat columns (frame, box, score, number) and scores every frame at
+once.  So the memory of all of them stays flat in the record count.
 
 Exit codes: 0 success, 1 input error, 2 internal error.  Diagnostics for
 skipped lines go to stderr; outputs go to --output or stdout.  Every text
@@ -42,6 +41,7 @@ import warnings
 from array import array
 from contextlib import contextmanager
 from pathlib import Path
+from contextlib import nullcontext
 from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
@@ -57,10 +57,10 @@ from .config import format_config, load_config
 from .core import PlayerDetection, PlayWindow
 from .gamelog import (
     GameConfig,
+    RecordBlock,
     emit_game_log,
-    fold_presence,
     iter_detections,
-    presence_table,
+    read_records,
     roster_lines,
     serialize_detection,
     synchronize_presence,
@@ -75,7 +75,7 @@ from .imageops import (
     to_grayscale,
     write_image,
 )
-from .jersey import AssemblyConfig, assemble_detection
+from .jersey import AssemblyConfig
 from .matching import DetectionColumns
 from .metrics import DegenerateMetricWarning, confusion_matrix, evaluate_columns
 from .synth import SynthConfig, generate_game
@@ -161,12 +161,12 @@ def _report_diagnostics(messages: Sequence[str], skipped: int | None = None) -> 
 
 
 # Stage functions are shared by the per-stage subcommands and `pipeline`.
-# The stages whose output feeds another stage (parse-clock, assemble)
-# return values: their subcommands serialise them, and `pipeline` hands
-# them on in memory, so a chained run matches the staged subcommands by
-# construction.  Records pass between stages as lazy streams; a line
-# that the stream skips is added to the caller's ``skipped`` list as
-# ``(line number, diagnostic)``.
+# `pipeline` runs the stages of `parse-clock`, `assemble` and `log` in one
+# pass: the clock stage returns windows, and the records stage writes the
+# record lines and folds the presence table as its caller asks, so a
+# chained run matches the staged subcommands by construction.  A line that
+# the reader skips is added to the caller's ``skipped`` list as ``(line
+# number, diagnostic)``.
 
 def _stage_parse_clock(
     input_path: str, segmenter: SegmenterConfig, strict: bool
@@ -175,10 +175,19 @@ def _stage_parse_clock(
     return segment_plays(result.readings, segmenter), result.diagnostics
 
 
-def _stage_assemble(
-    input_path: str, cfg: AssemblyConfig, strict: bool, skipped: list[tuple[int, str]]
-) -> Iterator[PlayerDetection]:
-    return (assemble_detection(d, cfg) for _, d in iter_detections(read_lines(input_path), skipped, strict))
+def _stage_records(
+    input_path: str, skipped: list[tuple[int, str]], strict: bool, assembly: AssemblyConfig | None = None,
+    side: str | None = None, out: TextIO | None = None,
+) -> dict[int, int]:
+    # the records, numbered by ``assembly`` if set, written to ``out`` if set; gives ``side``'s presence table
+    presence: dict[int, int] = {}
+    for block in read_records(read_lines(input_path), skipped, strict, assembly):
+        if out is not None:
+            out.writelines(line + "\n" for line in block.lines())
+        if side is not None:
+            block.fold_presence(presence, side)
+        del block  # a block kept while the next is read would raise the peak memory by a block
+    return presence
 
 
 _TEAM_KEPT = ", team kept"  # ends the note on a record whose crop is missing
@@ -221,32 +230,25 @@ def _stage_log(
     return emit_game_log(entries, fmt)
 
 
-def _written(detections: Iterable[PlayerDetection], out: TextIO) -> Iterator[PlayerDetection]:
-    """Pass records through, writing each one's record line to ``out`` on the way."""
-    for d in detections:
-        out.write(serialize_detection(d) + "\n")
-        yield d
-
-
 def _matrix_rows(matrix, fmt: str) -> str:
     return "".join(" ".join(fmt % v for v in row) + "\n" for row in matrix)
 
 
 class _RecordColumns:
-    """One record file folded into flat columns as it streams past: per record,
-    its frame, box, score and jersey number (0..99, or -1 for none); the
-    records themselves are not kept."""
+    """One record file's blocks folded into flat columns as they stream past:
+    per record, its frame, box, score and jersey number (0..99, or -1 for
+    none); the blocks themselves are not kept."""
 
-    def __init__(self, records: Iterable[PlayerDetection]) -> None:
+    def __init__(self, blocks: Iterable[RecordBlock]) -> None:
         self.frame_ids: dict[int, int] = {}  # frame index -> id, in order of first sight
         ids = array("q")
         values = array("d")
         numbers = array("b")
-        for d in records:
-            b = d.box
-            ids.append(self.frame_ids.setdefault(d.frame_index, len(self.frame_ids)))
-            values.extend((b.x, b.y, b.w, b.h, d.score))
-            numbers.append(-1 if d.number is None else d.number)
+        for block in blocks:
+            ids.extend(self.frame_ids.setdefault(f, len(self.frame_ids)) for f in block.frame)
+            values.frombytes(np.column_stack((block.box, block.score)).tobytes())
+            numbers.frombytes(block.number.astype(np.int8).tobytes())
+            del block  # a block kept while the next is read would raise the peak memory by a block
         self._ids = np.frombuffer(ids, dtype=np.int64)
         self._values = np.frombuffer(values, dtype=np.float64).reshape(-1, 5)
         self.numbers = np.frombuffer(numbers, dtype=np.int8)
@@ -261,8 +263,8 @@ def _stage_evaluate(
     preds_path: str, truth_path: str, include_confusion: bool, strict: bool
 ) -> tuple[str, tuple[str, ...], int]:
     skipped: list[tuple[int, str]] = []
-    preds = _RecordColumns(d for _, d in iter_detections(read_lines(preds_path), skipped, strict))
-    truth = _RecordColumns(d for _, d in iter_detections(read_lines(truth_path), skipped, strict))
+    preds = _RecordColumns(read_records(read_lines(preds_path), skipped, strict))
+    truth = _RecordColumns(read_records(read_lines(truth_path), skipped, strict))
     diagnostics = [message for _, message in skipped]
     # the record format cannot express an empty frame: a truth frame the
     # detector missed altogether scores as empty, and predictions in a frame
@@ -311,8 +313,7 @@ def _cmd_assemble(args: argparse.Namespace) -> int:
     game_config = load_config(args.config)
     skipped: list[tuple[int, str]] = []
     with _output(args.output) as out:
-        for _ in _written(_stage_assemble(args.input, game_config.assembly, args.strict, skipped), out):
-            pass
+        _stage_records(args.input, skipped, args.strict, game_config.assembly, out=out)
     _report_diagnostics([message for _, message in skipped])
     return 0
 
@@ -321,8 +322,8 @@ def _cmd_classify_team(args: argparse.Namespace) -> int:
     game_config = load_config(args.config)
     messages: list[tuple[int, str]] = []
     with _output(args.output) as out:
-        for _ in _written(_stage_classify_team(args.input, args.crops, game_config, args.strict, messages), out):
-            pass
+        for d in _stage_classify_team(args.input, args.crops, game_config, args.strict, messages):
+            out.write(serialize_detection(d) + "\n")
     _report_diagnostics([m for _, m in messages], sum(not m.endswith(_TEAM_KEPT) for _, m in messages))
     return 0
 
@@ -331,7 +332,7 @@ def _cmd_log(args: argparse.Namespace) -> int:
     game_config = load_config(args.config)
     windows = parse_play_windows("".join(read_lines(args.windows)))
     skipped: list[tuple[int, str]] = []
-    presence = fold_presence(read_lines(args.records), args.side, skipped, args.strict)
+    presence = _stage_records(args.records, skipped, args.strict, side=args.side)
     text = _stage_log(game_config, windows, presence, args.side, args.format)
     _report_diagnostics([message for _, message in skipped])
     with _output(args.output) as out:
@@ -432,15 +433,8 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
             out.write(format_play_windows(windows))
 
     skipped: list[tuple[int, str]] = []
-    if workdir is None:
-        presence = fold_presence(
-            read_lines(args.records), args.side, skipped, args.strict, assembly=game_config.assembly
-        )
-    else:
-        # the scalar path, since each record is written out
-        detections = _stage_assemble(args.records, game_config.assembly, args.strict, skipped)
-        with _output(workdir / "records_assembled.txt") as out:
-            presence = presence_table(_written(detections, out), args.side)
+    with nullcontext() if workdir is None else _output(workdir / "records_assembled.txt") as out:
+        presence = _stage_records(args.records, skipped, args.strict, game_config.assembly, args.side, out)
     text = _stage_log(game_config, windows, presence, args.side, args.format)
     _report_diagnostics([message for _, message in skipped])
     with _output(args.output) as out:

@@ -16,8 +16,9 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, compress, islice
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -219,22 +220,21 @@ def iter_detections(
     Each line is parsed when the caller asks for its record, so a caller
     that consumes records as they come never holds the whole stream.
     """
-    return _parsed(((n, stripped) for n, _, stripped in content_lines(lines)), skipped, strict)
+    for line_number, _, stripped in content_lines(lines):
+        d = _parsed(line_number, stripped, skipped, strict)
+        if d is not None:
+            yield line_number, d
 
 
-def _parsed(
-    numbered: Iterable[tuple[int, str]], skipped: list[tuple[int, str]], strict: bool
-) -> Iterator[tuple[int, PlayerDetection]]:
-    # iter_detections over (line number, stripped content line) pairs
-    for line_number, stripped in numbered:
-        try:
-            d = parse_detection(stripped, line_number)
-        except RecordError as exc:
-            if strict:
-                raise
-            skipped.append((line_number, str(exc)))
-            continue
-        yield line_number, d
+def _parsed(line_number: int, stripped: str, skipped: list[tuple[int, str]], strict: bool) -> PlayerDetection | None:
+    # parse_detection of one content line; a malformed one is added to ``skipped`` (None), or raised when strict
+    try:
+        return parse_detection(stripped, line_number)
+    except RecordError as exc:
+        if strict:
+            raise
+        skipped.append((line_number, str(exc)))
+        return None
 
 
 def group_by_frame(detections: Iterable[PlayerDetection]) -> dict[int, tuple[PlayerDetection, ...]]:
@@ -281,55 +281,60 @@ def presence_table(detections: Iterable[PlayerDetection], side: str) -> dict[int
     side has no numbered record are absent.
     """
     table: dict[int, int] = {}
-    _fold(table, detections, side)
-    return table
-
-
-def _fold(table: dict[int, int], detections: Iterable[PlayerDetection], side: str) -> None:
     for d in detections:
         if d.team == side and d.number is not None:
             table[d.frame_index] = table.get(d.frame_index, 0) | 1 << d.number
+    return table
 
 
-# Record lines that fold_presence reads and checks together.  Blocks of
+# Record lines that read_records reads and checks together.  Blocks of
 # about 1k lines are as fast as larger ones, and each larger block raises
 # the peak memory.
 BLOCK_LINES = 1024
 
 
-def fold_presence(
-    lines: Iterable[str],
-    side: str,
-    skipped: list[tuple[int, str]],
-    strict: bool = False,
-    assembly: AssemblyConfig | None = None,
-) -> dict[int, int]:
-    """presence_table of a record stream, read in blocks of lines checked on arrays.
+class RecordBlock(NamedTuple):
+    """The records that read_records accepts from one block of lines, in line order, as columns."""
 
-    Equals ``presence_table`` over ``iter_detections(lines, skipped,
-    strict)``, each record first given the number that ``assembly`` makes
-    of its digits when ``assembly`` is given (``jersey.assemble_detection``).
-    Each block of BLOCK_LINES content lines is split once, its fields
-    read with int() and float() into arrays, and every line checked there
-    with the accept tests of the record types.  A line the arrays reject,
-    and every line of the block with as many fields as one whose fields
-    do not convert, goes through that scalar chain itself, in line order:
-    so each diagnostic in ``skipped``, each strict error and the error for
-    an assembled number above 99 comes from the one scalar code path, and
-    an error raised by the reader of ``lines`` comes only after every line
-    before it is folded.
+    frame: list[int]  # of any size
+    box: np.ndarray  # float64, (n, 4): x, y, w, h
+    score: np.ndarray  # float64, (n,)
+    team: list[str]
+    number: np.ndarray  # int64, (n,): the jersey number, or -1 for none
+    lines: Callable[[], list[str]]  # each record's serialize_detection line, made when called
+
+    def fold_presence(self, table: dict[int, int], side: str) -> None:
+        """Fold the numbered records of ``side`` into ``table``, a presence table (see presence_table)."""
+        folded = (self.number >= 0) & np.fromiter(map(side.__eq__, self.team), bool, len(self.team))
+        for f, v in zip(compress(self.frame, folded.tolist()), self.number[folded].tolist()):
+            table[f] = table.get(f, 0) | 1 << v
+
+
+def read_records(
+    lines: Iterable[str], skipped: list[tuple[int, str]], strict: bool = False, assembly: AssemblyConfig | None = None
+) -> Iterator[RecordBlock]:
+    """A record stream read in blocks of lines checked on arrays: one RecordBlock per BLOCK_LINES content lines.
+
+    The records, ``skipped`` and the errors are those of
+    ``iter_detections(lines, skipped, strict)``, each record first given
+    the number that ``assembly`` makes of its digits when ``assembly`` is
+    given (``jersey.assemble_detection``).  Each block is split once, its
+    fields read with int() and float() into arrays, and every line checked
+    there with the accept tests of the record types.  A line the arrays
+    reject, and every line of the block with as many fields as one whose
+    fields do not convert, goes through that scalar chain itself, in line
+    order: so each diagnostic, strict error and error for an assembled
+    number above 99 comes from the one scalar code path.  Any error, also
+    the reader's, is raised after the records on the lines before it are
+    handed over.  No block is kept here once the next is asked for.
     """
-    table: dict[int, int] = {}
-    errors: list[Exception] = []  # what the reader of ``lines`` raised, such as a bad UTF-8 byte
+    errors: list[Exception] = []  # the scalar chain's error first, then the reader's (a bad UTF-8 byte)
     numbered = _until_error(content_lines(lines), errors)
-    while True:
-        block = list(islice(numbered, BLOCK_LINES))
-        if block:
-            _fold_block(table, block, side, skipped, strict, assembly)
-        if errors:
-            raise errors[0]
-        if len(block) < BLOCK_LINES:
-            return table
+    blocks = iter(lambda: [] if errors else list(islice(numbered, BLOCK_LINES)), [])
+    # map lets go of each block of lines once it is read, and yield from keeps no RecordBlock
+    yield from map(lambda block: _read_block(block, skipped, strict, assembly, errors), blocks)
+    if errors:
+        raise errors[0]
 
 
 def _until_error(items: Iterable, errors: list[Exception]) -> Iterator:
@@ -340,54 +345,87 @@ def _until_error(items: Iterable, errors: list[Exception]) -> Iterator:
         errors.append(exc)
 
 
-def _fold_block(
-    table: dict[int, int],
-    block: list[tuple[int, str, str]],
-    side: str,
-    skipped: list[tuple[int, str]],
-    strict: bool,
-    assembly: AssemblyConfig | None,
-) -> None:
+def _read_block(
+    block: list[tuple[int, str, str]], skipped: list[tuple[int, str]], strict: bool,
+    assembly: AssemblyConfig | None, errors: list[Exception],
+) -> RecordBlock:
+    # the records of one block of content lines; an error of the scalar chain
+    # goes first in ``errors``, and the block ends before its line
     texts = [stripped for _, _, stripped in block]
     rows = [text.split() for text in texts]
     sizes = np.fromiter(map(len, rows), np.int64, len(rows))
     if not keeps_number_rule("".join(texts)):
         sizes[[i for i, text in enumerate(texts) if not keeps_number_rule(text)]] = -1
+    groups = []  # per field count, the positions, ints, floats, teams and numbers of the rows the arrays accept
     scalar: list[int] = []  # positions of the lines that take the scalar path
     for n in np.unique(sizes).tolist():
-        members = np.flatnonzero(sizes == n).tolist()
-        k, rest = divmod(n - 9, 6)
-        if k < 0 or rest:
-            scalar.extend(members)
-            continue
+        members = np.flatnonzero(sizes == n)
         try:
-            columns = _columns([rows[i] for i in members], k)
+            columns = _columns([rows[i] for i in members.tolist()], n)
         except (ValueError, OverflowError):
-            scalar.extend(members)
+            scalar.extend(members.tolist())
             continue
-        frame, number, on_side, accepted = _checked(columns, k, side, assembly)
-        scalar.extend(members[i] for i in np.flatnonzero(~accepted).tolist())
-        folded = accepted & on_side & (number >= 0)
-        for f, v in zip(frame[folded].tolist(), number[folded].tolist()):
-            table[f] = table.get(f, 0) | 1 << v
-    if scalar:
-        scalar.sort()
-        detections: Iterable[PlayerDetection] = (
-            d for _, d in _parsed(((block[i][0], texts[i]) for i in scalar), skipped, strict)
-        )
-        if assembly is not None:
-            detections = (assemble_detection(d, assembly) for d in detections)
-        _fold(table, detections, side)
+        number, accepted = _checked(columns, assembly)
+        scalar.extend(members[~accepted].tolist())
+        teams = list(compress(columns[2], accepted.tolist()))
+        groups.append((members[accepted], columns[0][:, accepted], columns[1][:, accepted], teams, number[accepted]))
+    detections, found = [], []  # the records that the scalar chain reads, and their positions
+    end = len(block)  # records from this position on are not handed over
+    try:
+        for i in sorted(scalar):
+            d = _parsed(block[i][0], texts[i], skipped, strict)
+            if d is not None:
+                detections.append(d if assembly is None else assemble_detection(d, assembly))
+                found.append(i)
+    except Exception as exc:  # a strict error, a number above 99 or any other: read_records raises it after this block
+        errors.insert(0, exc)
+        end = i
+    where = np.concatenate([*(g[0] for g in groups), np.array(found, np.int64)])
+    order = np.argsort(where)
+    order = order[where[order] < end]
+
+    def column(of_group: Callable, of_record: Callable) -> list:
+        # per record in line order: the lists that ``of_group`` gives, then ``of_record`` of each detection
+        made = [*chain.from_iterable(map(of_group, groups)), *map(of_record, detections)]
+        return [made[k] for k in order.tolist()]
+
+    values = np.array([(d.box.x, d.box.y, d.box.w, d.box.h, d.score) for d in detections], np.float64)
+    values = np.concatenate([*(g[2][:5].T for g in groups), values.reshape(-1, 5)])[order]
+    number = np.array([-1 if d.number is None else d.number for d in detections], np.int64)
+    return RecordBlock(
+        column(lambda g: g[1][0].tolist(), lambda d: d.frame_index), values[:, :4], values[:, 4],
+        column(lambda g: g[3], lambda d: d.team), np.concatenate([*(g[4] for g in groups), number])[order],
+        partial(column, lambda g: _record_texts(*g[1:]), serialize_detection),
+    )
 
 
-def _columns(rows: list[list[str]], k: int) -> tuple:
-    """int() and float() of the fields of record lines with ``k`` digits each, as arrays.
+def _record_texts(ints: np.ndarray, floats: np.ndarray, teams: list[str], number: np.ndarray) -> list[str]:
+    # serialize_detection's line of each row of _columns that _checked accepts: its
+    # floats are finite and below 2**53, so each is integral exactly when its int64
+    # equals it, and is then written as that int, else with repr(), as _format_value does
+    f = [
+        list(map(str, whole)) if whole == values else [str(w) if w == v else repr(v) for w, v in zip(whole, values)]
+        for whole, values in zip(floats.astype(np.int64).tolist(), floats.tolist())
+    ]
+    i = [list(map(str, row)) for row in ints.tolist()]
+    fields = [i[0], *f[:5], teams, ["-" if v < 0 else str(v) for v in number.tolist()], i[1]]
+    for j in range(len(ints) - 2):
+        fields += [i[2 + j], *f[5 + 5 * j:10 + 5 * j]]
+    return list(map(" ".join, zip(*fields)))
 
-    Raises what int() or float() raise, or OverflowError for an int
-    outside int64.  Gives the ints (frame, count, then each digit class)
-    and the floats (box, score, then each digit's confidence and box),
-    one row per field, and the team and number fields as they are.
+
+def _columns(rows: list[list[str]], n: int) -> tuple:
+    """int() and float() of the fields of record lines with ``n`` fields each, as arrays.
+
+    Raises ValueError if ``n`` is not 9 + 6k for a digit count k, else what
+    int() or float() raise, or OverflowError for an int outside int64.
+    Gives the ints (frame, count, then each digit class) and the floats
+    (box, score, then each digit's confidence and box), one row per field,
+    and the team and number fields as they are.
     """
+    k, rest = divmod(n - 9, 6)
+    if k < 0 or rest:
+        raise ValueError(f"{n} fields is not a record's field count")
     m = len(rows)
     fields = list(zip(*rows))
     digit_starts = range(9, 9 + 6 * k, 6)
@@ -412,8 +450,8 @@ def _box_ok(x: np.ndarray, y: np.ndarray, w: np.ndarray, h: np.ndarray) -> np.nd
     return (0.0 <= x) & (0.0 <= y) & (0.0 < w) & (0.0 < h) & (x + y + w + h < _EXACT)
 
 
-def _checked(columns: tuple, k: int, side: str, assembly: AssemblyConfig | None) -> tuple:
-    """Per row: frame, number (-1 for none), whether the team is ``side``, and whether the row is accepted.
+def _checked(columns: tuple, assembly: AssemblyConfig | None) -> tuple:
+    """Per row: the number (-1 for none), and whether the row is accepted.
 
     A row is accepted when parse_detection reads it to a valid record by
     the float path and, with ``assembly``, its assembled number is 0..99
@@ -421,7 +459,7 @@ def _checked(columns: tuple, k: int, side: str, assembly: AssemblyConfig | None)
     number field.
     """
     ints, floats, teams, dashes, number = columns
-    m = len(teams)
+    m, k = len(teams), len(ints) - 2
     frame, count, digit = ints[0], ints[1], ints[2:]
     conf, digit_box = floats[5::5], floats[5:].reshape(k, 5, m)[:, 1:]
     with np.errstate(over="ignore", invalid="ignore"):  # inf + -inf in a box sum, say
@@ -432,7 +470,6 @@ def _checked(columns: tuple, k: int, side: str, assembly: AssemblyConfig | None)
             & np.all((0 <= digit) & (digit <= 9) & (0.0 <= conf) & (conf <= 1.0), axis=0)
             & np.all(_box_ok(*digit_box.transpose(1, 0, 2)), axis=0)
         )
-    on_side = np.fromiter(map(side.__eq__, teams), bool, m)
     if assembly is not None:
         number = np.full(m, -1, dtype=np.int64)
         rows = np.flatnonzero(accepted)
@@ -440,7 +477,7 @@ def _checked(columns: tuple, k: int, side: str, assembly: AssemblyConfig | None)
             digit[:, rows].T, conf[:, rows].T, digit_box[:, :, rows].transpose(2, 0, 1), assembly
         )
         accepted &= number != ABOVE_99
-    return frame, number, on_side, accepted
+    return number, accepted
 
 
 def synchronize(

@@ -15,12 +15,15 @@ from playlog import (
     PixelImage,
     PlayerDetection,
     format_config,
+    iter_detections,
+    load_config,
     parse_config_text,
     read_image,
     serialize_detection,
     write_image,
 )
 from playlog.cli import run
+from playlog.jersey import assemble_detection
 from playlog.textfile import content_lines, read_lines
 
 SUBCOMMANDS = (
@@ -602,35 +605,22 @@ class TestPipeline:
         assert (workdir / "records_assembled.txt").read_bytes() == assembled.read_bytes()
 
     def test_parses_each_record_once_in_memory(self, game_dir, tmp_path, monkeypatch):
-        # well-formed lines are checked on arrays; each line the arrays reject
-        # is parsed once by the scalar parse_detection, and no record is written
-        calls = {"parse": 0}
-        parse = playlog.gamelog.parse_detection
-
-        def counting_parse(*args, **kwargs):
-            calls["parse"] += 1
-            return parse(*args, **kwargs)
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("pipeline wrote an intermediate without --workdir")
-
-        monkeypatch.setattr(playlog.gamelog, "parse_detection", counting_parse)
-        monkeypatch.setattr(playlog.gamelog, "serialize_detection", forbidden)
-        monkeypatch.setattr(tempfile, "mkdtemp", forbidden)
-
-        def log(records):
-            calls["parse"] = 0
-            out = tmp_path / "log.csv"
-            assert run(
-                ["pipeline", "--config", str(game_dir / "game.cfg"),
-                 "--clock", str(game_dir / "clock.txt"),
-                 "--records", str(records), "--output", str(out)]
-            ) == 0
-            return out.read_bytes()
-
-        truth = (game_dir / "truth_log.csv").read_bytes()
-        assert log(game_dir / "detections.txt") == truth
-        assert calls["parse"] == 0
+        # well-formed lines are checked on arrays, and the columnar writer writes them;
+        # each line the arrays reject is parsed once by the scalar parse_detection,
+        # serialize_detection writes only the records that the scalar path read,
+        # and `pipeline` makes no temp directory
+        cfg = ["--config", str(game_dir / "game.cfg")]
+        clean = game_dir / "detections.txt"
+        out = tmp_path / "out.txt"
+        workdir = tmp_path / "stages"
+        commands = {
+            "pipeline": lambda records: ["pipeline", *cfg, "--clock", str(game_dir / "clock.txt"),
+                                         "--records", str(records), "--output", str(out)],
+            "pipeline --workdir": lambda records: commands["pipeline"](records) + ["--workdir", str(workdir)],
+            "assemble": lambda records: ["assemble", *cfg, "--input", str(records), "--output", str(out)],
+            "evaluate": lambda records: ["evaluate", "--preds", str(records), "--truth", str(clean),
+                                         "--output", str(out)],
+        }
         # skipped lines, and a valid record in a frame past int64 that no window holds;
         # each has 9 fields, as no record of this game has, so a line whose fields
         # do not convert takes no well-formed line to the scalar path with it
@@ -638,14 +628,52 @@ class TestPipeline:
             "garbage", "0 10 20 40 60 0.9 home 100 0", "0 10 20 40 60 0.9 Home - 0", "0 nan 20 40 60 0.9 home - 0",
             "1\u0663 10 20 40 60 0.9 home - 0", "0 10 20 40 60 0.9 home - 1", f"{2**63} 10 20 40 60 0.9 home 7 0",
         ]
-        lines = (game_dir / "detections.txt").read_text(encoding="utf-8").splitlines()
+        lines = clean.read_text(encoding="utf-8").splitlines()
         rng = random.Random(11)
         for line in rejected * 3:
             lines.insert(rng.randrange(len(lines) + 1), line)
         mutated = tmp_path / "mutated.txt"
         mutated.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        assert log(mutated) == truth
-        assert calls["parse"] == 3 * len(rejected)
+        config = load_config(game_dir / "game.cfg")
+        assembled = {  # what the scalar chain writes
+            records: "".join(
+                serialize_detection(assemble_detection(d, config.assembly)) + "\n"
+                for _, d in iter_detections(read_lines(records), [])
+            ).encode()
+            for records in (clean, mutated)
+        }
+        truth = (game_dir / "truth_log.csv").read_bytes()
+        calls = {"parse": 0, "serialize": 0}
+
+        def counting(name, function):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return counted
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("pipeline made a temp directory")
+
+        monkeypatch.setattr(playlog.gamelog, "parse_detection", counting("parse", playlog.gamelog.parse_detection))
+        monkeypatch.setattr(
+            playlog.gamelog, "serialize_detection", counting("serialize", playlog.gamelog.serialize_detection)
+        )
+        monkeypatch.setattr(tempfile, "mkdtemp", forbidden)
+        for name, argv in commands.items():
+            writes = name in ("pipeline --workdir", "assemble")
+            # the three records in a frame past int64 are read, and written, by the scalar path
+            for records, parses, serializes in ((clean, 0, 0), (mutated, 3 * len(rejected), 3 if writes else 0)):
+                calls.update(parse=0, serialize=0)
+                assert run(argv(records)) == 0
+                assert calls == {"parse": parses, "serialize": serializes}, (name, records.name)
+                if name.startswith("pipeline"):
+                    assert out.read_bytes() == truth
+                if name == "pipeline --workdir":
+                    assert (workdir / "records_assembled.txt").read_bytes() == assembled[records]
+                if name == "assemble":
+                    assert out.read_bytes() == assembled[records]
+                if name == "evaluate" and records is clean:
+                    assert out.read_bytes().startswith(b"AP_{0.5:0.95} 1.000000\n")
 
 
 class TestStreaming:

@@ -4,16 +4,32 @@ Seeded, mutated copies of a small synthetic game (some with a number token
 that int() reads but the number-token rule refuses) go through `pipeline`,
 `log` and `evaluate --confusion`.  A damaged input may be rejected (exit 1)
 or read around (exit 0), but never ends in an internal error (exit 2) or a
-traceback on stderr.  `pipeline` reads records in blocks checked on arrays
-and `pipeline --workdir` reads them one by one, so each game with mutated
-records also goes through both, which must agree on every byte.
+traceback on stderr.  The CLI reads records in blocks checked on arrays;
+the reference is the library's scalar chain, which parses one line at a
+time (`iter_detections`, `assemble_detection`, `presence_table`,
+`synchronize_presence`, `emit_game_log`).  Every `pipeline` run, and with
+mutated records also `pipeline --workdir` and its records file, must agree
+with it on every byte, and `evaluate` must print the report it prints on
+the records that the scalar reader accepts.
 """
 
 import random
 
 import pytest
 
+from playlog import (
+    emit_game_log,
+    iter_detections,
+    load_config,
+    parse_clock_stream,
+    presence_table,
+    segment_plays,
+    serialize_detection,
+    synchronize_presence,
+)
 from playlog.cli import run
+from playlog.jersey import assemble_detection
+from playlog.textfile import read_lines
 
 # an `evaluate` run costs ~30 `pipeline` runs on this game; the counts keep
 # the file to a few seconds
@@ -100,20 +116,53 @@ def assert_clean_exit(code, err):
     return code
 
 
+def scalar_pipeline(clock, records):
+    """What `pipeline` prints for these files, made by the library's scalar chain:
+    stdout, stderr, exit code, and the text of its records file."""
+    err, written = [], []
+
+    def report(messages):
+        err.extend(messages)
+        if messages:
+            err.append(f"{len(messages)} malformed line(s) skipped")
+
+    try:
+        config = load_config(None)
+        clock_result = parse_clock_stream(read_lines(clock))
+        windows = segment_plays(clock_result.readings, config.segmenter)
+        report(clock_result.diagnostics)
+        skipped = []
+        detections = [assemble_detection(d, config.assembly) for _, d in iter_detections(read_lines(records), skipped)]
+        written = [serialize_detection(d) + "\n" for d in detections]
+        entries = synchronize_presence(
+            windows, presence_table(detections, "home"), config.home_roster, home_team=config.home_team,
+            away_team=config.away_team, min_appearances=config.min_appearances,
+        )
+        out = emit_game_log(entries, "delimited")
+        report([message for _, message in skipped])
+    except ValueError as exc:
+        err.append(f"error: {exc}")
+        return "", "".join(line + "\n" for line in err), 1, None
+    return out, "".join(line + "\n" for line in err), 0, "".join(written)
+
+
 def test_pipeline_survives_mutated_inputs(game, tmp_path, capsys):
     rng = random.Random(20221)
     codes = []
+    stages = tmp_path / "stages"
     for _ in range(PIPELINE_RUNS):
         paths, mutated = write_mutants(game, tmp_path, rng, ("clock.txt", "detections.txt"))
         argv = ["pipeline", "--clock", str(paths["clock.txt"]), "--records", str(paths["detections.txt"])]
-        code = run(argv)
-        blocks = capsys.readouterr()
+        out, err, code, written = scalar_pipeline(paths["clock.txt"], paths["detections.txt"])
+        assert run(argv) == code
+        assert capsys.readouterr() == (out, err)
         if "detections.txt" in mutated:
-            # the scalar reader of --workdir gives the same log, diagnostics and exit code
-            assert run(argv + ["--workdir", str(tmp_path / "stages")]) == code
-            scalar = capsys.readouterr()
-            assert (scalar.out, scalar.err) == (blocks.out, blocks.err)
-        codes.append(assert_clean_exit(code, blocks.err))
+            # --workdir reads the same blocks and also writes them
+            assert run(argv + ["--workdir", str(stages)]) == code
+            assert capsys.readouterr() == (out, err)
+            if code == 0:
+                assert (stages / "records_assembled.txt").read_text(encoding="utf-8") == written
+        codes.append(assert_clean_exit(code, err))
     assert 0 in codes  # most damage is read around, not fatal
 
 
@@ -132,10 +181,19 @@ def test_evaluate_survives_mutated_inputs(game, tmp_path, capsys):
     rng = random.Random(20222)
     truth = tmp_path / "truth.txt"
     truth.write_text("\n".join(game["detections.txt"]), encoding="utf-8")
+    accepted = tmp_path / "accepted.txt"
     codes = []
     for _ in range(EVALUATE_RUNS):
         paths, _ = write_mutants(game, tmp_path, rng, ("detections.txt",))
         code = run(["evaluate", "--preds", str(paths["detections.txt"]), "--truth", str(truth),
                     "--confusion"])
-        codes.append(assert_clean_exit(code, capsys.readouterr().err))
+        result = capsys.readouterr()
+        codes.append(assert_clean_exit(code, result.err))
+        # the same report from the records that the scalar reader accepts, written back
+        skipped = []
+        records = [serialize_detection(d) + "\n" for _, d in iter_detections(read_lines(paths["detections.txt"]), skipped)]
+        accepted.write_text("".join(records), encoding="utf-8")
+        assert run(["evaluate", "--preds", str(accepted), "--truth", str(truth), "--confusion"]) == code
+        assert capsys.readouterr().out == result.out
+        assert "".join(message + "\n" for _, message in skipped) in result.err
     assert 0 in codes

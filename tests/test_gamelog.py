@@ -29,13 +29,14 @@ from playlog import (
     parse_detection,
     parse_game_log,
     presence_table,
+    read_records,
     resolve_names,
     roster_lines,
     serialize_detection,
     synchronize,
     synchronize_presence,
 )
-from playlog.gamelog import BLOCK_LINES, fold_presence
+from playlog.gamelog import BLOCK_LINES
 from playlog.jersey import assemble_detection
 from playlog.textfile import read_lines
 
@@ -549,8 +550,18 @@ REJECTED_LINES = [
     "3 10 20 40 60 0.9 home 7 1 1 0.99 0 0 5 -5",
     "3 10 20 40 60 0.9 home 1_0 0",
 ]
+# spellings that int() and float() read and the writer must give back as
+# serialize_detection writes them
+SPELLED_LINES = [
+    "+5 10 20 40 60 0.50 home 007 0",
+    "007 4e1 -0.0 1e-05 1.0 1.0 away - 1 +5 0.50 -0.0 0 4e1 1e-05",
+    "3 1.0 0.50 4e1 60 -0.0 unknown +5 2 007 1.0 10 20 1e-05 5 1 -0.0 4e1 0 1.0 1.0",
+]
 stream_lines = st.lists(
-    edited_record_lines() | st.sampled_from(REJECTED_LINES + ["# comment", ""]), max_size=12
+    edited_record_lines()
+    | valid_detections.map(serialize_detection)
+    | st.sampled_from(REJECTED_LINES + SPELLED_LINES + ["# comment", ""]),
+    max_size=12,
 )
 assemblies = st.none() | st.builds(
     AssemblyConfig, confidence_threshold=st.sampled_from([0.1, 0.5, 0.97]), max_digits=st.integers(1, 3)
@@ -569,33 +580,70 @@ def reader(lines, fail_at):
         yield line
 
 
-def folded(fold, skipped):
-    """What ``fold(skipped)`` gives: the table, or the error's type and text; with ``skipped`` after it."""
+def handed_over(read):
+    """What ``read(records, skipped)`` hands over: its records, up to the error's type and text (None if none), and ``skipped``."""
+    records, skipped = [], []
     try:
-        result = ("ok", fold(skipped))
-    except ValueError as exc:
-        result = (type(exc), str(exc))
-    return result, skipped
+        read(records, skipped)
+        error = None
+    except Exception as exc:  # also the OverflowError of a digit box whose area no float holds
+        error = (type(exc), str(exc))
+    return records, error, skipped
 
 
-def scalar_fold(lines, side, strict, assembly):
-    def fold(skipped):
-        detections = (d for _, d in iter_detections(lines, skipped, strict))
-        if assembly is not None:
-            detections = (assemble_detection(d, assembly) for d in detections)
-        return presence_table(detections, side)
-    return fold
+def scalar_read(lines, strict, assembly):
+    """iter_detections, each record given assemble_detection when ``assembly`` is set, as rows of
+    (frame, box, score, team, number or -1, serialize_detection line)."""
+    def read(records, skipped):
+        for _, d in iter_detections(lines, skipped, strict):
+            if assembly is not None:
+                d = assemble_detection(d, assembly)
+            box = tuple(float(v) for v in (d.box.x, d.box.y, d.box.w, d.box.h))
+            number = -1 if d.number is None else d.number
+            records.append((d.frame_index, box, d.score, d.team, number, serialize_detection(d)))
+    return read
+
+
+def block_read(lines, strict, assembly, tables=None):
+    """read_records' blocks as scalar_read's rows; ``tables`` maps a side to the presence table the blocks fold."""
+    def read(records, skipped):
+        for block in read_records(lines, skipped, strict, assembly):
+            records.extend(zip(block.frame, map(tuple, block.box.tolist()), block.score.tolist(), block.team,
+                               block.number.tolist(), block.lines()))
+            for side, table in (tables or {}).items():
+                block.fold_presence(table, side)
+    return read
 
 
 class TestFoldPresence:
+    """read_records against the scalar chain: records, lines, presence tables, skipped lines and errors."""
+
     @settings(max_examples=300, deadline=None)
-    @given(stream_lines, st.sampled_from(["home", "away"]), st.booleans(), assemblies, st.none() | st.integers(0, 12))
-    def test_equals_presence_table_over_iter_detections(self, lines, side, strict, assembly, fail_at):
-        expected = folded(scalar_fold(reader(lines, fail_at), side, strict, assembly), [])
+    @given(stream_lines, st.booleans(), assemblies, st.none() | st.integers(0, 12))
+    def test_equals_presence_table_over_iter_detections(self, lines, strict, assembly, fail_at):
+        expected = handed_over(scalar_read(reader(lines, fail_at), strict, assembly))
+        records = expected[0]
         for size in (1, 2, 3, BLOCK_LINES):
+            tables = {"home": {}, "away": {}}
             with patch.object(playlog.gamelog, "BLOCK_LINES", size):
-                got = folded(lambda skipped: fold_presence(reader(lines, fail_at), side, skipped, strict, assembly), [])
+                got = handed_over(block_read(reader(lines, fail_at), strict, assembly, tables))
             assert got == expected, size
+            for side, table in tables.items():
+                # the records on the lines before an error fold into the table too
+                assert table == presence_table((detection_of(r) for r in records), side), size
+
+    def test_writer_gives_serialize_detection_spellings_from_the_arrays(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(playlog.gamelog, "parse_detection", lambda *a: calls.append(a))
+        (block,) = read_records(SPELLED_LINES, [])
+        assert calls == []
+        assert block.lines() == [
+            "5 10 20 40 60 0.5 home 7 0",
+            "7 40 0 1e-05 1 1 away - 1 5 0.5 0 0 40 1e-05",
+            "3 1 0.5 40 60 0 unknown 5 2 7 1 10 20 1e-05 5 1 0 40 0 1 1",
+        ]
+        monkeypatch.undo()
+        assert block.lines() == [serialize_detection(parse_detection(line)) for line in SPELLED_LINES]
 
     @pytest.mark.parametrize("size", [1, 2, 3, BLOCK_LINES])
     def test_a_bad_byte_after_a_strict_error_in_the_block(self, size, tmp_path):
@@ -603,11 +651,12 @@ class TestFoldPresence:
         path = tmp_path / "records.txt"
         path.write_bytes(f"{good}\ngarbage\n".encode() + b"\xff\n" + f"{good}\n".encode())
         with patch.object(playlog.gamelog, "BLOCK_LINES", size):
-            with pytest.raises(RecordError, match="^record line 2: expected at least 9 fields, got 1$"):
-                fold_presence(read_lines(path), "home", [], strict=True)
-            skipped = []
-            with pytest.raises(ValueError, match="line 3: invalid UTF-8 byte 0xff"):
-                fold_presence(read_lines(path), "home", skipped)
+            records, error, _ = handed_over(block_read(read_lines(path), True, None))
+            assert error == (RecordError, "record line 2: expected at least 9 fields, got 1")
+            assert [r[-1] for r in records] == [good]
+            records, error, skipped = handed_over(block_read(read_lines(path), False, None))
+        assert error[0] is ValueError and "line 3: invalid UTF-8 byte 0xff" in error[1]
+        assert [r[-1] for r in records] == [good]
         assert skipped == [(2, "record line 2: expected at least 9 fields, got 1")]
 
     def test_digit_boxes_past_2_53_are_read_exactly(self):
@@ -616,19 +665,45 @@ class TestFoldPresence:
         e = 2**53
         line = f"3 10 20 40 60 0.9 home - 2 1 0.99 {e} 2 {e} {e} 2 0.99 {e + 3} {e + 1} {e + 3} {e + 3}"
         at_overlap = AssemblyConfig(iou_suppress_threshold=1.1102230246251557e-16)
-        expected = scalar_fold([line], "home", False, at_overlap)([])
-        assert expected == {3: 1 << 1}
-        assert fold_presence([line], "home", [], assembly=at_overlap) == expected
+        expected = handed_over(scalar_read([line], False, at_overlap))
+        assert [r[4] for r in expected[0]] == [1]
+        assert handed_over(block_read([line], False, at_overlap)) == expected
 
     def test_assembled_number_past_99_is_fatal_after_earlier_skips(self):
         three = AssemblyConfig(max_digits=3)
         digits = tuple(digit(v, 0.99, 14 * i) for i, v in enumerate((1, 2, 3)))
-        lines = ["garbage", serialize_detection(detection(frame=2, digits=digits)), "more garbage"]
+        lines = [record_line(1), "garbage", serialize_detection(detection(frame=2, digits=digits)), record_line(3)]
         for strict in (False, True):
-            expected = folded(scalar_fold(lines, "home", strict, three), [])
-            assert folded(lambda skipped: fold_presence(lines, "home", skipped, strict, three), []) == expected
-        assert expected[0] == (RecordError, "record line 1: expected at least 9 fields, got 1")
-        skipped = []
-        with pytest.raises(InvariantError, match=r"number in 0\.\.99 violated \(got 123\)"):
-            fold_presence(lines, "home", skipped, assembly=three)
-        assert skipped == [(1, "record line 1: expected at least 9 fields, got 1")]
+            expected = handed_over(scalar_read(lines, strict, three))
+            assert handed_over(block_read(lines, strict, three)) == expected
+        # line 1's record comes before the strict error; assembly finds no number in it
+        assert expected[:2] == (
+            [(1, (10.0, 20.0, 40.0, 60.0), 0.9, "home", -1, "1 10 20 40 60 0.9 home - 0")],
+            (RecordError, "record line 2: expected at least 9 fields, got 1"),
+        )
+        records, error, skipped = handed_over(block_read(lines, False, three))
+        assert [r[-1] for r in records] == ["1 10 20 40 60 0.9 home - 0"]
+        assert error == (InvariantError, "PlayerDetection.number in 0..99 violated (got 123)")
+        assert skipped == [(2, "record line 2: expected at least 9 fields, got 1")]
+
+    def test_any_error_of_the_scalar_chain_comes_after_the_records_before_it(self, monkeypatch):
+        # not only the ValueErrors of a strict run and a number past 99: the scalar
+        # iou, say, overflows on a digit box whose exact area no float holds
+        def failing(d, assembly):
+            raise OverflowError("int too large to convert to float")
+
+        monkeypatch.setattr(playlog.gamelog, "assemble_detection", failing)
+        # the arrays read lines 1 and 3, and the scalar chain line 2
+        good = [serialize_detection(detection(frame=f, digits=(digit(3, 0.99, 0),))) for f in (1, 3)]
+        lines = [good[0], f"{2**63} 10 20 40 60 0.9 home 7 0", good[1]]
+        for size in (1, BLOCK_LINES):
+            with patch.object(playlog.gamelog, "BLOCK_LINES", size):
+                records, error, _ = handed_over(block_read(lines, False, AssemblyConfig()))
+            assert [r[-1] for r in records] == ["1 10 20 40 60 0.9 home 3 1 3 0.99 0 12 10 14"], size
+            assert error == (OverflowError, "int too large to convert to float"), size
+
+
+def detection_of(row):
+    """A record with scalar_read's row's frame, team and number, for presence_table."""
+    frame, _, _, team, number, _ = row
+    return detection(frame=frame, team=team, number=None if number < 0 else number)
