@@ -13,16 +13,16 @@ Subcommands cover each pipeline stage plus a chained run:
     pipeline       parse-clock + assemble + log, chained in memory
 
 Record files are streamed, so the parsed records are never held together
-and diagnostics come out in line order.  All record commands but
-`classify-team`, which works on each line as it is read, share one reader
-(`gamelog.read_records`): blocks of about 1k lines, each split once, its
-fields converted into arrays, checked and (`assemble`, `pipeline`) given
-jersey numbers there; a line the arrays reject takes the scalar path
+and diagnostics come out in line order.  All record commands share one
+reader (`gamelog.read_records`): blocks of about 1k lines, each split once,
+its fields converted into arrays, checked and (`assemble`, `pipeline`)
+given jersey numbers there; a line the arrays reject takes the scalar path
 (parse, assemble), which alone reports it.  `log` and `pipeline` fold the
 blocks into a per-frame table of the side's jersey numbers, `assemble` and
-`pipeline --workdir` write their record lines, and `evaluate` folds them
-into flat columns (frame, box, score, number) and scores every frame at
-once.  So the memory of all of them stays flat in the record count.
+`pipeline --workdir` write their record lines, `classify-team` writes each
+line with the team label of its crop, and `evaluate` folds the blocks into
+flat columns (frame, box, score, number) and scores every frame at once.
+So the memory of all of them stays flat in the record count.
 
 Exit codes: 0 success, 1 input error, 2 internal error.  Diagnostics for
 skipped lines go to stderr; outputs go to --output or stdout.  Every text
@@ -40,6 +40,7 @@ import sys
 import warnings
 from array import array
 from contextlib import contextmanager
+from operator import itemgetter
 from pathlib import Path
 from contextlib import nullcontext
 from typing import Iterable, Iterator, Sequence, TextIO
@@ -54,15 +55,13 @@ from .clock import (
     segment_plays,
 )
 from .config import format_config, load_config
-from .core import PlayerDetection, PlayWindow
+from .core import PlayWindow
 from .gamelog import (
     GameConfig,
     RecordBlock,
     emit_game_log,
-    iter_detections,
     read_records,
     roster_lines,
-    serialize_detection,
     synchronize_presence,
 )
 from .imageops import (
@@ -190,28 +189,34 @@ def _stage_records(
     return presence
 
 
-_TEAM_KEPT = ", team kept"  # ends the note on a record whose crop is missing
-
-
 def _stage_classify_team(
-    input_path: str, crops_dir: str, game_config: GameConfig, strict: bool, messages: list[tuple[int, str]]
-) -> Iterator[PlayerDetection]:
-    # a missing crop is noted in ``messages`` among the reader's skips, in line order
-    crops = Path(crops_dir)
+    input_path: str, crops_dir: str, game_config: GameConfig, strict: bool, out: TextIO
+) -> tuple[list[str], int]:
+    # writes each record line to ``out`` with the team its crop shows (kept without a crop);
+    # gives the reader's skips and a note per missing crop in line order, and the count of skips
+    skipped: list[tuple[int, str]] = []
+    notes: list[tuple[int, str]] = []
+    crops = str(Path(crops_dir))
+    prefix = "" if crops == "." else os.path.join(crops, "")  # as Path(crops_dir) / name spells it
+    strip_size = game_config.strip_height_fraction, game_config.strip_width_fraction
+    profiles = game_config.home_profile, game_config.away_profile
     frame_counters: dict[int, int] = {}
-    for line_number, d in iter_detections(read_lines(input_path), messages, strict):
-        index = frame_counters.get(d.frame_index, 0)
-        frame_counters[d.frame_index] = index + 1
-        crop_path = crops / f"{d.frame_index}_{index}.ppm"
-        if crop_path.exists():
-            strip = extract_strip(
-                read_image(crop_path), game_config.strip_height_fraction, game_config.strip_width_fraction
-            )
-            label = classify_team(channel_histogram(strip), game_config.home_profile, game_config.away_profile)
-            yield d.with_team(label)
-        else:
-            messages.append((line_number, f"record line {line_number}: no crop {crop_path.name}{_TEAM_KEPT}"))
-            yield d
+    for block in read_records(read_lines(input_path), skipped, strict):
+        for line_number, frame, line in zip(block.line, block.frame, block.lines()):
+            index = frame_counters.get(frame, 0)
+            frame_counters[frame] = index + 1
+            name = f"{frame}_{index}.ppm"
+            if os.path.exists(prefix + name):
+                strip = extract_strip(read_image(prefix + name), *strip_size)
+                fields = line.split(" ", 7)  # field 6 is the team
+                fields[6] = classify_team(channel_histogram(strip), *profiles)
+                line = " ".join(fields)
+            else:
+                notes.append((line_number, f"record line {line_number}: no crop {name}, team kept"))
+            out.write(line + "\n")
+        del block  # a block kept while the next is read would raise the peak memory by a block
+    # the reader adds a block's skips before its records come here; a stable sort puts all in line order
+    return [message for _, message in sorted(skipped + notes, key=itemgetter(0))], len(skipped)
 
 
 def _stage_log(
@@ -320,11 +325,9 @@ def _cmd_assemble(args: argparse.Namespace) -> int:
 
 def _cmd_classify_team(args: argparse.Namespace) -> int:
     game_config = load_config(args.config)
-    messages: list[tuple[int, str]] = []
     with _output(args.output) as out:
-        for d in _stage_classify_team(args.input, args.crops, game_config, args.strict, messages):
-            out.write(serialize_detection(d) + "\n")
-    _report_diagnostics([m for _, m in messages], sum(not m.endswith(_TEAM_KEPT) for _, m in messages))
+        messages, skipped = _stage_classify_team(args.input, args.crops, game_config, args.strict, out)
+    _report_diagnostics(messages, skipped)
     return 0
 
 

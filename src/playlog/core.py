@@ -371,6 +371,14 @@ class PixelImage:
     __slots__ = ("_pixels",)
 
     def __init__(self, width: int, height: int, channels: int, samples: Iterable[int] | np.ndarray | bytes):
+        if (
+            type(samples) is bytes and type(width) is int and type(height) is int and type(channels) is int
+            and width >= 1 and height >= 1 and (channels == 1 or channels == 3)
+            and len(samples) == width * height * channels
+        ):
+            # immutable bytes need no copy: the array over them is read-only
+            object.__setattr__(self, "_pixels", np.frombuffer(samples, np.uint8).reshape(height, width, channels))
+            return
         w = _require_int("PixelImage", "width", width)
         h = _require_int("PixelImage", "height", height)
         c = _require_int("PixelImage", "channels", channels)

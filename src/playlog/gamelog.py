@@ -296,6 +296,7 @@ BLOCK_LINES = 1024
 class RecordBlock(NamedTuple):
     """The records that read_records accepts from one block of lines, in line order, as columns."""
 
+    line: list[int]  # the line number of each record
     frame: list[int]  # of any size
     box: np.ndarray  # float64, (n, 4): x, y, w, h
     score: np.ndarray  # float64, (n,)
@@ -393,6 +394,7 @@ def _read_block(
     values = np.concatenate([*(g[2][:5].T for g in groups), values.reshape(-1, 5)])[order]
     number = np.array([-1 if d.number is None else d.number for d in detections], np.int64)
     return RecordBlock(
+        [block[i][0] for i in where[order].tolist()],
         column(lambda g: g[1][0].tolist(), lambda d: d.frame_index), values[:, :4], values[:, 4],
         column(lambda g: g[3], lambda d: d.team), np.concatenate([*(g[4] for g in groups), number])[order],
         partial(column, lambda g: _record_texts(*g[1:]), serialize_detection),

@@ -160,7 +160,8 @@ def _read_header_tokens(data: bytes, count: int, start: int) -> tuple[list[int],
 
 def read_image(path: str | Path) -> PixelImage:
     """Read a binary PGM (P5) or PPM (P6) file."""
-    data = Path(path).read_bytes()
+    with open(path, "rb") as f:
+        data = f.read()
     if data[:2] == b"P5":
         channels = 1
     elif data[:2] == b"P6":

@@ -30,13 +30,22 @@ class SizeBucket(Enum):
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
     """Intersection over union of two boxes, in [0, 1]."""
-    inter_w = max(0.0, min(a.right, b.right) - max(a.x, b.x))
-    inter_h = max(0.0, min(a.bottom, b.bottom) - max(a.y, b.y))
-    inter = inter_w * inter_h
-    if inter <= 0.0:
-        return 0.0
-    union = a.area + b.area - inter
-    return inter / union
+    try:
+        inter_w = max(0.0, min(a.right, b.right) - max(a.x, b.x))
+        inter_h = max(0.0, min(a.bottom, b.bottom) - max(a.y, b.y))
+        inter = inter_w * inter_h
+        if inter <= 0.0:
+            return 0.0
+        union = a.area + b.area - inter
+        return inter / union
+    except OverflowError:
+        # an exact int field (at or above 2**53) whose sums leave the float range: the IoU in exact
+        # arithmetic; imported here, so that no run pays for the import of a path this rare
+        from fractions import Fraction
+
+        ax, ay, aw, ah, bx, by, bw, bh = map(Fraction, (a.x, a.y, a.w, a.h, b.x, b.y, b.w, b.h))
+        inter = max(0, min(ax + aw, bx + bw) - max(ax, bx)) * max(0, min(ay + ah, by + bh) - max(ay, by))
+        return float(inter / (aw * ah + bw * bh - inter))
 
 
 def _iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -19,6 +19,8 @@ STRIP_WIDTH_FRACTION = 0.6
 DOMINANCE_MARGIN = 30.0
 
 _CHANNEL_INDEX = {"red": 0, "green": 1, "blue": 2}
+_CHANNEL_OFFSET = np.array([0, 256, 512], dtype=np.intp)
+_LEVELS = np.arange(256, dtype=np.int64)
 
 
 class ProfileError(ValueError):
@@ -88,17 +90,21 @@ def extract_strip(
     top = (crop.height - sh) // 2
     left = (crop.width - sw) // 2
     window = crop.pixels[top : top + sh, left : left + sw, :]
-    return PixelImage.from_array(window)
+    return PixelImage(sw, sh, 3, window.tobytes())
 
 
 def channel_histogram(strip: PixelImage) -> ChannelHistogram:
     """Histogram and mean of each channel over the whole strip."""
     if strip.channels != 3:
         raise InvariantError(f"channel_histogram expects a 3-channel strip (got {strip.channels})")
-    px = strip.pixels
-    counts = np.stack([np.bincount(px[:, :, c].reshape(-1), minlength=256) for c in range(3)])
+    # one bincount over the samples, channel c's levels moved to c * 256 + level
+    samples = strip.pixels.reshape(-1, 3) + _CHANNEL_OFFSET
+    counts = np.bincount(samples.reshape(-1), minlength=3 * 256).reshape(3, 256)
     counts.flags.writeable = False
-    means = tuple(float(px[:, :, c].mean()) for c in range(3))
+    # each level sum is an exact integer below 2**53, so sum / count rounds once,
+    # as ndarray.mean does with its exact float64 sum
+    n = strip.width * strip.height
+    means = tuple(total / n for total in (counts @ _LEVELS).tolist())
     return ChannelHistogram(counts=counts, means=means)
 
 

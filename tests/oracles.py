@@ -10,6 +10,8 @@ every grid recall.  Keep inputs small.
 import itertools
 import math
 
+import numpy as np
+
 EXCLUDED_BELOW = 32 * 32
 SMALL_UP_TO = 96 * 96
 
@@ -364,3 +366,10 @@ def ref_assemble_number(digits, max_digits):
     kept = sorted(digits, key=_ref_rank)[:max_digits]
     ordered = sorted(kept, key=lambda d: (d[2][0] + d[2][2] / 2.0, -d[1]))
     return int("".join(str(d[0]) for d in ordered))
+
+
+def ref_channel_histogram(pixels):
+    """Per-channel 256-bin counts, (3, 256), and means of an (h, w, 3) uint8 array: a bincount and
+    ndarray.mean per channel."""
+    counts = np.stack([np.bincount(pixels[:, :, c].reshape(-1), minlength=256) for c in range(3)])
+    return counts, tuple(float(pixels[:, :, c].mean()) for c in range(3))

@@ -4,6 +4,7 @@ import os
 import random
 import tempfile
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from oracles import ref_evaluate, ref_greedy_match
@@ -14,6 +15,9 @@ from playlog import (
     DigitDetection,
     PixelImage,
     PlayerDetection,
+    channel_histogram,
+    classify_team,
+    extract_strip,
     format_config,
     iter_detections,
     load_config,
@@ -62,6 +66,48 @@ def record(frame, x=10, y=20, w=40, h=60, score=0.9, digits=(), team="unknown"):
 
 def solid_image(width, height, rgb):
     return PixelImage(width, height, 3, list(rgb) * (width * height))
+
+
+TEAM_RGB = {"home": (200, 40, 40), "away": (100, 100, 100), "unknown": (40, 40, 200)}  # under the default profiles
+
+
+def ppm(width, height, rgb, header="P6\n{w} {h}\n255\n"):
+    """A P6 crop of one colour, its header spelled by ``header``."""
+    return header.format(w=width, h=height).encode("ascii") + bytes(rgb) * (width * height)
+
+
+def paint_crops(records, crops):
+    """A 4x4 crop in the colour of its record's team for each record of ``records``, named as classify-team
+    looks it up."""
+    crops.mkdir(exist_ok=True)
+    counters = {}
+    for _, d in iter_detections(read_lines(records), []):
+        index = counters.get(d.frame_index, 0)
+        counters[d.frame_index] = index + 1
+        (crops / f"{d.frame_index}_{index}.ppm").write_bytes(ppm(4, 4, TEAM_RGB[d.team]))
+
+
+def scalar_classify_team(records, crops, strict):
+    """classify-team's stdout, stderr and exit code by the library's scalar chain, under the default config."""
+    config = load_config()
+    out, messages, notes, counters = [], [], 0, {}
+    try:
+        for line_number, d in iter_detections(read_lines(records), messages, strict):
+            index = counters.get(d.frame_index, 0)
+            counters[d.frame_index] = index + 1
+            crop = crops / f"{d.frame_index}_{index}.ppm"
+            if crop.exists():
+                strip = extract_strip(read_image(crop), config.strip_height_fraction, config.strip_width_fraction)
+                d = d.with_team(classify_team(channel_histogram(strip), config.home_profile, config.away_profile))
+            else:
+                messages.append((line_number, f"record line {line_number}: no crop {crop.name}, team kept"))
+                notes += 1
+            out.append(serialize_detection(d) + "\n")
+    except (ValueError, OSError) as exc:
+        return "".join(out), f"error: {exc}\n", 1
+    skipped = len(messages) - notes
+    err = "".join(m + "\n" for _, m in messages) + (f"{skipped} malformed line(s) skipped\n" if skipped else "")
+    return "".join(out), err, 0
 
 
 class TestUsage:
@@ -198,6 +244,25 @@ class TestAssemble:
         assert run(["assemble", "--input", str(records), "--config", str(cfg)]) == 0
         assert capsys.readouterr().out.split()[7] == "7"
 
+    def test_digit_box_beyond_the_float_range(self, tmp_path, capsys):
+        # a box field at or above 2**53 is read as an exact int, and each first digit box's area is
+        # beyond the float range; line 2's digits overlap by an exact IoU of 1 / (big * 2**53),
+        # which rounds to 0, and line 3's by (2**53 - 2) / 2**53, which suppresses the less confident
+        big = int(1.7e308)
+        assert float(Fraction(1, big * 2**53)) == 0.0
+        lines = [
+            "0 0 1 1 11 0.5 home - 0",
+            f"2 0 1 1 11 0.5 home - 2 1 0.99 0 0 {big} {2**53} 2 0.99 0 0 1 1",
+            f"3 0 1 1 11 0.5 home - 2 1 0.99 0 0 {big} {2**53} 2 0.98 0 0 {big} {2**53 - 2}",
+        ]
+        records = tmp_path / "records.txt"
+        records.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        assert run(["assemble", "--input", str(records)]) == 0
+        captured = capsys.readouterr()
+        numbers = ["-", "21", "1"]  # line 2: digit 2's center is left of digit 1's
+        assert captured.out == "".join(line.replace(" - ", f" {n} ", 1) + "\n" for line, n in zip(lines, numbers))
+        assert captured.err == ""
+
     def test_out_of_range_number_is_fatal(self, tmp_path, capsys):
         digits = tuple(
             DigitDetection(digit=v, confidence=0.99, box=BoundingBox(14 * i, 0, 10, 20))
@@ -241,6 +306,82 @@ class TestClassifyTeam:
             "record line 3: no crop 3_0.ppm, team kept",
             "1 malformed line(s) skipped",
         ]
+
+
+class TestClassifyTeamChain:
+    """classify-team against the scalar chain run here: iter_detections, read_image, extract_strip,
+    channel_histogram, classify_team and serialize_detection, notes and skips printed as the CLI prints them."""
+
+    BAD_CROPS = {
+        "P5 crop": b"P5\n2 2\n255\n\0\0\0\0",
+        "truncated crop": b"P6\n4 4\n255\n" + bytes(10),
+        "bad magic": b"XX\n1 1\n255\n\0\0\0",
+    }
+
+    @staticmethod
+    def long_inputs(tmp_path):
+        """Over 1,024 content lines: malformed, blank and '#' lines on both sides of the first block boundary,
+        rejected lines in the frame of the records after them, missing crops, crops of every team and of
+        headers with a comment or tabs, a frame past 2**63 and a box field of 2**53 + 1."""
+        rng = random.Random(17)
+        crops = tmp_path / "crops"
+        crops.mkdir()
+        headers = ["P6\n{w} {h}\n255\n", "P6\n# crop\n{w} {h}\n255\n", "P6\t{w}\t{h}\t255\t"]
+        lines, content, counters = [], 0, {}
+
+        def add(frame, text):
+            nonlocal content
+            lines.append(text)
+            content += 1
+            index = counters.get(frame, 0)
+            counters[frame] = index + 1
+            if rng.random() < 0.85:  # else its crop is missing
+                rgb = TEAM_RGB[rng.choice(list(TEAM_RGB))]
+                crop = ppm(rng.randint(1, 9), rng.randint(1, 9), rgb, rng.choice(headers))
+                (crops / f"{frame}_{index}.ppm").write_bytes(crop)
+
+        for frame in range(170):
+            for _ in range(rng.randint(5, 8)):
+                if 1016 <= content <= 1032 and rng.random() < 0.5:
+                    lines.append(rng.choice(["", "   ", "# note"]))
+                    rejected = rng.choice([
+                        "garbage", f"{frame} 10 20 40 60 0.9 Home - 0", f"{frame} 10 20 40 60 1.5 home - 0",
+                        f"{frame} 10 20 40 60 0.9 home - 1",
+                    ])
+                    lines.append(rejected)
+                    content += 1
+                digits = (DigitDetection(BoundingBox(1, 2, 5, 9), rng.randint(0, 9), 0.99),)[:rng.randint(0, 1)]
+                add(frame, record(frame, x=rng.randint(0, 50), team=rng.choice(list(TEAM_RGB)), digits=digits))
+        add(2**63 + 5, f"{2**63 + 5} 10 20 40 60 0.9 home - 0")
+        add(7, f"7 {2**53 + 1} 20 40 60 0.9 unknown - 0")
+        records = tmp_path / "records.txt"
+        records.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert content > 1100
+        return records, crops
+
+    @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+    @pytest.mark.parametrize("case", ["long", *BAD_CROPS, "bad byte after a bad crop"])
+    def test_equals_the_scalar_chain(self, case, strict, tmp_path, capsys):
+        if case == "long":
+            records, crops = self.long_inputs(tmp_path)
+        else:
+            # a bad crop in frame 1 after a labelled record and a missing crop, and before a malformed line
+            crops = tmp_path / "crops"
+            crops.mkdir()
+            (crops / "0_0.ppm").write_bytes(ppm(3, 5, TEAM_RGB["home"]))
+            (crops / "1_0.ppm").write_bytes(self.BAD_CROPS.get(case, self.BAD_CROPS["bad magic"]))
+            (crops / "1_1.ppm").write_bytes(ppm(3, 5, TEAM_RGB["away"]))
+            records = tmp_path / "records.txt"
+            text = "\n".join([record(0), record(0), record(1), "garbage", record(1), ""]).encode()
+            records.write_bytes(text + (b"# caf\xc3(\n" + record(2).encode() if case.startswith("bad byte") else b""))
+        expected = scalar_classify_team(records, crops, strict)
+        argv = ["classify-team", "--input", str(records), "--crops", str(crops)]
+        code = run(argv + ["--strict"] * strict)
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err, code) == expected
+        if case == "long" and not strict:
+            labels = {line.split()[6] for line in captured.out.splitlines()}
+            assert labels == set(TEAM_RGB) and "team kept" in captured.err and "malformed" in captured.err
 
 
 class TestEvaluate:
@@ -613,11 +754,15 @@ class TestPipeline:
         clean = game_dir / "detections.txt"
         out = tmp_path / "out.txt"
         workdir = tmp_path / "stages"
+        crops = tmp_path / "crops"
+        paint_crops(clean, crops)
         commands = {
             "pipeline": lambda records: ["pipeline", *cfg, "--clock", str(game_dir / "clock.txt"),
                                          "--records", str(records), "--output", str(out)],
             "pipeline --workdir": lambda records: commands["pipeline"](records) + ["--workdir", str(workdir)],
             "assemble": lambda records: ["assemble", *cfg, "--input", str(records), "--output", str(out)],
+            "classify-team": lambda records: ["classify-team", *cfg, "--input", str(records), "--crops", str(crops),
+                                              "--output", str(out)],
             "evaluate": lambda records: ["evaluate", "--preds", str(records), "--truth", str(clean),
                                          "--output", str(out)],
         }
@@ -642,6 +787,8 @@ class TestPipeline:
             ).encode()
             for records in (clean, mutated)
         }
+        # what the scalar chain writes; each crop shows its record's team
+        labelled = {records: scalar_classify_team(records, crops, False)[0].encode() for records in (clean, mutated)}
         truth = (game_dir / "truth_log.csv").read_bytes()
         calls = {"parse": 0, "serialize": 0}
 
@@ -660,7 +807,7 @@ class TestPipeline:
         )
         monkeypatch.setattr(tempfile, "mkdtemp", forbidden)
         for name, argv in commands.items():
-            writes = name in ("pipeline --workdir", "assemble")
+            writes = name in ("pipeline --workdir", "assemble", "classify-team")
             # the three records in a frame past int64 are read, and written, by the scalar path
             for records, parses, serializes in ((clean, 0, 0), (mutated, 3 * len(rejected), 3 if writes else 0)):
                 calls.update(parse=0, serialize=0)
@@ -672,6 +819,8 @@ class TestPipeline:
                     assert (workdir / "records_assembled.txt").read_bytes() == assembled[records]
                 if name == "assemble":
                     assert out.read_bytes() == assembled[records]
+                if name == "classify-team":
+                    assert out.read_bytes() == labelled[records]
                 if name == "evaluate" and records is clean:
                     assert out.read_bytes().startswith(b"AP_{0.5:0.95} 1.000000\n")
 
@@ -687,15 +836,18 @@ class TestStreaming:
         return code, out
 
     @staticmethod
-    def peak_growth_per_line(tmp_path, one_run, check):
+    def peak_growth_per_line(tmp_path, one_run, check, prepare=None):
         """Bytes by which the traced peak of ``one_run(game_dir)`` grows per record
         line, from the seed-5 game of 1,820 record lines to the one of 7,150.
-        ``check(game_dir)`` checks each run's output, outside the traced span."""
+        ``check(game_dir)`` checks each run's output, and ``prepare(game_dir)``
+        adds to each game's files, both outside the traced span."""
         games, lines, peaks = [], [], []
         for plays in (2, 8):
             game_dir = tmp_path / f"game{plays}"
             assert run(["synth", "--seed", "5", "--output", str(game_dir), "--quarters", "1",
                         "--plays-per-quarter", str(plays), "--fps", "10"]) == 0
+            if prepare is not None:
+                prepare(game_dir)
             games.append(game_dir)
         one_run(games[0])  # warm-up
         for game_dir in games:
@@ -711,26 +863,36 @@ class TestStreaming:
         assert lines == [1820, 7150]
         return (peaks[1] - peaks[0]) / (lines[1] - lines[0])
 
-    @pytest.mark.parametrize("command", ["pipeline", "assemble"])
+    @pytest.mark.parametrize("command", ["pipeline", "assemble", "classify-team"])
     def test_memory_is_flat_in_the_record_count(self, command, tmp_path):
-        # a game four times longer may not raise the peak by the records it holds or writes
-        out = tmp_path / ("log.csv" if command == "pipeline" else "assembled.txt")
+        # a game four times longer may not raise the peak by the records it holds or writes;
+        # every classify-team record has its crop, so no note is kept
+        out = tmp_path / ("log.csv" if command == "pipeline" else "records.txt")
 
         def one_run(game_dir):
             records = game_dir / "detections.txt"
             if command == "pipeline":
                 return self.pipeline(game_dir, game_dir / "clock.txt", records, tmp_path)[0]
+            if command == "classify-team":
+                return run(["classify-team", "--config", str(game_dir / "game.cfg"), "--input", str(records),
+                            "--crops", str(game_dir / "crops"), "--output", str(out)])
             return run(["assemble", "--config", str(game_dir / "game.cfg"), "--input", str(records),
                         "--output", str(out)])
 
         def check(game_dir):
+            records = (game_dir / "detections.txt").read_text(encoding="utf-8")
             if command == "pipeline":
                 assert out.read_bytes() == (game_dir / "truth_log.csv").read_bytes()
+            elif command == "classify-team":
+                assert out.read_text(encoding="utf-8") == records
             else:
-                records = (game_dir / "detections.txt").read_text(encoding="utf-8")
                 assert len(out.read_text(encoding="utf-8").splitlines()) == len(records.splitlines())
 
-        per_record = self.peak_growth_per_line(tmp_path, one_run, check)
+        def prepare(game_dir):
+            if command == "classify-team":
+                paint_crops(game_dir / "detections.txt", game_dir / "crops")
+
+        per_record = self.peak_growth_per_line(tmp_path, one_run, check, prepare)
         assert per_record < 100, f"peak grew {per_record:.0f} bytes per record line"
 
     def test_evaluate_memory_holds_columns_not_records(self, tmp_path):

@@ -560,6 +560,35 @@ class TestPixelImage:
         with pytest.raises(ValueError):
             img.samples[0] = 9
 
+    @pytest.mark.parametrize("width, height, channels", [(1, 1, 1), (1, 1, 3), (2, 3, 3), (5, 1, 3), (4, 4, 1)])
+    def test_bytes_samples_are_not_copied_and_equal_the_checked_path(self, width, height, channels):
+        rng = random.Random(width * height * channels)
+        payload = bytes(rng.randrange(256) for _ in range(width * height * channels))
+        img = PixelImage(width, height, channels, payload)
+        checked = PixelImage(width, height, channels, list(payload))
+        assert img == checked
+        assert (img.pixels.shape, img.pixels.dtype) == (checked.pixels.shape, checked.pixels.dtype)
+        assert np.shares_memory(img.pixels, np.frombuffer(payload, np.uint8))
+
+    def test_bytes_pixels_cannot_be_made_writeable(self):
+        img = PixelImage(2, 1, 3, bytes(6))
+        with pytest.raises(ValueError):
+            img.pixels.flags.writeable = True
+        with pytest.raises(ValueError):
+            img.pixels[0, 0, 0] = 9
+
+    def test_bytearray_samples_are_copied(self):
+        payload = bytearray(range(12))
+        img = PixelImage(2, 2, 3, payload)
+        payload[0] = 99
+        assert img.tobytes() == bytes(range(12))
+
+    @pytest.mark.parametrize("args", [(True, 1, 1, b"\0"), (1.0, 1, 1, b"\0"), (0, 1, 1, b""), (1, 1, 2, b"\0\0"),
+                                      (2, 1, 1, b"\0")])
+    def test_bytes_samples_keep_the_checks(self, args):
+        with pytest.raises(InvariantError):
+            PixelImage(*args)
+
     def test_detached_from_source_array(self):
         src = np.zeros((2, 2, 1), dtype=np.uint8)
         img = PixelImage.from_array(src)

@@ -586,21 +586,21 @@ def handed_over(read):
     try:
         read(records, skipped)
         error = None
-    except Exception as exc:  # also the OverflowError of a digit box whose area no float holds
+    except Exception as exc:  # any error, not only an input error
         error = (type(exc), str(exc))
     return records, error, skipped
 
 
 def scalar_read(lines, strict, assembly):
     """iter_detections, each record given assemble_detection when ``assembly`` is set, as rows of
-    (frame, box, score, team, number or -1, serialize_detection line)."""
+    (line number, frame, box, score, team, number or -1, serialize_detection line)."""
     def read(records, skipped):
-        for _, d in iter_detections(lines, skipped, strict):
+        for line_number, d in iter_detections(lines, skipped, strict):
             if assembly is not None:
                 d = assemble_detection(d, assembly)
             box = tuple(float(v) for v in (d.box.x, d.box.y, d.box.w, d.box.h))
             number = -1 if d.number is None else d.number
-            records.append((d.frame_index, box, d.score, d.team, number, serialize_detection(d)))
+            records.append((line_number, d.frame_index, box, d.score, d.team, number, serialize_detection(d)))
     return read
 
 
@@ -608,8 +608,8 @@ def block_read(lines, strict, assembly, tables=None):
     """read_records' blocks as scalar_read's rows; ``tables`` maps a side to the presence table the blocks fold."""
     def read(records, skipped):
         for block in read_records(lines, skipped, strict, assembly):
-            records.extend(zip(block.frame, map(tuple, block.box.tolist()), block.score.tolist(), block.team,
-                               block.number.tolist(), block.lines()))
+            records.extend(zip(block.line, block.frame, map(tuple, block.box.tolist()), block.score.tolist(),
+                               block.team, block.number.tolist(), block.lines()))
             for side, table in (tables or {}).items():
                 block.fold_presence(table, side)
     return read
@@ -666,7 +666,7 @@ class TestFoldPresence:
         line = f"3 10 20 40 60 0.9 home - 2 1 0.99 {e} 2 {e} {e} 2 0.99 {e + 3} {e + 1} {e + 3} {e + 3}"
         at_overlap = AssemblyConfig(iou_suppress_threshold=1.1102230246251557e-16)
         expected = handed_over(scalar_read([line], False, at_overlap))
-        assert [r[4] for r in expected[0]] == [1]
+        assert [r[5] for r in expected[0]] == [1]
         assert handed_over(block_read([line], False, at_overlap)) == expected
 
     def test_assembled_number_past_99_is_fatal_after_earlier_skips(self):
@@ -678,7 +678,7 @@ class TestFoldPresence:
             assert handed_over(block_read(lines, strict, three)) == expected
         # line 1's record comes before the strict error; assembly finds no number in it
         assert expected[:2] == (
-            [(1, (10.0, 20.0, 40.0, 60.0), 0.9, "home", -1, "1 10 20 40 60 0.9 home - 0")],
+            [(1, 1, (10.0, 20.0, 40.0, 60.0), 0.9, "home", -1, "1 10 20 40 60 0.9 home - 0")],
             (RecordError, "record line 2: expected at least 9 fields, got 1"),
         )
         records, error, skipped = handed_over(block_read(lines, False, three))
@@ -687,8 +687,7 @@ class TestFoldPresence:
         assert skipped == [(2, "record line 2: expected at least 9 fields, got 1")]
 
     def test_any_error_of_the_scalar_chain_comes_after_the_records_before_it(self, monkeypatch):
-        # not only the ValueErrors of a strict run and a number past 99: the scalar
-        # iou, say, overflows on a digit box whose exact area no float holds
+        # not only the ValueErrors of a strict run and a number past 99: any other, an OverflowError, say
         def failing(d, assembly):
             raise OverflowError("int too large to convert to float")
 
@@ -705,5 +704,5 @@ class TestFoldPresence:
 
 def detection_of(row):
     """A record with scalar_read's row's frame, team and number, for presence_table."""
-    frame, _, _, team, number, _ = row
+    _, frame, _, _, team, number, _ = row
     return detection(frame=frame, team=team, number=None if number < 0 else number)

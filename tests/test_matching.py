@@ -1,6 +1,7 @@
 """Box overlap, size buckets, optimal assignment, greedy matching."""
 
 import random
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -49,6 +50,19 @@ class TestIou:
 
     def test_containment(self):
         assert iou(box(0, 0, 10, 10), box(2, 2, 5, 5)) == pytest.approx(25 / 100)
+
+    def test_exact_int_boxes_beyond_the_float_range(self):
+        # a record's box field at or above 2**53 is read as an exact int; with these boxes the
+        # float union overflows, and iou gives the exact IoU rounded once
+        big = int(1.7e308)
+        wide = (0, 0, big, 2**53)
+        for other in [(0.0, 0.0, 1.0, 1.0), (0.0, 0.0, big, float(2**53 - 2))]:
+            a, b = box(*wide), box(*other)
+            with pytest.raises(OverflowError):
+                a.area + b.area - 1.0
+            exact = float(ref_iou(tuple(map(Fraction, wide)), tuple(map(Fraction, other))))
+            assert iou(a, b) == iou(b, a) == exact
+        assert exact == 1 - 2.0**-52
 
     def test_symmetry_and_reference_agreement(self):
         rng = random.Random(41)

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import ref_channel_histogram
 
 from playlog import (
     ChannelHistogram,
@@ -103,6 +106,21 @@ class TestChannelHistogram:
         hist = channel_histogram(solid(1, 2, 3))
         with pytest.raises(ValueError):
             hist.counts[0, 0] = 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 1000), st.integers(1, 1000), st.sampled_from(["random", "constant"]), st.integers(0, 2**32))
+    @example(1000, 1000, "random", 0)
+    @example(1000, 1000, "constant", 255)  # the largest level sums
+    @example(1, 1, "random", 1)
+    def test_equals_a_bincount_and_mean_per_channel(self, width, height, kind, seed):
+        if kind == "random":
+            pixels = np.random.default_rng(seed).integers(0, 256, size=(height, width, 3), dtype=np.uint8)
+        else:
+            pixels = np.full((height, width, 3), seed % 256, dtype=np.uint8)
+        counts, means = ref_channel_histogram(pixels)
+        hist = channel_histogram(PixelImage.from_array(pixels))
+        assert hist.counts.dtype == counts.dtype and np.array_equal(hist.counts, counts)
+        assert hist.means == means  # bit for bit
 
     def test_value_equality(self):
         assert channel_histogram(solid(9, 9, 9)) == channel_histogram(solid(9, 9, 9))
