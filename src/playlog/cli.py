@@ -196,8 +196,7 @@ def _stage_classify_team(
     # gives the reader's skips and a note per missing crop in line order, and the count of skips
     skipped: list[tuple[int, str]] = []
     notes: list[tuple[int, str]] = []
-    crops = str(Path(crops_dir))
-    prefix = "" if crops == "." else os.path.join(crops, "")  # as Path(crops_dir) / name spells it
+    crops = Path(crops_dir)
     strip_size = game_config.strip_height_fraction, game_config.strip_width_fraction
     profiles = game_config.home_profile, game_config.away_profile
     frame_counters: dict[int, int] = {}
@@ -205,14 +204,14 @@ def _stage_classify_team(
         for line_number, frame, line in zip(block.line, block.frame, block.lines()):
             index = frame_counters.get(frame, 0)
             frame_counters[frame] = index + 1
-            name = f"{frame}_{index}.ppm"
-            if os.path.exists(prefix + name):
-                strip = extract_strip(read_image(prefix + name), *strip_size)
+            crop_path = crops / f"{frame}_{index}.ppm"
+            if crop_path.exists():  # raises the errors that are not a missing file, as os.path.exists does not
+                strip = extract_strip(read_image(crop_path), *strip_size)
                 fields = line.split(" ", 7)  # field 6 is the team
                 fields[6] = classify_team(channel_histogram(strip), *profiles)
                 line = " ".join(fields)
             else:
-                notes.append((line_number, f"record line {line_number}: no crop {name}, team kept"))
+                notes.append((line_number, f"record line {line_number}: no crop {crop_path.name}, team kept"))
             out.write(line + "\n")
         del block  # a block kept while the next is read would raise the peak memory by a block
     # the reader adds a block's skips before its records come here; a stable sort puts all in line order

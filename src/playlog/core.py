@@ -371,21 +371,15 @@ class PixelImage:
     __slots__ = ("_pixels",)
 
     def __init__(self, width: int, height: int, channels: int, samples: Iterable[int] | np.ndarray | bytes):
-        if (
-            type(samples) is bytes and type(width) is int and type(height) is int and type(channels) is int
-            and width >= 1 and height >= 1 and (channels == 1 or channels == 3)
-            and len(samples) == width * height * channels
-        ):
-            # immutable bytes need no copy: the array over them is read-only
-            object.__setattr__(self, "_pixels", np.frombuffer(samples, np.uint8).reshape(height, width, channels))
-            return
         w = _require_int("PixelImage", "width", width)
         h = _require_int("PixelImage", "height", height)
         c = _require_int("PixelImage", "channels", channels)
         _require(w >= 1, f"PixelImage.width >= 1 violated (got {w})")
         _require(h >= 1, f"PixelImage.height >= 1 violated (got {h})")
         _require(c in (1, 3), f"PixelImage.channels must be 1 or 3 (got {c})")
-        if isinstance(samples, (bytes, bytearray)):
+        # bytes(samples) is the caller's immutable bytes or a copy of a bytearray: the array over it needs no copy
+        owned = isinstance(samples, (bytes, bytearray))
+        if owned:
             arr = np.frombuffer(bytes(samples), dtype=np.uint8)
         else:
             arr = np.asarray(samples)
@@ -400,7 +394,7 @@ class PixelImage:
             arr.size == w * h * c,
             f"PixelImage.samples length {arr.size} != width*height*channels = {w * h * c}",
         )
-        pixels = arr.reshape(h, w, c).copy()
+        pixels = arr.reshape(h, w, c) if owned else arr.reshape(h, w, c).copy()
         pixels.flags.writeable = False
         object.__setattr__(self, "_pixels", pixels)
 

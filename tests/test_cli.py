@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, diagnostics, and stage chaining."""
 
+import errno
 import os
 import random
 import tempfile
@@ -382,6 +383,20 @@ class TestClassifyTeamChain:
         if case == "long" and not strict:
             labels = {line.split()[6] for line in captured.out.splitlines()}
             assert labels == set(TEAM_RGB) and "team kept" in captured.err and "malformed" in captured.err
+
+    @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+    def test_a_crop_name_too_long_is_an_error_not_a_missing_crop(self, strict, tmp_path, capsys):
+        # frame 10**300 is a valid record whose crop name is longer than a file name may be
+        crops = tmp_path / "crops"
+        crops.mkdir()
+        (crops / "0_0.ppm").write_bytes(ppm(3, 5, TEAM_RGB["home"]))
+        records = tmp_path / "records.txt"
+        records.write_text("\n".join([record(0), record(1), record(10**300), "garbage"]) + "\n", encoding="utf-8")
+        expected = scalar_classify_team(records, crops, strict)
+        assert expected[2] == 1 and expected[1].startswith(f"error: [Errno {errno.ENAMETOOLONG}]")
+        code = run(["classify-team", "--input", str(records), "--crops", str(crops)] + ["--strict"] * strict)
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err, code) == expected
 
 
 class TestEvaluate:
