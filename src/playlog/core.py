@@ -4,22 +4,12 @@ Everything here is a validated, immutable value: construction checks the
 type's invariants and raises :class:`InvariantError` naming the failing
 field, so downstream stages never re-check.  Immutability makes the values
 safe to share across threads or worker processes.
-
-The record types (``BoundingBox``, ``DigitDetection``, ``PlayerDetection``)
-are built once per detection record, so each check starts with one accept
-test: exact built-in types and the ranges, a few comparisons in all.  A
-value that passes it is valid and returns at once.  Anything else (an int
-or bool where a float is stored, a float subclass, NaN or infinity, a list
-of digits, a value out of range) falls through to the detailed checks,
-which alone reject a value and build its message.  The accept test lets
-through only values those checks accept, so it changes no outcome and no
-message.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Iterable, Literal, Mapping, Sequence
 
@@ -31,8 +21,6 @@ VALID_TEAMS: frozenset[str] = frozenset(("home", "away", "unknown"))
 
 GAME_CLOCK_MAX = 900  # 15:00, seconds remaining in a quarter
 PLAY_CLOCK_MAX = 40
-
-_INF = math.inf
 
 
 class InvariantError(ValueError):
@@ -58,17 +46,6 @@ def _require_int(owner: str, name: str, value: object) -> int:
     return int(value)
 
 
-def _require_jersey_number(number: object) -> None:
-    n = _require_int("PlayerDetection", "number", number)
-    if not 0 <= n <= 99:
-        raise InvariantError(f"PlayerDetection.number in 0..99 violated (got {n})")
-
-
-def _require_team(team: object) -> None:
-    if team not in VALID_TEAMS:
-        raise InvariantError(f"PlayerDetection.team must be one of {sorted(VALID_TEAMS)} (got {team!r})")
-
-
 @dataclass(frozen=True, slots=True)
 class BoundingBox:
     """Axis-aligned box in pixel units, corner form, origin at top-left.
@@ -83,12 +60,6 @@ class BoundingBox:
     h: float
 
     def __post_init__(self) -> None:
-        x, y, w, h = self.x, self.y, self.w, self.h
-        if (
-            type(x) is float and type(y) is float and type(w) is float and type(h) is float
-            and 0.0 <= x < _INF and 0.0 <= y < _INF and 0.0 < w < _INF and 0.0 < h < _INF
-        ):
-            return
         for name in ("x", "y", "w", "h"):
             _require_finite_number("BoundingBox", name, getattr(self, name))
         if not self.x >= 0:
@@ -133,12 +104,6 @@ class DigitDetection:
     confidence: float
 
     def __post_init__(self) -> None:
-        digit, confidence = self.digit, self.confidence
-        if (
-            type(self.box) is BoundingBox and type(digit) is int and 0 <= digit <= 9
-            and type(confidence) is float and 0.0 <= confidence <= 1.0
-        ):
-            return
         if not isinstance(self.box, BoundingBox):
             raise InvariantError("DigitDetection.box must be a BoundingBox")
         d = _require_int("DigitDetection", "digit", self.digit)
@@ -166,20 +131,6 @@ class PlayerDetection:
     team: str = "unknown"
 
     def __post_init__(self) -> None:
-        frame, score, digits, number = self.frame_index, self.score, self.digits, self.number
-        if (
-            type(frame) is int and frame >= 0 and type(self.box) is BoundingBox
-            and type(score) is float and 0.0 <= score <= 1.0 and type(digits) is tuple
-            and (number is None or (type(number) is int and 0 <= number <= 99))
-        ):
-            for d in digits:
-                if type(d) is not DigitDetection:
-                    break
-            else:
-                # last, as below: an unhashable team raises TypeError only
-                # once every other field has passed
-                if self.team in VALID_TEAMS:
-                    return
         f = _require_int("PlayerDetection", "frame_index", self.frame_index)
         if not f >= 0:
             raise InvariantError(f"PlayerDetection.frame_index >= 0 violated (got {f})")
@@ -193,33 +144,19 @@ class PlayerDetection:
             if not isinstance(d, DigitDetection):
                 raise InvariantError("PlayerDetection.digits must hold DigitDetection values")
         if self.number is not None:
-            _require_jersey_number(self.number)
-        _require_team(self.team)
-
-    # The copies below check only the replaced field; every other field is
-    # already validated and is shared with this detection.
+            n = _require_int("PlayerDetection", "number", self.number)
+            if not 0 <= n <= 99:
+                raise InvariantError(f"PlayerDetection.number in 0..99 violated (got {n})")
+        if self.team not in VALID_TEAMS:
+            raise InvariantError(f"PlayerDetection.team must be one of {sorted(VALID_TEAMS)} (got {self.team!r})")
 
     def with_number(self, number: int | None) -> "PlayerDetection":
         """Copy with ``number`` replaced."""
-        if number is not None and not (type(number) is int and 0 <= number <= 99):
-            _require_jersey_number(number)
-        return self._copy(number, self.team)
+        return replace(self, number=number)
 
     def with_team(self, team: str) -> "PlayerDetection":
         """Copy with ``team`` replaced."""
-        _require_team(team)
-        return self._copy(self.number, team)
-
-    def _copy(self, number: int | None, team: str) -> "PlayerDetection":
-        copy = object.__new__(type(self))
-        set_field = object.__setattr__
-        set_field(copy, "frame_index", self.frame_index)
-        set_field(copy, "box", self.box)
-        set_field(copy, "score", self.score)
-        set_field(copy, "digits", self.digits)
-        set_field(copy, "number", number)
-        set_field(copy, "team", team)
-        return copy
+        return replace(self, team=team)
 
 
 @dataclass(frozen=True)

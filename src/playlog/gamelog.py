@@ -170,10 +170,6 @@ def _box_value(text: str) -> float:
     return value
 
 
-def _exact_box(texts: Sequence[str]) -> BoundingBox:
-    return BoundingBox(*map(_box_value, texts))
-
-
 def parse_detection(line: str, line_number: int | None = None) -> PlayerDetection:
     """Inverse of serialize_detection."""
     prefix = f"record line {line_number}: " if line_number is not None else ""
@@ -187,13 +183,9 @@ def parse_detection(line: str, line_number: int | None = None) -> PlayerDetectio
         # Fields are indexed directly.  Conversions and checking constructors
         # run in a fixed order (each digit's box before its class and
         # confidence, the player's own range checks last), which decides
-        # the error reported for a line with several bad fields.  A box
-        # whose fields sum below 2**53 has none at or above it (a negative
-        # field makes the box invalid anyway), so only a larger sum takes
-        # the exact path of _box_value.
+        # the error reported for a line with several bad fields.
         frame = int(fields[0])
-        x, y, w, h = float(fields[1]), float(fields[2]), float(fields[3]), float(fields[4])
-        box = BoundingBox(x, y, w, h) if x + y + w + h < _EXACT else _exact_box(fields[1:5])
+        box = BoundingBox(*map(_box_value, fields[1:5]))
         score = float(fields[5])
         team = fields[6]
         number = None if fields[7] == "-" else int(fields[7])
@@ -202,8 +194,7 @@ def parse_detection(line: str, line_number: int | None = None) -> PlayerDetectio
             raise ValueError(f"expected {6 * count} digit fields, got {n - 9}")
         digits = []
         for i in range(9, n, 6):
-            x, y, w, h = float(fields[i + 2]), float(fields[i + 3]), float(fields[i + 4]), float(fields[i + 5])
-            digit_box = BoundingBox(x, y, w, h) if x + y + w + h < _EXACT else _exact_box(fields[i + 2:i + 6])
+            digit_box = BoundingBox(*map(_box_value, fields[i + 2:i + 6]))
             digits.append(DigitDetection(digit_box, int(fields[i]), float(fields[i + 1])))
         return PlayerDetection(frame, box, score, tuple(digits), number, team)
     except (ValueError, InvariantError) as exc:
@@ -321,7 +312,10 @@ def read_records(
     the number that ``assembly`` makes of its digits when ``assembly`` is
     given (``jersey.assemble_detection``).  Each block is split once, its
     fields read with int() and float() into arrays, and every line checked
-    there with the accept tests of the record types.  A line the arrays
+    there against the checks of BoundingBox, DigitDetection and
+    PlayerDetection: the arrays accept a line only if those checks accept
+    the record parse_detection reads from it and every box field is below
+    2**53, where parse_detection reads each as a float.  A line the arrays
     reject, and every line of the block with as many fields as one whose
     fields do not convert, goes through that scalar chain itself, in line
     order: so each diagnostic, strict error and error for an assembled
@@ -447,18 +441,18 @@ def _columns(rows: list[list[str]], n: int) -> tuple:
 
 
 def _box_ok(x: np.ndarray, y: np.ndarray, w: np.ndarray, h: np.ndarray) -> np.ndarray:
-    # BoundingBox's accept test on parse_detection's float path: with no
-    # field negative, a sum below 2**53 leaves none infinite
+    # the boxes BoundingBox accepts whose fields _box_value reads as floats: with
+    # no field negative, a sum below 2**53 leaves each below 2**53 and none infinite
     return (0.0 <= x) & (0.0 <= y) & (0.0 < w) & (0.0 < h) & (x + y + w + h < _EXACT)
 
 
 def _checked(columns: tuple, assembly: AssemblyConfig | None) -> tuple:
     """Per row: the number (-1 for none), and whether the row is accepted.
 
-    A row is accepted when parse_detection reads it to a valid record by
-    the float path and, with ``assembly``, its assembled number is 0..99
-    or none.  The number is the assembled one with ``assembly``, else the
-    number field.
+    A row is accepted when the checks of the record types accept what
+    parse_detection reads from it, every box field below 2**53 (_box_ok),
+    and, with ``assembly``, its assembled number is 0..99 or none.  The
+    number is the assembled one with ``assembly``, else the number field.
     """
     ints, floats, teams, dashes, number = columns
     m, k = len(teams), len(ints) - 2

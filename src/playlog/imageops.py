@@ -8,6 +8,7 @@ fixture I/O.
 from __future__ import annotations
 
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -133,26 +134,22 @@ def write_image(image: PixelImage, path: str | Path) -> None:
     Path(path).write_bytes(header + image.tobytes())
 
 
+# one header token: the whitespace and '#' comments before it, then the token itself
+_HEADER_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*(\S*)")
+
+
 def _read_header_tokens(data: bytes, count: int, start: int) -> tuple[list[int], int]:
     tokens: list[int] = []
     i = start
-    while len(tokens) < count:
-        while i < len(data) and data[i : i + 1].isspace():
-            i += 1
-        if i < len(data) and data[i : i + 1] == b"#":
-            while i < len(data) and data[i : i + 1] not in (b"\n", b"\r"):
-                i += 1
-            continue
-        j = i
-        while j < len(data) and not data[j : j + 1].isspace():
-            j += 1
-        if j == i:
+    for _ in range(count):
+        match = _HEADER_TOKEN.match(data, i)
+        token = match[1]
+        if not token:
             raise InvariantError("truncated image header")
-        token = data[i:j]
         if not token.isdigit():
             raise InvariantError(f"bad image header token {token!r}")
         tokens.append(int(token))
-        i = j
+        i = match.end()
     if i >= len(data) or not data[i : i + 1].isspace():
         raise InvariantError("image header must end with whitespace")
     return tokens, i + 1

@@ -61,11 +61,7 @@ def suppress_digits(
     Returns survivors in descending confidence order.  Idempotent.
     """
     cfg = config or AssemblyConfig()
-    threshold = cfg.confidence_threshold
-    candidates = [d for d in digits if d.confidence >= threshold]
-    if len(candidates) <= 1:
-        return candidates
-    candidates.sort(key=_rank_key)
+    candidates = sorted((d for d in digits if d.confidence >= cfg.confidence_threshold), key=_rank_key)
     overlap = cfg.iou_suppress_threshold
     kept: list[DigitDetection] = []
     for d in candidates:
@@ -91,8 +87,6 @@ def assemble_number(
     """
     if not digits:
         return None
-    if len(digits) == 1:
-        return int(digits[0].digit)
     cfg = config or AssemblyConfig()
     if len(digits) > cfg.max_digits:
         # only a cut needs the rank order; within the cap _place_key decides

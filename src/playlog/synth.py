@@ -52,6 +52,9 @@ _CUT_FRAMES_RANGE = (2, 5)      # absent-clock frames between plays
 
 _CORRUPT_GAME_FIELD = "9?:?7"   # never parses, so the line is skipped
 
+_HOME_POOL_MAX = 60  # the home roster's size cap, so the most home players in one play
+_AWAY_PLAYERS_MAX = 98  # the away pool draws two numbers more than this from 0..99
+
 
 class SynthConfigError(ValueError):
     """The synthetic game configuration cannot produce a valid game."""
@@ -95,6 +98,10 @@ class SynthConfig:
                 raise SynthConfigError(f"{name} must be a (min, max) pair of counts (got {rng_pair!r})")
         if self.players_per_play[0] < 1:
             raise SynthConfigError("players_per_play minimum must be >= 1")
+        for name, limit in (("players_per_play", _HOME_POOL_MAX), ("away_players_per_play", _AWAY_PLAYERS_MAX)):
+            most = getattr(self, name)[1]
+            if most > limit:
+                raise SynthConfigError(f"{name} maximum <= {limit} violated (got {most})")
         for name in ("ocr_corruption_rate", "digit_error_rate", "detection_drop_rate"):
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and 0.0 <= v < 1.0):
@@ -188,7 +195,7 @@ def generate_game(cfg: SynthConfig) -> SynthGame:
     digit_rng = random.Random(f"{cfg.seed}:digit")
     drop_rng = random.Random(f"{cfg.seed}:drop")
 
-    pool_size = min(60, max(cfg.players_per_play[1] + 5, 16))
+    pool_size = min(_HOME_POOL_MAX, max(cfg.players_per_play[1] + 5, 16))
     roster = _make_roster(rng, pool_size, HOME_TEAM_NAME)
     home_pool = sorted(roster.entries)
     away_pool = rng.sample(range(100), max(cfg.away_players_per_play[1] + 2, 6))

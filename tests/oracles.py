@@ -373,3 +373,35 @@ def ref_channel_histogram(pixels):
     ndarray.mean per channel."""
     counts = np.stack([np.bincount(pixels[:, :, c].reshape(-1), minlength=256) for c in range(3)])
     return counts, tuple(float(pixels[:, :, c].mean()) for c in range(3))
+
+
+def ref_read_header_tokens(data, count, start):
+    """The ``count`` decimal tokens of a PPM/PGM header from ``start``, walked one byte at a time.
+
+    Whitespace is skipped; a '#' where a token could start comments out the
+    rest of its line.  Returns the tokens and the offset just past the one
+    whitespace byte that must follow the last; RefInvariant with the
+    package's text otherwise.
+    """
+    tokens = []
+    i = start
+    while len(tokens) < count:
+        while i < len(data) and data[i : i + 1].isspace():
+            i += 1
+        if i < len(data) and data[i : i + 1] == b"#":
+            while i < len(data) and data[i : i + 1] not in (b"\n", b"\r"):
+                i += 1
+            continue
+        j = i
+        while j < len(data) and not data[j : j + 1].isspace():
+            j += 1
+        if j == i:
+            raise RefInvariant("truncated image header")
+        token = data[i:j]
+        if not token.isdigit():
+            raise RefInvariant(f"bad image header token {token!r}")
+        tokens.append(int(token))
+        i = j
+    if i >= len(data) or not data[i : i + 1].isspace():
+        raise RefInvariant("image header must end with whitespace")
+    return tokens, i + 1

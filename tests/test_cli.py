@@ -664,6 +664,13 @@ class TestSynth:
         ) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_more_players_than_the_roster_holds(self, tmp_path, capsys):
+        out = tmp_path / "g"
+        assert run(["synth", "--seed", "1", "--output", str(out), "--players-min", "61", "--players-max", "61",
+                    "--quarters", "1", "--plays-per-quarter", "1"]) == 1
+        assert capsys.readouterr().err == "error: players_per_play maximum <= 60 violated (got 61)\n"
+        assert not out.exists()
+
 
 class TestPipeline:
     @pytest.fixture()
@@ -764,7 +771,8 @@ class TestPipeline:
         # well-formed lines are checked on arrays, and the columnar writer writes them;
         # each line the arrays reject is parsed once by the scalar parse_detection,
         # serialize_detection writes only the records that the scalar path read,
-        # and `pipeline` makes no temp directory
+        # no record type is built for a line the arrays accept, and `pipeline`
+        # makes no temp directory
         cfg = ["--config", str(game_dir / "game.cfg")]
         clean = game_dir / "detections.txt"
         out = tmp_path / "out.txt"
@@ -805,7 +813,7 @@ class TestPipeline:
         # what the scalar chain writes; each crop shows its record's team
         labelled = {records: scalar_classify_team(records, crops, False)[0].encode() for records in (clean, mutated)}
         truth = (game_dir / "truth_log.csv").read_bytes()
-        calls = {"parse": 0, "serialize": 0}
+        calls = {"parse": 0, "serialize": 0, "validate": 0}
 
         def counting(name, function):
             def counted(*args, **kwargs):
@@ -820,14 +828,19 @@ class TestPipeline:
         monkeypatch.setattr(
             playlog.gamelog, "serialize_detection", counting("serialize", playlog.gamelog.serialize_detection)
         )
+        for record_type in (BoundingBox, DigitDetection, PlayerDetection):
+            monkeypatch.setattr(record_type, "__post_init__", counting("validate", record_type.__post_init__))
         monkeypatch.setattr(tempfile, "mkdtemp", forbidden)
         for name, argv in commands.items():
             writes = name in ("pipeline --workdir", "assemble", "classify-team")
             # the three records in a frame past int64 are read, and written, by the scalar path
             for records, parses, serializes in ((clean, 0, 0), (mutated, 3 * len(rejected), 3 if writes else 0)):
-                calls.update(parse=0, serialize=0)
+                calls.update(parse=0, serialize=0, validate=0)
                 assert run(argv(records)) == 0
-                assert calls == {"parse": parses, "serialize": serializes}, (name, records.name)
+                # the scalar path builds the record types; nothing of the clean game takes it
+                validates = 0 if records is clean else calls["validate"]
+                assert calls == {"parse": parses, "serialize": serializes, "validate": validates}, (name, records.name)
+                assert records is clean or validates > 0, name
                 if name.startswith("pipeline"):
                     assert out.read_bytes() == truth
                 if name == "pipeline --workdir":

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import RefInvariant, ref_read_header_tokens
 
 from playlog import (
     InvariantError,
@@ -16,6 +19,7 @@ from playlog import (
     to_grayscale,
     write_image,
 )
+from playlog.imageops import _read_header_tokens
 
 
 def random_image(rng, w, h, c):
@@ -249,6 +253,49 @@ class TestImageIO:
         path.write_bytes(b"P5\n2 2\n255\n\x00")
         with pytest.raises(InvariantError):
             read_image(path)
+
+    @pytest.mark.parametrize("data, message", [
+        (b"P5\n2 2", "truncated image header"),
+        (b"P5\n2 2 # 255\n", "truncated image header"),
+        (b"P5\n2x 2 255\n\x00", "bad image header token b'2x'"),
+        (b"P6 2 -2 255\n\x00", "bad image header token b'-2'"),
+        (b"P5\n2 2 255", "image header must end with whitespace"),
+    ])
+    def test_header_errors(self, tmp_path, data, message):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(data)
+        with pytest.raises(InvariantError) as info:
+            read_image(path)
+        assert str(info.value) == message
+
+
+def header_outcome(read, data, count, start):
+    try:
+        return ("ok", read(data, count, start))
+    except (InvariantError, RefInvariant) as exc:
+        return ("error", str(exc))
+
+
+# whitespace as bytes.isspace takes it, comment marks, digits, and stray bytes
+# (\x1c and \x85 are whitespace to str.isspace, not to bytes.isspace)
+header_pieces = st.sampled_from(
+    [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"#", b"0", b"7", b"255", b"x", b"-", b"\x00", b"\x1c", b"\x85", b"\xff"]
+)
+
+
+class TestHeaderTokens:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(header_pieces, max_size=24).map(b"".join), st.integers(0, 4), st.integers(0, 3))
+    @example(b"P5 # magic\n# a comment line\n 2\t1 \n255\n\x01\x02", 3, 2)
+    @example(b"P5\n2 2 255", 3, 2)
+    @example(b"P5\n2 2 255\r", 3, 2)
+    @example(b"P5\n1 1#x\n255 ", 3, 2)
+    @example(b"P5#\r1\x0c1\x0b255\t", 3, 2)
+    @example(b"P5\n", 0, 2)
+    def test_matches_the_byte_walk(self, data, count, start):
+        assert header_outcome(_read_header_tokens, data, count, start) == header_outcome(
+            ref_read_header_tokens, data, count, start
+        )
 
 
 class TestPreprocessChain:

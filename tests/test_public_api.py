@@ -1,0 +1,26 @@
+"""The package's public names, pinned: adding or removing one edits this list."""
+
+import playlog
+
+PUBLIC_API = (
+    "AssemblyConfig", "Assignment", "BoundingBox", "ChannelHistogram", "ClassDistribution", "ClockParseError",
+    "ClockReading", "ClockStreamError", "ClockStreamResult", "ConfigError", "ConfusionMatrix", "DEFAULTS",
+    "DegenerateMetricWarning", "DetectionLoadResult", "DigitDetection", "EvalReport", "GameConfig", "GameLogEntry",
+    "InvariantError", "PixelImage", "PlayWindow", "PlayerDetection", "ProfileError", "RecordBlock", "RecordError",
+    "Roster", "SegmenterConfig", "SizeBucket", "SynthConfig", "SynthConfigError", "SynthGame", "TeamColorProfile",
+    "assemble_number", "binary_threshold", "build_game_config", "channel_histogram", "classify_team", "clock",
+    "config", "confusion_matrix", "core", "emit_game_log", "evaluate_detections", "extract_strip", "focal_loss",
+    "format_clock_line", "format_config", "format_mmss", "format_play_windows", "gamelog", "gaussian_blur",
+    "gaussian_kernel1d", "generate_game", "group_by_frame", "hungarian_assign", "imageops", "invert", "iou",
+    "iou_matrix", "iter_detections", "jersey", "label_quarters", "load_config", "load_detections", "load_roster",
+    "match_detections", "matching", "metrics", "pad_to_square", "parse_clock_line", "parse_clock_stream",
+    "parse_config_text", "parse_detection", "parse_game_log", "parse_mmss", "parse_play_windows", "presence_table",
+    "prf1", "read_image", "read_records", "resolve_names", "roster_lines", "scale", "segment_plays",
+    "serialize_detection", "size_bucket", "suppress_digits", "synchronize", "synchronize_presence", "synth",
+    "teamcolor", "textfile", "to_grayscale", "write_image",
+)
+
+
+def test_public_names_are_pinned():
+    # a change here is a change of public API: record it in CHANGES.md
+    assert tuple(sorted(playlog.__all__)) == PUBLIC_API

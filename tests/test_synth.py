@@ -40,6 +40,23 @@ class TestConfig:
         with pytest.raises(SynthConfigError):
             SynthConfig(seed=1, **merged)
 
+    @pytest.mark.parametrize("name, counts, message", [
+        ("players_per_play", (61, 61), "players_per_play maximum <= 60 violated (got 61)"),
+        ("players_per_play", (6, 61), "players_per_play maximum <= 60 violated (got 61)"),
+        ("away_players_per_play", (1, 99), "away_players_per_play maximum <= 98 violated (got 99)"),
+    ])
+    def test_player_counts_beyond_the_number_pools(self, name, counts, message):
+        with pytest.raises(SynthConfigError) as info:
+            SynthConfig(seed=1, **{**BASE, name: counts})
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("name, counts", [("players_per_play", (60, 60)), ("away_players_per_play", (98, 98))])
+    def test_player_counts_at_the_limit_generate(self, name, counts):
+        g = game(seed=1, quarters=1, plays_per_quarter=1, frames_per_second=1, **{name: counts})
+        side = "home" if name == "players_per_play" else "away"
+        per_frame = Counter(line.split()[0] for line in g.detection_lines if line.split()[6] == side)
+        assert per_frame and set(per_frame.values()) == {counts[0]}
+
     def test_overfull_quarter_rejected_at_generation(self):
         with pytest.raises(SynthConfigError):
             generate_game(SynthConfig(seed=1, quarters=1, plays_per_quarter=200,
