@@ -5,6 +5,8 @@ and scoreboard clock text) into an indexed per-play game log, and scores
 detector output with the usual AP/AR machinery.
 """
 
+from types import ModuleType as _ModuleType
+
 from .clock import (
     ClockParseError,
     ClockStreamError,
@@ -102,4 +104,5 @@ from .teamcolor import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above; the submodules they come from are not exported
+__all__ = [name for name in dir() if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

@@ -1,8 +1,7 @@
 """Box geometry and bipartite matching.
 
-The assignment solver is the augmenting-path formulation with row/column
-potentials (O(n^3)); the exhaustive permutation check lives in the test
-suite, not here.
+The assignment solver is scipy's ``linear_sum_assignment``; the exhaustive
+permutation check lives in the test suite, not here.
 """
 
 from __future__ import annotations
@@ -56,13 +55,15 @@ def _iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     ax, ay, aw, ah = np.moveaxis(a, -1, 0)
     bx, by, bw, bh = np.moveaxis(b, -1, 0)
-    inter_w = np.maximum(0.0, np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx))
-    inter_h = np.maximum(0.0, np.minimum(ay + ah, by + bh) - np.maximum(ay, by))
-    inter = inter_w * inter_h
-    # iou returns 0.0 without dividing where inter <= 0; so does every such pair here
-    disjoint = inter <= 0.0
-    union = np.where(disjoint, 1.0, aw * ah + bw * bh - inter)
-    return np.where(disjoint, 0.0, inter / union)
+    # a sum or product beyond the float range gives the inf or nan that iou's float arithmetic gives
+    with np.errstate(over="ignore", invalid="ignore"):
+        inter_w = np.maximum(0.0, np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx))
+        inter_h = np.maximum(0.0, np.minimum(ay + ah, by + bh) - np.maximum(ay, by))
+        inter = inter_w * inter_h
+        # iou returns 0.0 without dividing where inter <= 0; so does every such pair here
+        disjoint = inter <= 0.0
+        union = np.where(disjoint, 1.0, aw * ah + bw * bh - inter)
+        return np.where(disjoint, 0.0, inter / union)
 
 
 def _box_array(boxes: Sequence[BoundingBox]) -> np.ndarray:
@@ -104,9 +105,9 @@ class Assignment:
 def hungarian_assign(cost: Sequence[Sequence[float]]) -> Assignment:
     """Minimum-cost assignment over an n x m cost matrix.
 
-    Returns min(n, m) pairs.  Rectangular inputs are padded internally with
-    zero-cost dummy rows/columns, so the result is the cheapest way to use
-    every row (or every column, whichever side is smaller).
+    Returns min(n, m) pairs: the cheapest way to use every row (or every
+    column, whichever side is smaller).  Among equal-cost optima, which one
+    is returned is unspecified.
     """
     rows = [list(r) for r in cost]
     n = len(rows)
@@ -122,53 +123,12 @@ def hungarian_assign(cost: Sequence[Sequence[float]]) -> Assignment:
             if not (isinstance(v, (int, float)) and math.isfinite(v)):
                 raise InvariantError(f"cost[{i}][{j}] must be finite (got {v!r})")
 
-    k = max(n, m)
-    a = [[float(rows[i][j]) if i < n and j < m else 0.0 for j in range(k)] for i in range(k)]
+    # imported here: scipy.optimize takes longer to import than a whole CLI run takes to start,
+    # and no command solves an assignment
+    from scipy.optimize import linear_sum_assignment
 
-    inf = math.inf
-    u = [0.0] * (k + 1)
-    v = [0.0] * (k + 1)
-    match = [0] * (k + 1)  # match[j] = row assigned to column j, 1-based
-    way = [0] * (k + 1)
-    for i in range(1, k + 1):
-        match[0] = i
-        j0 = 0
-        minv = [inf] * (k + 1)
-        used = [False] * (k + 1)
-        while True:
-            used[j0] = True
-            i0 = match[j0]
-            delta = inf
-            j1 = 0
-            for j in range(1, k + 1):
-                if used[j]:
-                    continue
-                cur = a[i0 - 1][j - 1] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(k + 1):
-                if used[j]:
-                    u[match[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if match[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            match[j0] = match[j1]
-            j0 = j1
-
-    pairs = sorted(
-        (match[j] - 1, j - 1)
-        for j in range(1, k + 1)
-        if match[j] != 0 and match[j] - 1 < n and j - 1 < m
-    )
+    row_ind, col_ind = linear_sum_assignment(np.array(rows, dtype=np.float64))
+    pairs = sorted(zip(row_ind.tolist(), col_ind.tolist()))
     total = sum(rows[i][j] for i, j in pairs)
     return Assignment(tuple(pairs), float(total))
 

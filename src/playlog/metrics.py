@@ -183,7 +183,8 @@ _EXCLUDED, _SMALL, _LARGE, _UNMATCHED = 0, 1, 2, 3
 
 def _size_codes(box: np.ndarray) -> np.ndarray:
     """``size_bucket`` of each (x, y, w, h) row, as a bucket code."""
-    area = box[:, 2] * box[:, 3]
+    with np.errstate(over="ignore"):  # an area beyond the float range is inf, as in size_bucket
+        area = box[:, 2] * box[:, 3]
     codes = np.where(area < SMALL_MIN_AREA, _EXCLUDED, np.where(area <= SMALL_MAX_AREA, _SMALL, _LARGE))
     return codes.astype(np.int8)
 

@@ -5,6 +5,7 @@ import os
 import random
 import tempfile
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -463,6 +464,26 @@ class TestEvaluate:
                 "warning: AP with num_gt = 0 pinned to 0\n"
                 "warning: AR over an empty size bucket pinned to 0\n"
             )
+
+    def test_box_area_beyond_the_float_range_warns_nothing_more(self, tmp_path, capsys):
+        # 1.7e308 * 60 overflows to an infinite area: a large box, scored without a RuntimeWarning
+        preds = tmp_path / "preds.txt"
+        truth = tmp_path / "truth.txt"
+        preds.write_text("0 10 20 1.7e308 60 0.9 home - 0\n0 100 100 40 60 0.8 home - 0\n", encoding="utf-8")
+        truth.write_text("0 100 100 40 60 1 home - 0\n", encoding="utf-8")
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter("always")
+            assert run(["evaluate", "--preds", str(preds), "--truth", str(truth)]) == 0
+        assert [w.message for w in shown if issubclass(w.category, RuntimeWarning)] == []
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "AP_{0.5:0.95} 0.500000\nAP_{0.50} 0.500000\nAP_{0.75} 0.500000\n"
+            "AP_small 1.000000\nAP_large 0.000000\nAR_small 1.000000\nAR_large 0.000000\n"
+        )
+        assert captured.err == (
+            "warning: AP with num_gt = 0 pinned to 0\n"
+            "warning: AR over an empty size bucket pinned to 0\n"
+        )
 
     def test_truth_frame_without_predictions_scores_empty(self, tmp_path, capsys):
         truth = tmp_path / "truth.txt"

@@ -179,15 +179,19 @@ class TestHungarian:
 
     def test_matches_brute_force_integer(self):
         rng = random.Random(1003)
-        for _ in range(300):
-            n = rng.randint(1, 5)
-            m = rng.randint(1, 5)
-            cost = [[rng.randint(-20, 20) for _ in range(m)] for _ in range(n)]
-            result = hungarian_assign(cost)
-            expected_total, _ = brute_force_assignment(cost)
-            assert result.total_cost == pytest.approx(expected_total, abs=1e-9)
-            assert sum(cost[r][c] for r, c in result.pairs) == pytest.approx(result.total_cost, abs=1e-9)
-            assert len(result.pairs) == min(n, m)
+        # (cases, largest side, cost span): costs in -2..2 tie often, and a tie is
+        # where the optimum that is returned can change
+        for cases, side, span in ((300, 5, 20), (300, 7, 2)):
+            for _ in range(cases):
+                n = rng.randint(1, side)
+                m = rng.randint(1, side)
+                cost = [[rng.randint(-span, span) for _ in range(m)] for _ in range(n)]
+                result = hungarian_assign(cost)
+                expected_total, _ = brute_force_assignment(cost)
+                assert result.total_cost == expected_total
+                rows, cols = zip(*result.pairs)
+                assert len(result.pairs) == len(set(rows)) == len(set(cols)) == min(n, m)
+                assert sum(cost[r][c] for r, c in result.pairs) == result.total_cost
 
     def test_matches_brute_force_float(self):
         rng = random.Random(1004)
