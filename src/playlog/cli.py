@@ -20,8 +20,8 @@ given jersey numbers there; a line the arrays reject takes the scalar path
 (parse, assemble), which alone reports it.  `log` and `pipeline` fold the
 blocks into a per-frame table of the side's jersey numbers, `assemble` and
 `pipeline --workdir` write their record lines, `classify-team` writes each
-line with the team label of its crop, and `evaluate` folds the blocks into
-flat columns (frame, box, score, number) and scores every frame at once.
+line with the team label of its crop, and `evaluate` hands the blocks of
+both files to `metrics.evaluate_records`, which keeps only flat columns.
 So the memory of all of them stays flat in the record count.
 
 Exit codes: 0 success, 1 input error, 2 internal error.  Diagnostics for
@@ -38,14 +38,11 @@ import argparse
 import os
 import sys
 import warnings
-from array import array
 from contextlib import contextmanager
 from operator import itemgetter
 from pathlib import Path
 from contextlib import nullcontext
-from typing import Iterable, Iterator, Sequence, TextIO
-
-import numpy as np
+from typing import Iterator, Sequence, TextIO
 
 from .clock import (
     SegmenterConfig,
@@ -58,7 +55,6 @@ from .config import format_config, load_config
 from .core import PlayWindow
 from .gamelog import (
     GameConfig,
-    RecordBlock,
     emit_game_log,
     read_records,
     roster_lines,
@@ -75,8 +71,7 @@ from .imageops import (
     write_image,
 )
 from .jersey import AssemblyConfig
-from .matching import DetectionColumns
-from .metrics import DegenerateMetricWarning, confusion_matrix, evaluate_columns
+from .metrics import DegenerateMetricWarning, evaluate_records
 from .synth import SynthConfig, generate_game
 from .teamcolor import channel_histogram, classify_team, extract_strip
 from .textfile import number_token, read_lines
@@ -238,70 +233,20 @@ def _matrix_rows(matrix, fmt: str) -> str:
     return "".join(" ".join(fmt % v for v in row) + "\n" for row in matrix)
 
 
-class _RecordColumns:
-    """One record file's blocks folded into flat columns as they stream past:
-    per record, its frame, box, score and jersey number (0..99, or -1 for
-    none); the blocks themselves are not kept."""
-
-    def __init__(self, blocks: Iterable[RecordBlock]) -> None:
-        self.frame_ids: dict[int, int] = {}  # frame index -> id, in order of first sight
-        ids = array("q")
-        values = array("d")
-        numbers = array("b")
-        for block in blocks:
-            ids.extend(self.frame_ids.setdefault(f, len(self.frame_ids)) for f in block.frame)
-            values.frombytes(np.column_stack((block.box, block.score)).tobytes())
-            numbers.frombytes(block.number.astype(np.int8).tobytes())
-            del block  # a block kept while the next is read would raise the peak memory by a block
-        self._ids = np.frombuffer(ids, dtype=np.int64)
-        self._values = np.frombuffer(values, dtype=np.float64).reshape(-1, 5)
-        self.numbers = np.frombuffer(numbers, dtype=np.int8)
-
-    def columns(self, position: dict[int, int]) -> DetectionColumns:
-        """The detection columns, each frame given as its ``position``."""
-        frame_position = np.array([position[f] for f in self.frame_ids], dtype=np.int64)
-        return DetectionColumns(frame_position[self._ids], self._values[:, :4], self._values[:, 4])
-
-
 def _stage_evaluate(
     preds_path: str, truth_path: str, include_confusion: bool, strict: bool
 ) -> tuple[str, tuple[str, ...], int]:
     skipped: list[tuple[int, str]] = []
-    preds = _RecordColumns(read_records(read_lines(preds_path), skipped, strict))
-    truth = _RecordColumns(read_records(read_lines(truth_path), skipped, strict))
-    diagnostics = [message for _, message in skipped]
-    # the record format cannot express an empty frame: a truth frame the
-    # detector missed altogether scores as empty, and predictions in a frame
-    # without truth records (nobody in view) are all false positives
-    frames = sorted(preds.frame_ids.keys() | truth.frame_ids.keys())
-    position = {f: k for k, f in enumerate(frames)}
-    pred_columns = preds.columns(position)
-    report, pairs = evaluate_columns(
-        pred_columns, truth.columns(position), pairing_iou=CONFUSION_MATCH_IOU if include_confusion else None
+    report, cm, notes = evaluate_records(
+        read_records(read_lines(preds_path), skipped, strict),
+        read_records(read_lines(truth_path), skipped, strict),
+        pairing_iou=CONFUSION_MATCH_IOU if include_confusion else None,
     )
     text = report.to_text()
-    if pairs is not None:
-        # pairs in (frame, prediction line) order
-        rows = np.argsort(pred_columns.frame, kind="stable")
-        rows = rows[pairs[rows] >= 0]
-        true_numbers = truth.numbers[pairs[rows]]
-        predicted_numbers = preds.numbers[rows]
-        numbered = (true_numbers >= 0) & (predicted_numbers >= 0)
-        true_digits, predicted_digits = array("b"), array("b")
-        for k, true, predicted in zip(
-            pred_columns.frame[rows[numbered]].tolist(),
-            true_numbers[numbered].tolist(),
-            predicted_numbers[numbered].tolist(),
-        ):
-            if len(str(predicted)) != len(str(true)):
-                diagnostics.append(f"frame {frames[k]}: digit counts differ ({true} vs {predicted}), pair skipped")
-                continue
-            true_digits.extend(int(t) for t in str(true))
-            predicted_digits.extend(int(p) for p in str(predicted))
-        cm = confusion_matrix(zip(true_digits, predicted_digits))
+    if cm is not None:
         text += "confusion_counts\n" + _matrix_rows(cm.counts, "%d")
         text += "confusion_normalized\n" + _matrix_rows(cm.normalized, "%.4f")
-    return text, tuple(diagnostics), len(skipped)
+    return text, tuple(message for _, message in skipped) + tuple(notes), len(skipped)
 
 
 def _cmd_parse_clock(args: argparse.Namespace) -> int:

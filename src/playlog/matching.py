@@ -6,7 +6,7 @@ permutation check lives in the test suite, not here.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
@@ -120,7 +120,7 @@ def hungarian_assign(cost: Sequence[Sequence[float]]) -> Assignment:
         if len(row) != m:
             raise InvariantError(f"cost matrix row {i} has {len(row)} entries, expected {m}")
         for j, v in enumerate(row):
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
+            if not (isinstance(v, (int, float)) and abs(v) <= sys.float_info.max):  # an int too, unlike isfinite
                 raise InvariantError(f"cost[{i}][{j}] must be finite (got {v!r})")
 
     # imported here: scipy.optimize takes longer to import than a whole CLI run takes to start,
@@ -129,7 +129,10 @@ def hungarian_assign(cost: Sequence[Sequence[float]]) -> Assignment:
 
     row_ind, col_ind = linear_sum_assignment(np.array(rows, dtype=np.float64))
     pairs = sorted(zip(row_ind.tolist(), col_ind.tolist()))
-    total = sum(rows[i][j] for i, j in pairs)
+    total = sum(rows[i][j] for i, j in pairs)  # exact for integer costs
+    if not abs(total) <= sys.float_info.max:
+        from decimal import Decimal  # formats an int of any size; no command reaches this, so not imported at start
+        raise InvariantError(f"total cost {Decimal(total):.6g} is outside the float range")
     return Assignment(tuple(pairs), float(total))
 
 

@@ -10,6 +10,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .core import BoundingBox, InvariantError
+from .gamelog import RecordBlock
 from .matching import (
     SMALL_MAX_AREA,
     SMALL_MIN_AREA,
@@ -329,3 +330,56 @@ def confusion_matrix(pairs: Iterable[tuple[int, int]]) -> ConfusionMatrix:
     normalized.flags.writeable = False
     counts.flags.writeable = False
     return ConfusionMatrix(counts=counts, normalized=normalized)
+
+
+def _record_columns(blocks: Iterable[RecordBlock]) -> list[np.ndarray]:
+    # each record's frame, box, score and number (-1 for none), as columns; a
+    # block with a frame past int64 gives its frames as Python ints (object dtype)
+    columns = [np.empty(0, np.int64)], [np.empty((0, 4))], [np.empty(0)], [np.empty(0, np.int8)]
+    for block in blocks:
+        try:
+            frame = np.array(block.frame, dtype=np.int64)
+        except OverflowError:
+            frame = np.array(block.frame, dtype=object)
+        for column, values in zip(columns, (frame, block.box, block.score, block.number.astype(np.int8))):
+            column.append(values)
+        del block  # a block kept while the next is read would raise the peak memory by a block
+    return [np.concatenate(column) for column in columns]
+
+
+def evaluate_records(
+    preds: Iterable[RecordBlock], truth: Iterable[RecordBlock], pairing_iou: float | None = None
+) -> tuple[EvalReport, ConfusionMatrix | None, list[str]]:
+    """Score two streams of ``gamelog.read_records`` blocks, predictions read first: the report, matrix and notes.
+
+    A frame that only one stream names scores against an empty list on the
+    other side.  With ``pairing_iou``, each numbered prediction paired at
+    that IoU with a numbered truth (``evaluate_columns``) gives the confusion
+    matrix their digits place by place, or a note if their digit counts
+    differ, in (frame, prediction line) order; else the matrix is None.
+    """
+    pred_frame, pred_box, pred_score, pred_number = _record_columns(preds)
+    truth_frame, truth_box, truth_score, truth_number = _record_columns(truth)
+    # the sorted union of both streams' frames, and each row's position in it
+    frames, position = np.unique(np.concatenate((pred_frame, truth_frame)), return_inverse=True)
+    pred_position = position[: len(pred_frame)]
+    report, pairs = evaluate_columns(
+        DetectionColumns(pred_position, pred_box, pred_score),
+        DetectionColumns(position[len(pred_frame):], truth_box, truth_score),
+        pairing_iou=pairing_iou,
+    )
+    if pairs is None:
+        return report, None, []
+    rows = np.argsort(pred_position, kind="stable")
+    rows = rows[pairs[rows] >= 0]
+    true, predicted = truth_number[pairs[rows]], pred_number[rows]
+    numbered = (true >= 0) & (predicted >= 0)
+    rows, true, predicted = rows[numbered], true[numbered], predicted[numbered]
+    differ = (true >= 10) != (predicted >= 10)
+    notes = [f"frame {frames[k]}: digit counts differ ({t} vs {p}), pair skipped"
+             for k, t, p in zip(*(v[differ].tolist() for v in (pred_position[rows], true, predicted)))]
+    true, predicted = true[~differ], predicted[~differ]
+    two = true >= 10  # and so predicted >= 10
+    true_digits = np.concatenate((true[two] // 10, true % 10)).tolist()
+    predicted_digits = np.concatenate((predicted[two] // 10, predicted % 10)).tolist()
+    return report, confusion_matrix(zip(true_digits, predicted_digits)), notes

@@ -147,7 +147,8 @@ def _quarter_schedule(rng: random.Random, cfg: SynthConfig) -> list[tuple[int, i
     total_gap = GAME_CLOCK_MAX - tail - sum(durations)
     if total_gap < n - 1:
         raise SynthConfigError(
-            f"{n} plays with durations {durations} do not fit in one quarter"
+            f"{n} plays need {sum(durations) + n - 1} s of game clock with 1 s between plays,"
+            f" but a quarter has {GAME_CLOCK_MAX - tail} s for them"
         )
     gaps = [1] * (n - 1)
     spare = total_gap - (n - 1)

@@ -175,6 +175,39 @@ def ref_evaluate(preds, gts, thresholds=None, max_detections=100):
     }
 
 
+
+def ref_confusion(preds, gts, threshold=0.5):
+    """Reference digit confusion over the pairs that greedy matching makes.
+
+    ``preds``: {frame: [((x, y, w, h), score, number), ..]}
+    ``gts``:   {frame: [((x, y, w, h), number), ..]}
+    A number is 0..99 or None; a frame may be missing on either side.
+    Every truth box is matched, the ones under the area floor too.  A pair
+    of numbers with as many digits each adds their digits place by place,
+    read off their decimal strings; any other pair of numbers adds a note.
+    Frames go in sorted order, a frame's predictions in list order.
+    Returns (counts, normalized, notes): counts as 10x10 lists, the counts
+    divided by the largest row sum (all 0.0 with no pairs), and the notes.
+    """
+    counts = [[0] * 10 for _ in range(10)]
+    notes = []
+    for f in sorted(set(preds) | set(gts)):
+        frame_preds, frame_gts = preds.get(f, []), gts.get(f, [])
+        scored = [(box, score) for box, score, _ in frame_preds]
+        assigned = ref_greedy_match(scored, [box for box, _ in frame_gts], threshold)
+        for (_, _, predicted), g in zip(frame_preds, assigned):
+            if g is None or predicted is None or frame_gts[g][1] is None:
+                continue
+            true, predicted = str(frame_gts[g][1]), str(predicted)
+            if len(true) != len(predicted):
+                notes.append(f"frame {f}: digit counts differ ({true} vs {predicted}), pair skipped")
+                continue
+            for t, p in zip(true, predicted):
+                counts[int(t)][int(p)] += 1
+    top = max(sum(row) for row in counts)
+    normalized = [[v / top if top else 0.0 for v in row] for row in counts]
+    return counts, normalized, notes
+
 def ref_focal(p, gamma):
     return -math.log(max(p, 1e-12)) * (1.0 - p) ** gamma
 

@@ -9,7 +9,7 @@ import warnings
 from fractions import Fraction
 
 import pytest
-from oracles import ref_evaluate, ref_greedy_match
+from oracles import ref_confusion, ref_evaluate, ref_greedy_match
 
 import playlog.gamelog
 from playlog import (
@@ -527,6 +527,44 @@ class TestEvaluate:
             "1 malformed line(s) skipped",
         ]
 
+    def test_confusion_on_frames_past_int64(self, tmp_path, capsys):
+        # a first block of small frames only, then one that mixes small frames with frames past
+        # int64, which is read as Python ints: the output is that of the same records with those
+        # frames renumbered to small ints above the others, in the same order
+        pad = playlog.gamelog.BLOCK_LINES
+        preds = [(0, 10, 7, 0.9), (0, 100, 35, 0.8), ("b", 10, 5, 0.7), ("b", 100, 12, 0.9), ("a", 10, 9, 0.9)]
+        truth = [(0, 10, 7, 1), (0, 100, 3, 1), ("b", 10, 34, 1), ("b", 100, 17, 1), ("a", 10, 19, 1), ("c", 10, 1, 1)]
+
+        def run_with(late):
+            paths = []
+            for name, rows in (("preds", preds), ("truth", truth)):
+                path = tmp_path / f"{name}.txt"
+                path.write_text("".join(
+                    serialize_detection(PlayerDetection(
+                        frame_index=late.get(f, f), box=BoundingBox(x, 20, 40, 60), score=score, number=number
+                    )) + "\n"
+                    for f, x, number, score in [(f, 10, 4, 1) for f in range(1, pad + 1)] + rows
+                ), encoding="utf-8")
+                paths.append(str(path))
+            assert run(["evaluate", "--preds", paths[0], "--truth", paths[1], "--confusion"]) == 0
+            return capsys.readouterr()
+
+        big = run_with({"a": 2**63 + 1, "b": 2**63 + 5, "c": 2**64 + 1})
+        small = run_with({"a": pad + 1, "b": pad + 2, "c": pad + 3})
+        assert big.out == small.out
+        counts = big.out.split("confusion_counts\n")[1].splitlines()[:10]
+        assert [counts[1], counts[4], counts[7]] == [  # 17 read as 12 and 7 as 7, past the padding's 4s
+            "0 1 0 0 0 0 0 0 0 0", f"0 0 0 0 {pad} 0 0 0 0 0", "0 0 1 0 0 0 0 1 0 0"
+        ]
+        notes = [
+            "frame 0: digit counts differ (3 vs 35), pair skipped",
+            "frame 9223372036854775809: digit counts differ (19 vs 9), pair skipped",
+            "frame 9223372036854775813: digit counts differ (34 vs 5), pair skipped",
+        ]
+        assert big.err.splitlines()[-3:] == notes
+        assert big.err.replace(f"frame {2**63 + 1}:", f"frame {pad + 1}:").replace(
+            f"frame {2**63 + 5}:", f"frame {pad + 2}:") == small.err
+
     def test_confusion_pairs_truth_below_the_area_floor(self, tmp_path, capsys):
         # AP drops truth boxes under 32x32; the confusion block pairs digits
         # over every truth box, so the two passes match against different lists
@@ -561,26 +599,12 @@ class TestEvaluate:
 
         scored = {f: [(b, score) for b, score, _ in rows] for f, rows in pred_rows.items()}
         gts = {f: [b for b, _ in rows] for f, rows in truth_rows.items()}
-        counts = [[0] * 10 for _ in range(10)]
-        notes = []
-        below_floor_pairs = 0
-        for f in sorted(gts):
-            for i, g in enumerate(ref_greedy_match(scored[f], gts[f], 0.50)):
-                if g is None:
-                    continue
-                below_floor_pairs += g == 0
-                true, predicted = str(truth_rows[f][g][1]), str(pred_rows[f][i][2])
-                if len(true) != len(predicted):
-                    notes.append(f"frame {f}: digit counts differ ({true} vs {predicted}), pair skipped")
-                    continue
-                for t, p in zip(true, predicted):
-                    counts[int(t)][int(p)] += 1
-        assert below_floor_pairs == 6
-        top = max(sum(row) for row in counts)
+        assert sum(ref_greedy_match(scored[f], gts[f], 0.50).count(0) for f in gts) == 6  # pairs below the floor
+        counts, normalized, notes = ref_confusion(pred_rows, truth_rows)
         assert captured.out.split("confusion_counts\n")[1] == (
             "".join(" ".join(str(v) for v in row) + "\n" for row in counts)
             + "confusion_normalized\n"
-            + "".join(" ".join("%.4f" % (v / top) for v in row) + "\n" for row in counts)
+            + "".join(" ".join("%.4f" % v for v in row) + "\n" for row in normalized)
         )
         assert captured.err == "".join(note + "\n" for note in notes)
 

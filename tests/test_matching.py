@@ -172,7 +172,11 @@ class TestHungarian:
         assert result.total_cost == -10.0
         assert result.pairs == ((0, 0), (1, 1))
 
-    @pytest.mark.parametrize("bad", [[], [[]], [[1, 2], [3]], [[float("nan")]], [[float("inf"), 1]]])
+    @pytest.mark.parametrize("bad", [
+        [], [[]], [[1, 2], [3]], [[float("nan")]], [[float("inf"), 1]],
+        # a cell past the float range, and totals of finite cells past it
+        [[10**400]], [[1e308, -1e308], [-1e308, 1e308]], [[10**308, 10**308], [10**308, 10**308]],
+    ])
     def test_rejects_malformed(self, bad):
         with pytest.raises(InvariantError):
             hungarian_assign(bad)

@@ -16,16 +16,19 @@ from playlog import (
     DegenerateMetricWarning,
     EvalReport,
     InvariantError,
+    PlayerDetection,
     confusion_matrix,
     evaluate_detections,
     focal_loss,
     match_detections,
     prf1,
+    serialize_detection,
 )
+from playlog.gamelog import read_records
 
-from playlog.metrics import _ap_from_flags, _check_curve, _interpolated_ap
+from playlog.metrics import _ap_from_flags, _check_curve, _interpolated_ap, evaluate_records
 
-from oracles import ref_ap, ref_cross_entropy, ref_evaluate, ref_focal
+from oracles import ref_ap, ref_confusion, ref_cross_entropy, ref_evaluate, ref_focal
 
 
 def dist(p_true, gamma, n_other=1):
@@ -349,6 +352,60 @@ class TestEvaluateDetections:
         with pytest.warns(DegenerateMetricWarning):
             report = evaluate_detections(lib_preds, lib_gts)
         assert report.ar_large == 0.0
+
+
+# one- and two-digit numbers, so that some pairs differ in their digit count
+NUMBERS = st.sampled_from((None, 0, 4, 9, 10, 44, 97))
+# small frames, and frames past int64, which a block reads as Python ints
+FRAMES = st.integers(0, 9) | st.integers(2**63 - 2, 2**63 + 2)
+
+
+@st.composite
+def numbered_scenes(draw):
+    # a frame may be named by the predictions only, by the truth only, or by both
+    preds, gts = {}, {}
+    for f in draw(st.lists(FRAMES, min_size=1, max_size=5, unique=True)):
+        side = draw(st.sampled_from(("both", "preds", "truth")))
+        truth = draw(st.lists(st.tuples(BOXES, NUMBERS), min_size=1, max_size=4))
+        if side != "preds":
+            gts[f] = truth
+        if side != "truth":
+            preds[f] = draw(st.lists(st.tuples(BOXES, SCORES, NUMBERS), max_size=4))
+            # some predictions sit exactly on a ground truth
+            preds[f] += [(box, draw(SCORES), draw(NUMBERS)) for box, _ in truth if draw(st.booleans())]
+    return preds, gts
+
+
+def record_blocks(rows, skipped):
+    """``{frame: [(box, score, number), ..]}`` as record lines read through read_records."""
+    return read_records([
+        serialize_detection(PlayerDetection(frame_index=f, box=BoundingBox(*box), score=score, number=number))
+        for f, frame_rows in rows.items() for box, score, number in frame_rows
+    ], skipped)
+
+
+class TestEvaluateRecords:
+    @settings(max_examples=200, deadline=None)
+    @given(numbered_scenes())
+    def test_agrees_with_references(self, scene):
+        preds, gts = scene
+        skipped = []
+        truth_rows = {f: [(box, 1.0, number) for box, number in rows] for f, rows in gts.items()}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateMetricWarning)
+            report, cm, notes = evaluate_records(
+                record_blocks(preds, skipped), record_blocks(truth_rows, skipped), pairing_iou=0.5
+            )
+        assert skipped == []
+        frames = set(preds) | set(gts)
+        expected = ref_evaluate(
+            {f: [(box, score) for box, score, _ in preds.get(f, [])] for f in frames},
+            {f: [box for box, _ in gts.get(f, [])] for f in frames},
+        )
+        for key, want in expected.items():
+            assert getattr(report, key) == pytest.approx(want, abs=1e-9), key
+        counts, normalized, ref_notes = ref_confusion(preds, gts)
+        assert (cm.counts.tolist(), cm.normalized.tolist(), notes) == (counts, normalized, ref_notes)
 
 
 class TestConfusionMatrix:

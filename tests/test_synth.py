@@ -62,6 +62,13 @@ class TestConfig:
             generate_game(SynthConfig(seed=1, quarters=1, plays_per_quarter=200,
                                       frames_per_second=1))
 
+    def test_overfull_quarter_message_is_short(self):
+        # the play count and the seconds needed and available, not every drawn duration
+        with pytest.raises(SynthConfigError) as info:
+            generate_game(SynthConfig(seed=3, quarters=2, plays_per_quarter=400, frames_per_second=30))
+        assert "400" in str(info.value)
+        assert len(str(info.value)) < 200
+
 
 class TestDeterminism:
     def test_identical_configs_identical_games(self):
