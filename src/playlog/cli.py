@@ -154,13 +154,14 @@ def _report_diagnostics(messages: Sequence[str], skipped: int | None = None) -> 
         print(f"{skipped} malformed line(s) skipped", file=sys.stderr)
 
 
-# Stage functions are shared by the per-stage subcommands and `pipeline`.
-# `pipeline` runs the stages of `parse-clock`, `assemble` and `log` in one
-# pass: the clock stage returns windows, and the records stage writes the
-# record lines and folds the presence table as its caller asks, so a
-# chained run matches the staged subcommands by construction.  A line that
-# the reader skips is added to the caller's ``skipped`` list as ``(line
-# number, diagnostic)``.
+# The clock, records and log stages are shared by their subcommands and
+# `pipeline`; `_stage_classify_team` and `_stage_evaluate` each serve one
+# command.  `pipeline` runs the stages of `parse-clock`, `assemble` and
+# `log` in one pass: the clock stage returns windows, and the records stage
+# writes the record lines and folds the presence table as its caller asks,
+# so a chained run matches the staged subcommands by construction.  A line
+# that the reader skips is added to the caller's ``skipped`` list as
+# ``(line number, diagnostic)``.
 
 def _stage_parse_clock(
     input_path: str, segmenter: SegmenterConfig, strict: bool

@@ -8,6 +8,7 @@ fixture I/O.
 from __future__ import annotations
 
 import math
+import os
 import re
 from pathlib import Path
 
@@ -156,20 +157,29 @@ def _read_header_tokens(data: bytes, count: int, start: int) -> tuple[list[int],
 
 
 def read_image(path: str | Path) -> PixelImage:
-    """Read a binary PGM (P5) or PPM (P6) file."""
+    """Read a binary PGM (P5) or PPM (P6) file.
+
+    A file that is not one raises InvariantError, or ValueError for a header number past
+    int's digit limit; either message begins with the path.
+    """
     with open(path, "rb") as f:
         data = f.read()
-    if data[:2] == b"P5":
-        channels = 1
-    elif data[:2] == b"P6":
-        channels = 3
-    else:
-        raise InvariantError(f"unsupported image magic {data[:2]!r} (want P5 or P6)")
-    (width, height, maxval), offset = _read_header_tokens(data, 3, 2)
-    if maxval != 255:
-        raise InvariantError(f"unsupported maxval {maxval} (want 255)")
-    expected = width * height * channels
-    samples = data[offset : offset + expected]
-    if len(samples) != expected:
-        raise InvariantError(f"image data truncated: want {expected} bytes, got {len(samples)}")
-    return PixelImage(width, height, channels, samples)
+    try:
+        if data[:2] == b"P5":
+            channels = 1
+        elif data[:2] == b"P6":
+            channels = 3
+        else:
+            raise InvariantError(f"unsupported image magic {data[:2]!r} (want P5 or P6)")
+        (width, height, maxval), offset = _read_header_tokens(data, 3, 2)
+        if maxval != 255:
+            raise InvariantError(f"unsupported maxval {maxval} (want 255)")
+        expected = width * height * channels
+        samples = data[offset : offset + expected]
+        if len(samples) != expected:
+            raise InvariantError(f"image data truncated: want {expected} bytes, got {len(samples)}")
+        return PixelImage(width, height, channels, samples)
+    except ValueError as exc:
+        # one crop among thousands: name it, as read_lines names the file and line
+        exc.args = (f"{os.fspath(path)}: {exc}",)
+        raise

@@ -50,8 +50,12 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
 def _iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """IoU of boxes ``a`` and ``b``, each (x, y, w, h) on the last axis, broadcast over the others.
 
-    Each entry takes the same float operations in the same order as
-    ``iou``, so it equals ``iou`` of the two boxes bit for bit.
+    Each entry takes the same float64 operations in the same order as
+    ``iou``, so it equals ``iou`` of the two boxes bit for bit when every
+    field is a float (the record reader makes every field below 2**53 one)
+    or an int whose sums and products stay below 2**53.  ``iou`` sums and
+    multiplies an int field exactly, so past that the two can differ in the
+    last bit, and a sum past the float range gives nan here.
     """
     ax, ay, aw, ah = np.moveaxis(a, -1, 0)
     bx, by, bw, bh = np.moveaxis(b, -1, 0)
@@ -73,7 +77,9 @@ def _box_array(boxes: Sequence[BoundingBox]) -> np.ndarray:
 def iou_matrix(a_boxes: Sequence[BoundingBox], b_boxes: Sequence[BoundingBox]) -> np.ndarray:
     """IoU of every (a, b) pair, as a len(a) x len(b) float64 array.
 
-    Each entry equals ``iou(a_boxes[i], b_boxes[j])`` bit for bit.
+    Each entry equals ``iou(a_boxes[i], b_boxes[j])`` bit for bit under the
+    condition ``_iou`` states: every field a float, or an int whose sums and
+    products stay below 2**53.
     """
     return _iou(_box_array(a_boxes)[:, None, :], _box_array(b_boxes)[None, :, :])
 
@@ -121,7 +127,12 @@ def hungarian_assign(cost: Sequence[Sequence[float]]) -> Assignment:
             raise InvariantError(f"cost matrix row {i} has {len(row)} entries, expected {m}")
         for j, v in enumerate(row):
             if not (isinstance(v, (int, float)) and abs(v) <= sys.float_info.max):  # an int too, unlike isfinite
-                raise InvariantError(f"cost[{i}][{j}] must be finite (got {v!r})")
+                shown = repr(v)
+                if isinstance(v, int):  # past the float range, where its repr runs to hundreds of digits
+                    from decimal import Decimal
+
+                    shown = f"{Decimal(v):.6g}"
+                raise InvariantError(f"cost[{i}][{j}] must be finite (got {shown})")
 
     # imported here: scipy.optimize takes longer to import than a whole CLI run takes to start,
     # and no command solves an assignment

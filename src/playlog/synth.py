@@ -53,7 +53,11 @@ _CUT_FRAMES_RANGE = (2, 5)      # absent-clock frames between plays
 _CORRUPT_GAME_FIELD = "9?:?7"   # never parses, so the line is skipped
 
 _HOME_POOL_MAX = 60  # the home roster's size cap, so the most home players in one play
-_AWAY_PLAYERS_MAX = 98  # the away pool draws two numbers more than this from 0..99
+_AWAY_PLAYERS_PER_PLAY = (1, 3)  # drawn each play from a pool of _AWAY_POOL_SIZE away numbers
+_AWAY_POOL_SIZE = 6
+
+# side-by-side digit boxes in crop coordinates, disjoint, left = tens
+_DIGIT_BOXES = (BoundingBox(4, 12, 10, 14), BoundingBox(18, 12, 10, 14))
 
 
 class SynthConfigError(ValueError):
@@ -69,7 +73,6 @@ class SynthConfig:
     plays_per_quarter: int = 3
     frames_per_second: int = 30
     players_per_play: tuple[int, int] = (6, 11)
-    away_players_per_play: tuple[int, int] = (1, 3)
     ocr_corruption_rate: float = 0.0
     digit_error_rate: float = 0.0
     detection_drop_rate: float = 0.0
@@ -87,21 +90,18 @@ class SynthConfig:
             raise SynthConfigError("plays_per_quarter must be >= 2 when quarters > 1")
         if not (isinstance(self.frames_per_second, int) and self.frames_per_second >= 1):
             raise SynthConfigError(f"frames_per_second >= 1 violated (got {self.frames_per_second!r})")
-        for name in ("players_per_play", "away_players_per_play"):
-            rng_pair = getattr(self, name)
-            if not (
-                isinstance(rng_pair, tuple)
-                and len(rng_pair) == 2
-                and all(isinstance(v, int) and v >= 0 for v in rng_pair)
-                and rng_pair[0] <= rng_pair[1]
-            ):
-                raise SynthConfigError(f"{name} must be a (min, max) pair of counts (got {rng_pair!r})")
-        if self.players_per_play[0] < 1:
+        counts = self.players_per_play
+        if not (
+            isinstance(counts, tuple)
+            and len(counts) == 2
+            and all(isinstance(v, int) and v >= 0 for v in counts)
+            and counts[0] <= counts[1]
+        ):
+            raise SynthConfigError(f"players_per_play must be a (min, max) pair of counts (got {counts!r})")
+        if counts[0] < 1:
             raise SynthConfigError("players_per_play minimum must be >= 1")
-        for name, limit in (("players_per_play", _HOME_POOL_MAX), ("away_players_per_play", _AWAY_PLAYERS_MAX)):
-            most = getattr(self, name)[1]
-            if most > limit:
-                raise SynthConfigError(f"{name} maximum <= {limit} violated (got {most})")
+        if counts[1] > _HOME_POOL_MAX:
+            raise SynthConfigError(f"players_per_play maximum <= {_HOME_POOL_MAX} violated (got {counts[1]})")
         for name in ("ocr_corruption_rate", "digit_error_rate", "detection_drop_rate"):
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and 0.0 <= v < 1.0):
@@ -172,13 +172,9 @@ def _quarter_schedule(rng: random.Random, cfg: SynthConfig) -> list[tuple[int, i
 
 
 def _digit_detections(rng: random.Random, number: int) -> tuple[DigitDetection, ...]:
-    # side-by-side digit boxes in crop coordinates, disjoint, left = tens
-    text = str(number)
-    confs = [round(0.975 + 0.02 * rng.random(), 4) for _ in text]
-    boxes = [BoundingBox(4 + 14 * i, 12, 10, 14) for i in range(len(text))]
     return tuple(
-        DigitDetection(box=b, digit=int(ch), confidence=c)
-        for b, ch, c in zip(boxes, text, confs)
+        DigitDetection(box=box, digit=int(ch), confidence=round(0.975 + 0.02 * rng.random(), 4))
+        for box, ch in zip(_DIGIT_BOXES, str(number))
     )
 
 
@@ -186,7 +182,7 @@ def _corrupt_digits(number: int) -> tuple[DigitDetection, ...]:
     # a low-confidence misread: falls below the assembly gate, so the
     # record resolves to no number at all
     wrong = (number + 1) % 10
-    return (DigitDetection(box=BoundingBox(4, 12, 10, 14), digit=wrong, confidence=0.5),)
+    return (DigitDetection(box=_DIGIT_BOXES[0], digit=wrong, confidence=0.5),)
 
 
 def generate_game(cfg: SynthConfig) -> SynthGame:
@@ -199,7 +195,7 @@ def generate_game(cfg: SynthConfig) -> SynthGame:
     pool_size = min(_HOME_POOL_MAX, max(cfg.players_per_play[1] + 5, 16))
     roster = _make_roster(rng, pool_size, HOME_TEAM_NAME)
     home_pool = sorted(roster.entries)
-    away_pool = rng.sample(range(100), max(cfg.away_players_per_play[1] + 2, 6))
+    away_pool = rng.sample(range(100), _AWAY_POOL_SIZE)
 
     truth: list[GameLogEntry] = []
     clock_lines: list[str] = []
@@ -219,8 +215,8 @@ def generate_game(cfg: SynthConfig) -> SynthGame:
             play_number += 1
             home_count = rng.randint(*cfg.players_per_play)
             participants = sorted(rng.sample(home_pool, home_count))
-            away_count = rng.randint(*cfg.away_players_per_play)
-            away_on_field = rng.sample(away_pool, away_count)
+            on_field = [(n, "home") for n in participants]
+            on_field += [(n, "away") for n in rng.sample(away_pool, rng.randint(*_AWAY_PLAYERS_PER_PLAY))]
 
             truth.append(
                 GameLogEntry(
@@ -238,37 +234,23 @@ def generate_game(cfg: SynthConfig) -> SynthGame:
                 play_clock = 40 - (start_time - second)
                 for _ in range(cfg.frames_per_second):
                     emit_clock_line(format_clock_line(ClockReading(frame, second, play_clock)))
-                    for number, team in [(n, "home") for n in participants] + [
-                        (n, "away") for n in away_on_field
-                    ]:
+                    for number, team in on_field:
                         # content draws are unconditional so the main RNG
                         # stream, and with it the ground truth, is identical
                         # at every corruption rate
-                        record = PlayerDetection(
-                            frame_index=frame,
-                            box=BoundingBox(
-                                rng.randint(0, _FRAME_W - 90),
-                                rng.randint(0, _FRAME_H - 160),
-                                rng.randint(34, 88),
-                                # spans the small and large evaluation buckets
-                                rng.randint(40, 150),
-                            ),
-                            score=round(0.82 + 0.17 * rng.random(), 4),
-                            digits=_digit_detections(rng, number),
-                            team=team,
+                        box = BoundingBox(
+                            rng.randint(0, _FRAME_W - 90),
+                            rng.randint(0, _FRAME_H - 160),
+                            rng.randint(34, 88),
+                            rng.randint(40, 150),  # spans the small and large evaluation buckets
                         )
+                        score = round(0.82 + 0.17 * rng.random(), 4)
+                        digits = _digit_detections(rng, number)
                         dropped = drop_rng.random() < cfg.detection_drop_rate
-                        if team == "home":
-                            corrupted = digit_rng.random() < cfg.digit_error_rate
-                            if corrupted:
-                                record = PlayerDetection(
-                                    frame_index=record.frame_index,
-                                    box=record.box,
-                                    score=record.score,
-                                    digits=_corrupt_digits(number),
-                                    team=team,
-                                )
+                        if team == "home" and digit_rng.random() < cfg.digit_error_rate:
+                            digits = _corrupt_digits(number)
                         if not dropped:
+                            record = PlayerDetection(frame_index=frame, box=box, score=score, digits=digits, team=team)
                             detection_lines.append(serialize_detection(record))
                     frame += 1
             # scene cut before whatever comes next

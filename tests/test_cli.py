@@ -309,6 +309,18 @@ class TestClassifyTeam:
             "1 malformed line(s) skipped",
         ]
 
+    def test_a_bad_crop_is_named(self, tmp_path, capsys):
+        crops = tmp_path / "crops"
+        crops.mkdir()
+        write_image(solid_image(10, 10, (200, 40, 40)), crops / "0_0.ppm")
+        (crops / "0_1.ppm").write_bytes(b"P6\n8 8\n255\n" + bytes(10))
+        records = tmp_path / "records.txt"
+        records.write_text(record(0) + "\n" + record(0, x=200) + "\n", encoding="utf-8")
+        assert run(["classify-team", "--input", str(records), "--crops", str(crops)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == record(0, team="home") + "\n"
+        assert captured.err == f"error: {crops / '0_1.ppm'}: image data truncated: want 192 bytes, got 10\n"
+
 
 class TestClassifyTeamChain:
     """classify-team against the scalar chain run here: iter_detections, read_image, extract_strip,
@@ -1008,7 +1020,7 @@ class TestStreaming:
             crops.mkdir()
             (crops / "0_0.ppm").write_bytes(b"XX\n1 1\n255\n\0\0\0")
             argv = ["classify-team", "--input", str(records), "--crops", str(crops)]
-            error = "error: unsupported image magic b'XX' (want P5 or P6)\n"
+            error = f"error: {crops / '0_0.ppm'}: unsupported image magic b'XX' (want P5 or P6)\n"
         assert run(argv + ["--config", str(cfg), "--output", str(out), "--strict"]) == 1
         assert capsys.readouterr().err == error
         assert not out.exists()

@@ -266,7 +266,7 @@ class TestImageIO:
         path.write_bytes(data)
         with pytest.raises(InvariantError) as info:
             read_image(path)
-        assert str(info.value) == message
+        assert str(info.value) == f"{path}: {message}"
 
 
 def header_outcome(read, data, count, start):

@@ -181,6 +181,19 @@ class TestHungarian:
         with pytest.raises(InvariantError):
             hungarian_assign(bad)
 
+    @pytest.mark.parametrize("cost, message", [
+        # an int past the float range is written short, as the total-cost message writes it
+        ([[10**400]], "cost[0][0] must be finite (got 1.00000e+400)"),
+        ([[0, -(10**400)]], "cost[0][1] must be finite (got -1.00000e+400)"),
+        ([[float("nan")]], "cost[0][0] must be finite (got nan)"),
+        ([[0], [float("inf")]], "cost[1][0] must be finite (got inf)"),
+        ([["3"]], "cost[0][0] must be finite (got '3')"),
+    ])
+    def test_bad_cell_message(self, cost, message):
+        with pytest.raises(InvariantError) as info:
+            hungarian_assign(cost)
+        assert str(info.value) == message
+
     def test_matches_brute_force_integer(self):
         rng = random.Random(1003)
         # (cases, largest side, cost span): costs in -2..2 tie often, and a tie is

@@ -1,5 +1,6 @@
 """Synthetic game generator: determinism, structure, coupled corruption."""
 
+import hashlib
 from collections import Counter
 
 import pytest
@@ -12,6 +13,7 @@ from playlog import (
     parse_detection,
     resolve_names,
 )
+from playlog.cli import run
 
 BASE = dict(quarters=2, plays_per_quarter=3, frames_per_second=3)
 
@@ -30,7 +32,6 @@ class TestConfig:
         dict(frames_per_second=0),
         dict(players_per_play=(0, 3)),
         dict(players_per_play=(5, 2)),
-        dict(away_players_per_play=(3, 1)),
         dict(ocr_corruption_rate=1.0),
         dict(digit_error_rate=-0.1),
         dict(detection_drop_rate=2.0),
@@ -43,18 +44,16 @@ class TestConfig:
     @pytest.mark.parametrize("name, counts, message", [
         ("players_per_play", (61, 61), "players_per_play maximum <= 60 violated (got 61)"),
         ("players_per_play", (6, 61), "players_per_play maximum <= 60 violated (got 61)"),
-        ("away_players_per_play", (1, 99), "away_players_per_play maximum <= 98 violated (got 99)"),
     ])
     def test_player_counts_beyond_the_number_pools(self, name, counts, message):
         with pytest.raises(SynthConfigError) as info:
             SynthConfig(seed=1, **{**BASE, name: counts})
         assert str(info.value) == message
 
-    @pytest.mark.parametrize("name, counts", [("players_per_play", (60, 60)), ("away_players_per_play", (98, 98))])
+    @pytest.mark.parametrize("name, counts", [("players_per_play", (60, 60))])
     def test_player_counts_at_the_limit_generate(self, name, counts):
         g = game(seed=1, quarters=1, plays_per_quarter=1, frames_per_second=1, **{name: counts})
-        side = "home" if name == "players_per_play" else "away"
-        per_frame = Counter(line.split()[0] for line in g.detection_lines if line.split()[6] == side)
+        per_frame = Counter(line.split()[0] for line in g.detection_lines if line.split()[6] == "home")
         assert per_frame and set(per_frame.values()) == {counts[0]}
 
     def test_overfull_quarter_rejected_at_generation(self):
@@ -81,6 +80,41 @@ class TestDeterminism:
 
     def test_seed_changes_the_game(self):
         assert game(seed=5).clock_lines != game(seed=6).clock_lines
+
+    # sha256 of every file `playlog synth` writes; a change here changes the games every
+    # closed-loop check and the benchmark's truth logs are built from
+    @pytest.mark.parametrize("argv, digests", [
+        (
+            # the benchmark's game shape and noise
+            "--seed 3 --quarters 4 --plays-per-quarter 4 --fps 30"
+            " --ocr-corruption 0.02 --digit-error 0.05 --detection-drop 0.05",
+            {
+                "clock.txt": "2efb7bb1002e5d1bd417955cbcbf03540e74e5c1cf10ff404e94711464772126",
+                "detections.txt": "4fe3da2da3af877bb0029339c9b92f8d13414efff2117b211f756e91dec72bf8",
+                "game.cfg": "da5a6cf0264a76441655670b57a1038ca7834fd1decef0c8257564bdb0f679b1",
+                "roster_home.txt": "bb935c4ebb441ac0442d78ec4e169cb5954aa7ad1cf87661f9909f1dffb312b7",
+                "truth_log.csv": "2e651eea2f8cecd05bc6395641ac66218f5bf59233d2eab3209cd0e26522eb4e",
+                "truth_log.jsonl": "5c414bebebc3df2002545bc2b05fc512e50c5ff62ef408a533498881302f36b1",
+            },
+        ),
+        (
+            # a small game at high rates of every corruption
+            "--seed 7 --quarters 2 --plays-per-quarter 3 --fps 3"
+            " --ocr-corruption 0.3 --digit-error 0.5 --detection-drop 0.7",
+            {
+                "clock.txt": "f07bf03fd18f53a3b41159fff345e9fb7bbe1e20ca28b31ee41e6c6816cbd309",
+                "detections.txt": "4ab562917456bdb0f7b36ab091aa8451c418f561504a66b15506db53da628720",
+                "game.cfg": "da5a6cf0264a76441655670b57a1038ca7834fd1decef0c8257564bdb0f679b1",
+                "roster_home.txt": "b8bd6c5b5d4bba7ca1b62cf4ed893630ff9f88da5bd5cac205e276283165b59c",
+                "truth_log.csv": "54fc5677e87d912b6685faa4bd1f24a82cd38a8e29d1b808ab45b9347875a58c",
+                "truth_log.jsonl": "b8ed6e03c724f16212596e8caebcc80e6d967dd326561c09d866d8d97c6c5a04",
+            },
+        ),
+    ], ids=["benchmark-game", "high-rates"])
+    def test_synth_files_are_pinned(self, argv, digests, tmp_path, capsys):
+        assert run(["synth", *argv.split(), "--output", str(tmp_path)]) == 0
+        written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+        assert written == digests
 
 
 class TestStructure:
