@@ -32,6 +32,7 @@ class TestConfig:
         dict(frames_per_second=0),
         dict(players_per_play=(0, 3)),
         dict(players_per_play=(5, 2)),
+        dict(players_per_play=(1, 2, 3)),
         dict(ocr_corruption_rate=1.0),
         dict(digit_error_rate=-0.1),
         dict(detection_drop_rate=2.0),
