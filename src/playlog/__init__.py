@@ -25,6 +25,7 @@ from .clock import (
 from .config import (
     DEFAULTS,
     ConfigError,
+    GameConfig,
     build_game_config,
     format_config,
     load_config,
@@ -43,7 +44,6 @@ from .core import (
 )
 from .gamelog import (
     DetectionLoadResult,
-    GameConfig,
     RecordBlock,
     RecordError,
     emit_game_log,

@@ -51,10 +51,9 @@ from .clock import (
     parse_play_windows,
     segment_plays,
 )
-from .config import format_config, load_config
+from .config import GameConfig, format_config, load_config
 from .core import PlayWindow
 from .gamelog import (
-    GameConfig,
     emit_game_log,
     read_records,
     roster_lines,
@@ -71,13 +70,11 @@ from .imageops import (
     write_image,
 )
 from .jersey import AssemblyConfig
-from .metrics import DegenerateMetricWarning, evaluate_records
+from .metrics import CONFUSION_MATCH_IOU, DegenerateMetricWarning, evaluate_records
 from .synth import SynthConfig, generate_game
 from .teamcolor import channel_histogram, classify_team, extract_strip
 from .textfile import number_token, read_lines
 
-
-CONFUSION_MATCH_IOU = 0.50  # IoU at which `evaluate --confusion` pairs digits
 
 class _UsageError(Exception):
     pass
@@ -230,10 +227,6 @@ def _stage_log(
     return emit_game_log(entries, fmt)
 
 
-def _matrix_rows(matrix, fmt: str) -> str:
-    return "".join(" ".join(fmt % v for v in row) + "\n" for row in matrix)
-
-
 def _stage_evaluate(
     preds_path: str, truth_path: str, include_confusion: bool, strict: bool
 ) -> tuple[str, tuple[str, ...], int]:
@@ -243,10 +236,7 @@ def _stage_evaluate(
         read_records(read_lines(truth_path), skipped, strict),
         pairing_iou=CONFUSION_MATCH_IOU if include_confusion else None,
     )
-    text = report.to_text()
-    if cm is not None:
-        text += "confusion_counts\n" + _matrix_rows(cm.counts, "%d")
-        text += "confusion_normalized\n" + _matrix_rows(cm.normalized, "%.4f")
+    text = report.to_text() + ("" if cm is None else cm.to_text())
     return text, tuple(message for _, message in skipped) + tuple(notes), len(skipped)
 
 
@@ -448,14 +438,14 @@ def build_parser() -> _Parser:
     p = sub.add_parser("synth", help="generate a seeded synthetic game")
     p.add_argument("--seed", type=_INT, required=True, help="generator seed (required)")
     p.add_argument("--output", required=True, help="directory for the generated files")
-    p.add_argument("--quarters", type=_INT, default=2)
-    p.add_argument("--plays-per-quarter", type=_INT, dest="plays_per_quarter", default=3)
-    p.add_argument("--fps", type=_INT, default=30, help="frames per game-clock second")
-    p.add_argument("--players-min", type=_INT, dest="players_min", default=6)
-    p.add_argument("--players-max", type=_INT, dest="players_max", default=11)
-    p.add_argument("--ocr-corruption", type=_FLOAT, dest="ocr_corruption", default=0.0)
-    p.add_argument("--digit-error", type=_FLOAT, dest="digit_error", default=0.0)
-    p.add_argument("--detection-drop", type=_FLOAT, dest="detection_drop", default=0.0)
+    p.add_argument("--quarters", type=_INT, default=SynthConfig.quarters)
+    p.add_argument("--plays-per-quarter", type=_INT, dest="plays_per_quarter", default=SynthConfig.plays_per_quarter)
+    p.add_argument("--fps", type=_INT, default=SynthConfig.frames_per_second, help="frames per game-clock second")
+    p.add_argument("--players-min", type=_INT, dest="players_min", default=SynthConfig.players_per_play[0])
+    p.add_argument("--players-max", type=_INT, dest="players_max", default=SynthConfig.players_per_play[1])
+    p.add_argument("--ocr-corruption", type=_FLOAT, dest="ocr_corruption", default=SynthConfig.ocr_corruption_rate)
+    p.add_argument("--digit-error", type=_FLOAT, dest="digit_error", default=SynthConfig.digit_error_rate)
+    p.add_argument("--detection-drop", type=_FLOAT, dest="detection_drop", default=SynthConfig.detection_drop_rate)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("pipeline", help="parse-clock + assemble + log, chained")

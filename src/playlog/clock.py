@@ -9,7 +9,7 @@ frame range, and the mm:ss clock span.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 from .core import (
@@ -48,10 +48,10 @@ class SegmenterConfig:
     min_play_frames: int = 2
 
     def __post_init__(self) -> None:
-        for name in ("play_clock_reset_jump", "game_clock_gap", "quarter_start", "quarter_rearm_below", "min_play_frames"):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if not (isinstance(v, int) and v >= 1):
-                raise InvariantError(f"SegmenterConfig.{name} must be a positive integer (got {v!r})")
+                raise InvariantError(f"SegmenterConfig.{f.name} must be a positive integer (got {v!r})")
         # the game clock never reads above GAME_CLOCK_MAX, so a higher start never fires
         if self.quarter_start > GAME_CLOCK_MAX:
             raise InvariantError(

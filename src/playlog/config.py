@@ -1,21 +1,27 @@
 """Flat key-value run configuration.
 
 Lines are ``key = value``; '#' starts a comment.  Every pipeline
-threshold has a key here with its standard default, taken from the stage's
-own config dataclass, so a config file only needs to name what it changes.
-The file (or the defaults) is the only source of a run's thresholds.
-Roster paths are resolved relative to the config file.
+threshold has a key here with its standard default, so a config file only
+needs to name what it changes.  Each field of a stage config
+(``AssemblyConfig``, ``SegmenterConfig``) is a key of the same name, typed
+and defaulted by the field, so a stage threshold is declared once, in its
+dataclass.  The file (or the defaults) is the only source of a run's
+thresholds.  Roster paths are resolved relative to the config file.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping
 
 from .clock import SegmenterConfig
-from .gamelog import GameConfig, load_roster
+from .core import InvariantError, Roster
+from .gamelog import load_roster
 from .jersey import AssemblyConfig
-from .teamcolor import DOMINANCE_MARGIN, STRIP_HEIGHT_FRACTION, STRIP_WIDTH_FRACTION, TeamColorProfile
+from .teamcolor import (
+    DOMINANCE_MARGIN, STRIP_HEIGHT_FRACTION, STRIP_WIDTH_FRACTION, TeamColorProfile, require_distinct_profiles,
+)
 from .textfile import content_lines, number_token, read_lines
 
 
@@ -23,19 +29,48 @@ class ConfigError(ValueError):
     """The run configuration file is malformed or inconsistent."""
 
 
+@dataclass(frozen=True)
+class GameConfig:
+    """Everything one game run needs besides the input streams."""
+
+    home_team: str
+    away_team: str
+    home_roster: Roster
+    away_roster: Roster
+    home_profile: TeamColorProfile | None = None
+    away_profile: TeamColorProfile | None = None
+    segmenter: SegmenterConfig = SegmenterConfig()
+    assembly: AssemblyConfig = AssemblyConfig()
+    strip_height_fraction: float = STRIP_HEIGHT_FRACTION
+    strip_width_fraction: float = STRIP_WIDTH_FRACTION
+    min_appearances: int = 1
+
+    def __post_init__(self) -> None:
+        for name in ("home_team", "away_team"):
+            v = getattr(self, name)
+            if not (isinstance(v, str) and v.strip() != ""):
+                raise InvariantError(f"GameConfig.{name} must be non-empty text")
+        if self.home_team == self.away_team:
+            raise InvariantError(f"GameConfig team names must differ (both {self.home_team!r})")
+        for name in ("home_roster", "away_roster"):
+            if not isinstance(getattr(self, name), Roster):
+                raise InvariantError(f"GameConfig.{name} must be a Roster")
+        if not (isinstance(self.min_appearances, int) and self.min_appearances >= 1):
+            raise InvariantError(f"GameConfig.min_appearances >= 1 violated (got {self.min_appearances!r})")
+        for name in ("strip_height_fraction", "strip_width_fraction"):
+            v = getattr(self, name)
+            if not (isinstance(v, (int, float)) and 0.0 < v <= 1.0):
+                raise InvariantError(f"GameConfig.{name} in (0, 1] violated (got {v!r})")
+        if self.home_profile is not None and self.away_profile is not None:
+            require_distinct_profiles(self.home_profile, self.away_profile)
+
+
 DEFAULTS: Mapping[str, str] = {
     "home_team": "Home",
     "away_team": "Away",
     "home_roster": "",
     "away_roster": "",
-    "iou_suppress_threshold": str(AssemblyConfig.iou_suppress_threshold),
-    "confidence_threshold": str(AssemblyConfig.confidence_threshold),
-    "max_digits": str(AssemblyConfig.max_digits),
-    "play_clock_reset_jump": str(SegmenterConfig.play_clock_reset_jump),
-    "game_clock_gap": str(SegmenterConfig.game_clock_gap),
-    "quarter_start": str(SegmenterConfig.quarter_start),
-    "quarter_rearm_below": str(SegmenterConfig.quarter_rearm_below),
-    "min_play_frames": str(SegmenterConfig.min_play_frames),
+    **{f.name: str(f.default) for stage in (AssemblyConfig, SegmenterConfig) for f in fields(stage)},
     "min_appearances": str(GameConfig.min_appearances),
     "strip_height_fraction": str(STRIP_HEIGHT_FRACTION),
     "strip_width_fraction": str(STRIP_WIDTH_FRACTION),
@@ -61,18 +96,19 @@ def parse_config_text(text: str) -> dict[str, str]:
     return values
 
 
-def _int_value(values: Mapping[str, str], key: str) -> int:
+def _number(values: Mapping[str, str], key: str, default: int | float) -> int | float:
+    # the value of ``key`` read as the type of its default, an int or a float
+    kind = type(default)
     try:
-        return int(number_token(values[key]))
+        return kind(number_token(values[key]))
     except ValueError:
-        raise ConfigError(f"config key {key} must be an integer (got {values[key]!r})") from None
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"config key {key} must be {what} (got {values[key]!r})") from None
 
 
-def _float_value(values: Mapping[str, str], key: str) -> float:
-    try:
-        return float(number_token(values[key]))
-    except ValueError:
-        raise ConfigError(f"config key {key} must be a number (got {values[key]!r})") from None
+def _stage(values: Mapping[str, str], stage: type) -> AssemblyConfig | SegmenterConfig:
+    # a stage config whose every field is read from the key of its name
+    return stage(**{f.name: _number(values, f.name, f.default) for f in fields(stage)})
 
 
 def _profile(values: Mapping[str, str], label: str) -> TeamColorProfile:
@@ -84,7 +120,7 @@ def _profile(values: Mapping[str, str], label: str) -> TeamColorProfile:
         label=label,
         mode=mode,
         channel=channel,
-        dominance_margin=_float_value(values, "dominance_margin"),
+        dominance_margin=_number(values, "dominance_margin", DOMINANCE_MARGIN),
     )
 
 
@@ -122,21 +158,11 @@ def build_game_config(values: Mapping[str, str], base_dir: Path | None = None) -
             away_roster=rosters["away"],
             home_profile=_profile(values, "home"),
             away_profile=_profile(values, "away"),
-            segmenter=SegmenterConfig(
-                play_clock_reset_jump=_int_value(values, "play_clock_reset_jump"),
-                game_clock_gap=_int_value(values, "game_clock_gap"),
-                quarter_start=_int_value(values, "quarter_start"),
-                quarter_rearm_below=_int_value(values, "quarter_rearm_below"),
-                min_play_frames=_int_value(values, "min_play_frames"),
-            ),
-            assembly=AssemblyConfig(
-                iou_suppress_threshold=_float_value(values, "iou_suppress_threshold"),
-                confidence_threshold=_float_value(values, "confidence_threshold"),
-                max_digits=_int_value(values, "max_digits"),
-            ),
-            strip_height_fraction=_float_value(values, "strip_height_fraction"),
-            strip_width_fraction=_float_value(values, "strip_width_fraction"),
-            min_appearances=_int_value(values, "min_appearances"),
+            segmenter=_stage(values, SegmenterConfig),
+            assembly=_stage(values, AssemblyConfig),
+            strip_height_fraction=_number(values, "strip_height_fraction", STRIP_HEIGHT_FRACTION),
+            strip_width_fraction=_number(values, "strip_width_fraction", STRIP_WIDTH_FRACTION),
+            min_appearances=_number(values, "min_appearances", GameConfig.min_appearances),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, compress, islice
@@ -22,7 +23,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .clock import SegmenterConfig, format_mmss, parse_mmss
+from .clock import format_mmss, parse_mmss
 from .core import (
     BoundingBox,
     DigitDetection,
@@ -34,12 +35,6 @@ from .core import (
     VALID_TEAMS,
 )
 from .jersey import ABOVE_99, AssemblyConfig, assemble_detection, assemble_numbers
-from .teamcolor import (
-    STRIP_HEIGHT_FRACTION,
-    STRIP_WIDTH_FRACTION,
-    TeamColorProfile,
-    require_distinct_profiles,
-)
 from .textfile import content_lines, keeps_number_rule, number_rule_break, number_token
 
 LOG_HEADER = (
@@ -55,42 +50,6 @@ LOG_HEADER = (
 
 class RecordError(ValueError):
     """A roster or detection record line could not be parsed."""
-
-
-@dataclass(frozen=True)
-class GameConfig:
-    """Everything one game run needs besides the input streams."""
-
-    home_team: str
-    away_team: str
-    home_roster: Roster
-    away_roster: Roster
-    home_profile: TeamColorProfile | None = None
-    away_profile: TeamColorProfile | None = None
-    segmenter: SegmenterConfig = SegmenterConfig()
-    assembly: AssemblyConfig = AssemblyConfig()
-    strip_height_fraction: float = STRIP_HEIGHT_FRACTION
-    strip_width_fraction: float = STRIP_WIDTH_FRACTION
-    min_appearances: int = 1
-
-    def __post_init__(self) -> None:
-        for name in ("home_team", "away_team"):
-            v = getattr(self, name)
-            if not (isinstance(v, str) and v.strip() != ""):
-                raise InvariantError(f"GameConfig.{name} must be non-empty text")
-        if self.home_team == self.away_team:
-            raise InvariantError(f"GameConfig team names must differ (both {self.home_team!r})")
-        for name in ("home_roster", "away_roster"):
-            if not isinstance(getattr(self, name), Roster):
-                raise InvariantError(f"GameConfig.{name} must be a Roster")
-        if not (isinstance(self.min_appearances, int) and self.min_appearances >= 1):
-            raise InvariantError(f"GameConfig.min_appearances >= 1 violated (got {self.min_appearances!r})")
-        for name in ("strip_height_fraction", "strip_width_fraction"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and 0.0 < v <= 1.0):
-                raise InvariantError(f"GameConfig.{name} in (0, 1] violated (got {v!r})")
-        if self.home_profile is not None and self.away_profile is not None:
-            require_distinct_profiles(self.home_profile, self.away_profile)
 
 
 def load_roster(lines: Iterable[str], team_name: str = "") -> Roster:
@@ -310,9 +269,10 @@ def read_records(
     The records, ``skipped`` and the errors are those of
     ``iter_detections(lines, skipped, strict)``, each record first given
     the number that ``assembly`` makes of its digits when ``assembly`` is
-    given (``jersey.assemble_detection``).  Each block is split once, its
-    fields read with int() and float() into arrays, and every line checked
-    there against the checks of BoundingBox, DigitDetection and
+    given (``jersey.assemble_detection``; a number above 99 is raised as a
+    RecordError that names its line).  Each block is split once, its fields
+    read with int() and float() into arrays, and every line checked there
+    against the checks of BoundingBox, DigitDetection and
     PlayerDetection: the arrays accept a line only if those checks accept
     the record parse_detection reads from it and every box field is below
     2**53, where parse_detection reads each as a float.  A line the arrays
@@ -370,7 +330,10 @@ def _read_block(
         for i in sorted(scalar):
             d = _parsed(block[i][0], texts[i], skipped, strict)
             if d is not None:
-                detections.append(d if assembly is None else assemble_detection(d, assembly))
+                try:
+                    detections.append(d if assembly is None else assemble_detection(d, assembly))
+                except InvariantError as exc:  # an assembled number above 99
+                    raise RecordError(f"record line {block[i][0]}: {exc}") from None
                 found.append(i)
     except Exception as exc:  # a strict error, a number above 99 or any other: read_records raises it after this block
         errors.insert(0, exc)
@@ -518,10 +481,11 @@ def synchronize_presence(
     if not (isinstance(min_appearances, int) and min_appearances >= 1):
         raise InvariantError(f"min_appearances >= 1 violated (got {min_appearances!r})")
     entries: list[GameLogEntry] = []
+    frames = sorted(presence)  # each window reads its frames of the table, whatever its frame span
     for w in windows:
         frame_counts: dict[int, int] = {}
-        for frame in range(w.frame_start, w.frame_end + 1):
-            mask = presence.get(frame, 0)
+        for frame in frames[bisect_left(frames, w.frame_start):bisect_right(frames, w.frame_end)]:
+            mask = presence[frame]
             while mask:
                 low = mask & -mask  # lowest set bit
                 number = low.bit_length() - 1

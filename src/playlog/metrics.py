@@ -28,6 +28,8 @@ IOU_THRESHOLDS: tuple[float, ...] = tuple(round(0.50 + 0.05 * i, 2) for i in ran
 RECALL_GRID: tuple[float, ...] = tuple(i / 100 for i in range(101))
 MAX_DETECTIONS = 100
 
+CONFUSION_MATCH_IOU = 0.50  # IoU at which `evaluate --confusion` pairs digits
+
 PROB_SUM_TOL = 1e-6
 
 
@@ -311,6 +313,12 @@ class ConfusionMatrix:
             np.array_equal(self.counts, other.counts)
             and np.array_equal(self.normalized, other.normalized)
         )
+
+    def to_text(self) -> str:
+        """The ``confusion_counts`` and ``confusion_normalized`` blocks: a title line, then one line per true digit."""
+        counts = "".join(" ".join("%d" % v for v in row) + "\n" for row in self.counts)
+        normalized = "".join(" ".join("%.4f" % v for v in row) + "\n" for row in self.normalized)
+        return "confusion_counts\n" + counts + "confusion_normalized\n" + normalized
 
 
 def confusion_matrix(pairs: Iterable[tuple[int, int]]) -> ConfusionMatrix:

@@ -275,7 +275,7 @@ class TestAssemble:
         cfg = tmp_path / "t.cfg"
         cfg.write_text("max_digits = 3\n", encoding="utf-8")
         assert run(["assemble", "--input", str(records), "--config", str(cfg)]) == 1
-        assert capsys.readouterr().err == "error: PlayerDetection.number in 0..99 violated (got 123)\n"
+        assert capsys.readouterr().err == "error: record line 1: PlayerDetection.number in 0..99 violated (got 123)\n"
 
 
 class TestClassifyTeam:
@@ -1010,7 +1010,7 @@ class TestStreaming:
         cfg.write_text("max_digits = 3\n", encoding="utf-8")
         out = tmp_path / "out.txt"
         workdir = tmp_path / "stages"
-        error = "error: PlayerDetection.number in 0..99 violated (got 123)\n"
+        error = "error: record line 1: PlayerDetection.number in 0..99 violated (got 123)\n"
         if command == "pipeline":
             argv = ["pipeline", "--clock", str(clock), "--records", str(records), "--workdir", str(workdir)]
         elif command == "assemble":
@@ -1173,6 +1173,21 @@ class TestLog:
         assert lines[0].startswith("Play number,Quarter,")
         assert lines[1].startswith("1,1,15:00,14:56,Alabama,Michigan State,")
         assert "Calvin Ridley or Bradley Sylve" in lines[1]
+
+    def test_a_window_spanning_10_to_the_12_frames_reads_only_its_records(self, tmp_path, capsys):
+        # the same records at frames 0, 1 and 2 under a window of frames 0..1 give the same log
+        def log(end, frames):
+            windows, records = tmp_path / "windows.txt", tmp_path / "records.txt"
+            windows.write_text(f"1 1 0 {end} 15:00 14:58\n", encoding="utf-8")
+            records.write_text("".join(
+                f"{frame} 10 20 40 60 0.9 home {number} 0\n" for frame, number in zip(frames, (7, 23, 5))
+            ), encoding="utf-8")
+            assert run(["log", "--windows", str(windows), "--records", str(records)]) == 0
+            return capsys.readouterr()
+
+        wide = log(10**12, (0, 10**12, 10**12 + 1))
+        assert wide == log(1, (0, 1, 2))
+        assert wide.out.splitlines()[1] == "1,1,15:00,14:58,Home,Away,7: #7 (unrostered); 23: #23 (unrostered)"
 
 
 class TestConfigFirst:

@@ -1,5 +1,7 @@
 """Run configuration parsing and typed building."""
 
+from pathlib import Path
+
 import pytest
 
 from playlog import (
@@ -10,6 +12,8 @@ from playlog import (
     load_config,
     parse_config_text,
 )
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 class TestParse:
@@ -166,3 +170,16 @@ def test_no_config_key_is_dead(key, tmp_path):
     (tmp_path / "base.cfg").write_text(prerequisite, encoding="utf-8")
     (tmp_path / "changed.cfg").write_text(f"{prerequisite}{key} = {value}\n", encoding="utf-8")
     assert load_config(tmp_path / "changed.cfg") != load_config(tmp_path / "base.cfg")
+
+
+def test_readme_config_table_lists_every_key_with_its_default():
+    # the rows of the table headed "| key | default |", as (key, default) with "(none)" read as ""
+    lines = README.read_text(encoding="utf-8").split("\n")
+    start = lines.index("| key | default | read by | meaning (unit) |") + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        key, default = (cell.strip().strip("`") for cell in line.split("|")[1:3])
+        rows.append((key, "" if default == "(none)" else default))
+    assert rows == list(DEFAULTS.items())

@@ -593,11 +593,15 @@ def handed_over(read):
 
 def scalar_read(lines, strict, assembly):
     """iter_detections, each record given assemble_detection when ``assembly`` is set, as rows of
-    (line number, frame, box, score, team, number or -1, serialize_detection line)."""
+    (line number, frame, box, score, team, number or -1, serialize_detection line).  A number
+    above 99 is raised as the RecordError of its line."""
     def read(records, skipped):
         for line_number, d in iter_detections(lines, skipped, strict):
             if assembly is not None:
-                d = assemble_detection(d, assembly)
+                try:
+                    d = assemble_detection(d, assembly)
+                except InvariantError as exc:
+                    raise RecordError(f"record line {line_number}: {exc}") from None
             box = tuple(float(v) for v in (d.box.x, d.box.y, d.box.w, d.box.h))
             number = -1 if d.number is None else d.number
             records.append((line_number, d.frame_index, box, d.score, d.team, number, serialize_detection(d)))
@@ -683,7 +687,7 @@ class TestFoldPresence:
         )
         records, error, skipped = handed_over(block_read(lines, False, three))
         assert [r[-1] for r in records] == ["1 10 20 40 60 0.9 home - 0"]
-        assert error == (InvariantError, "PlayerDetection.number in 0..99 violated (got 123)")
+        assert error == (RecordError, "record line 3: PlayerDetection.number in 0..99 violated (got 123)")
         assert skipped == [(2, "record line 2: expected at least 9 fields, got 1")]
 
     def test_any_error_of_the_scalar_chain_comes_after_the_records_before_it(self, monkeypatch):

@@ -443,3 +443,11 @@ class TestConfusionMatrix:
     def test_equality_by_value(self):
         assert confusion_matrix([(3, 3)]) == confusion_matrix([(3, 3)])
         assert confusion_matrix([(3, 3)]) != confusion_matrix([(3, 4)])
+
+    def test_to_text(self):
+        text = confusion_matrix([(2, 2)] * 4 + [(6, 8)]).to_text().split("\n")
+        assert (len(text), text[0], text[11], text[-1]) == (23, "confusion_counts", "confusion_normalized", "")
+        assert text[3] == "0 0 4 0 0 0 0 0 0 0"
+        assert text[7] == "0 0 0 0 0 0 0 0 1 0"
+        assert text[14] == " ".join(["0.0000"] * 2 + ["1.0000"] + ["0.0000"] * 7)
+        assert text[18] == " ".join(["0.0000"] * 8 + ["0.2500", "0.0000"])
