@@ -14,15 +14,16 @@ Subcommands cover each pipeline stage plus a chained run:
 
 Record files are streamed, so the parsed records are never held together
 and diagnostics come out in line order.  All record commands share one
-reader (`gamelog.read_records`): blocks of about 1k lines, each split once,
-its fields converted into arrays, checked and (`assemble`, `pipeline`)
-given jersey numbers there; a line the arrays reject takes the scalar path
-(parse, assemble), which alone reports it.  `log` and `pipeline` fold the
-blocks into a per-frame table of the side's jersey numbers, `assemble` and
-`pipeline --workdir` write their record lines, `classify-team` writes each
-line with the team label of its crop, and `evaluate` hands the blocks of
-both files to `metrics.evaluate_records`, which keeps only flat columns.
-So the memory of all of them stays flat in the record count.
+reader (`gamelog.read_records`): blocks of about 1k lines, the lines of
+each field count parsed into arrays by one `np.loadtxt` call, checked and
+(`assemble`, `pipeline`) given jersey numbers there; a line the arrays
+reject takes the scalar path (parse, assemble), which alone reports it.
+`log` and `pipeline` fold the blocks into a per-frame table of the side's
+jersey numbers, `assemble` and `pipeline --workdir` write their record
+lines, `classify-team` writes each line with the team label of its crop,
+and `evaluate` hands the blocks of both files to
+`metrics.evaluate_records`, which keeps only flat columns.  So the memory
+of all of them stays flat in the record count.
 
 Exit codes: 0 success, 1 input error, 2 internal error.  Diagnostics for
 skipped lines go to stderr; outputs go to --output or stdout.  Every text

@@ -83,8 +83,9 @@ DEFAULTS: Mapping[str, str] = {
 
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """Key-value lines to a dict over the defaults; unknown keys fail."""
+    """Key-value lines to a dict over the defaults; an unknown key, or a key set twice, fails."""
     values = dict(DEFAULTS)
+    set_on: dict[str, int] = {}  # the line that set each key
     for line_number, raw, stripped in content_lines(text.split("\n")):
         key, sep, value = stripped.partition("=")
         if sep == "":
@@ -92,6 +93,9 @@ def parse_config_text(text: str) -> dict[str, str]:
         key = key.strip()
         if key not in DEFAULTS:
             raise ConfigError(f"config line {line_number}: unknown key {key!r}")
+        if key in set_on:
+            raise ConfigError(f"config line {line_number}: key {key} already set on line {set_on[key]}")
+        set_on[key] = line_number
         values[key] = value.strip()
     return values
 
@@ -184,10 +188,13 @@ def load_config(path: str | Path | None = None) -> GameConfig:
 
 
 def format_config(values: Mapping[str, str]) -> str:
-    """Write key-value pairs back out in a stable order."""
+    """Write key-value pairs back out in a stable order; a value that holds a line break fails."""
     merged = dict(DEFAULTS)
     merged.update(values)
     unknown = set(values) - set(DEFAULTS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in values.items():
+        if "\n" in value or "\r" in value:
+            raise ConfigError(f"config key {key}: value {value!r} holds a line break")
     return "".join(f"{key} = {merged[key]}\n" for key in DEFAULTS)

@@ -18,7 +18,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, compress, islice
+from itertools import chain, compress, islice, repeat
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -270,18 +270,20 @@ def read_records(
     ``iter_detections(lines, skipped, strict)``, each record first given
     the number that ``assembly`` makes of its digits when ``assembly`` is
     given (``jersey.assemble_detection``; a number above 99 is raised as a
-    RecordError that names its line).  Each block is split once, its fields
-    read with int() and float() into arrays, and every line checked there
-    against the checks of BoundingBox, DigitDetection and
-    PlayerDetection: the arrays accept a line only if those checks accept
-    the record parse_detection reads from it and every box field is below
-    2**53, where parse_detection reads each as a float.  A line the arrays
-    reject, and every line of the block with as many fields as one whose
-    fields do not convert, goes through that scalar chain itself, in line
-    order: so each diagnostic, strict error and error for an assembled
-    number above 99 comes from the one scalar code path.  Any error, also
-    the reader's, is raised after the records on the lines before it are
-    handed over.  No block is kept here once the next is asked for.
+    RecordError that names its line).  The lines of a block with the same
+    field count are parsed by one np.loadtxt call into arrays (_columns),
+    whose int and float fields read what int() and float() read, and every
+    line is checked there against the checks of BoundingBox,
+    DigitDetection and PlayerDetection: the arrays accept a line only if
+    those checks accept the record parse_detection reads from it and every
+    box field is below 2**53, where parse_detection reads each as a float.
+    A line the arrays reject, and every line of the block with as many
+    fields as one whose fields do not convert, goes through that scalar
+    chain itself, in line order: so each diagnostic, strict error and error
+    for an assembled number above 99 comes from the one scalar code path.
+    Any error, also the reader's, is raised after the records on the lines
+    before it are handed over.  No block is kept here once the next is
+    asked for.
     """
     errors: list[Exception] = []  # the scalar chain's error first, then the reader's (a bad UTF-8 byte)
     numbered = _until_error(content_lines(lines), errors)
@@ -307,23 +309,27 @@ def _read_block(
     # the records of one block of content lines; an error of the scalar chain
     # goes first in ``errors``, and the block ends before its line
     texts = [stripped for _, _, stripped in block]
-    rows = [text.split() for text in texts]
-    sizes = np.fromiter(map(len, rows), np.int64, len(rows))
-    if not keeps_number_rule("".join(texts)):
-        sizes[[i for i, text in enumerate(texts) if not keeps_number_rule(text)]] = -1
+    joined = "".join(texts)
+    # the arrays read fields split at single spaces: a block that holds any
+    # other separator of str.split(), or a run of them, is first respaced to
+    # the fields str.split() gives
+    spaced = texts if joined.isprintable() and "  " not in joined else [" ".join(text.split()) for text in texts]
+    sizes = np.fromiter(map(str.count, spaced, repeat(" ")), np.int64, len(spaced)) + 1
+    if not _array_readable(joined):
+        sizes[[i for i, text in enumerate(texts) if not _array_readable(text)]] = -1
     groups = []  # per field count, the positions, ints, floats, teams and numbers of the rows the arrays accept
     scalar: list[int] = []  # positions of the lines that take the scalar path
     for n in np.unique(sizes).tolist():
         members = np.flatnonzero(sizes == n)
         try:
-            columns = _columns([rows[i] for i in members.tolist()], n)
-        except (ValueError, OverflowError):
+            columns = _columns([spaced[i] for i in members.tolist()], n)
+        except ValueError:
             scalar.extend(members.tolist())
             continue
         number, accepted = _checked(columns, assembly)
         scalar.extend(members[~accepted].tolist())
-        teams = list(compress(columns[2], accepted.tolist()))
-        groups.append((members[accepted], columns[0][:, accepted], columns[1][:, accepted], teams, number[accepted]))
+        groups.append((members[accepted], columns[0][:, accepted], columns[1][:, accepted],
+                       columns[2][accepted].tolist(), number[accepted]))
     detections, found = [], []  # the records that the scalar chain reads, and their positions
     end = len(block)  # records from this position on are not handed over
     try:
@@ -373,34 +379,53 @@ def _record_texts(ints: np.ndarray, floats: np.ndarray, teams: list[str], number
     return list(map(" ".join, zip(*fields)))
 
 
-def _columns(rows: list[list[str]], n: int) -> tuple:
-    """int() and float() of the fields of record lines with ``n`` fields each, as arrays.
+def _array_readable(text: str) -> bool:
+    # whether the arrays may read the lines of ``text``: they keep the number-token
+    # rule, and hold no NUL, which a fixed-width string field drops at a token's end
+    return keeps_number_rule(text) and "\0" not in text
 
-    Raises ValueError if ``n`` is not 9 + 6k for a digit count k, else what
-    int() or float() raise, or OverflowError for an int outside int64.
-    Gives the ints (frame, count, then each digit class) and the floats
-    (box, score, then each digit's confidence and box), one row per field,
-    and the team and number fields as they are.
+
+# A team or number token that fills its field's width may have been cut;
+# the team field is one wider than the longest team, so a cut team is none.
+_TEAM_WIDTH = max(map(len, VALID_TEAMS)) + 1
+_NUMBER_WIDTH = 4
+
+
+def _record_dtype(k: int) -> np.dtype:
+    # the fields of a record line with k digits, in line order, as np.loadtxt reads them
+    return np.dtype([
+        ("frame", np.int64), ("box", np.float64, (5,)), ("team", f"U{_TEAM_WIDTH}"),
+        ("number", f"U{_NUMBER_WIDTH}"), ("count", np.int64),
+        ("digits", [("digit", np.int64), ("values", np.float64, (5,))], (k,)),
+    ])
+
+
+def _columns(texts: list[str], n: int) -> tuple:
+    """The fields of record lines with ``n`` fields each, separated by single spaces, as arrays.
+
+    One np.loadtxt call reads the lines into a structured array: its int64
+    and float64 fields accept exactly the tokens that int() (inside int64)
+    and float() accept, with equal values.  Raises ValueError if ``n`` is not
+    9 + 6k for a digit count k, or if a field does not convert.  Gives the
+    ints (frame, count, then each digit class) and the floats (box, score,
+    then each digit's confidence and box), one row per field; the team
+    tokens; whether each number field is "-"; and each number, -1 for "-"
+    and for a token that fills its field and may have been cut, which is
+    then neither "-" nor 0..99, so its line goes to the scalar chain.
     """
     k, rest = divmod(n - 9, 6)
     if k < 0 or rest:
         raise ValueError(f"{n} fields is not a record's field count")
-    m = len(rows)
-    fields = list(zip(*rows))
-    digit_starts = range(9, 9 + 6 * k, 6)
-    int_fields = [0, 8, *digit_starts]
-    float_fields = [1, 2, 3, 4, 5, *(i + j for i in digit_starts for j in range(1, 6))]
-    ints = np.fromiter(
-        map(int, chain.from_iterable(fields[i] for i in int_fields)), np.int64, len(int_fields) * m
-    ).reshape(len(int_fields), m)
-    floats = np.fromiter(
-        map(float, chain.from_iterable(fields[i] for i in float_fields)), np.float64, len(float_fields) * m
-    ).reshape(len(float_fields), m)
-    numbers = fields[7]
-    dashes = np.fromiter(map("-".__eq__, numbers), bool, m)
+    fields = np.loadtxt(texts, _record_dtype(k), delimiter=" ", comments=None, quotechar=None, ndmin=1)
+    m, digits = len(fields), fields["digits"]
+    ints = np.vstack((fields["frame"], fields["count"], digits["digit"].T))
+    floats = np.vstack((fields["box"].T, digits["values"].reshape(m, 5 * k).T))
+    numbers = fields["number"]
+    dashes = numbers == "-"
     number = np.full(m, -1, dtype=np.int64)
-    number[~dashes] = np.fromiter(map(int, compress(numbers, map("-".__ne__, numbers))), np.int64)
-    return ints, floats, fields[6], dashes, number
+    read = ~dashes & (np.char.str_len(numbers) < _NUMBER_WIDTH)
+    number[read] = numbers[read].astype(np.int64)  # int() of each token
+    return ints, floats, fields["team"], dashes, number
 
 
 def _box_ok(x: np.ndarray, y: np.ndarray, w: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -424,7 +449,7 @@ def _checked(columns: tuple, assembly: AssemblyConfig | None) -> tuple:
     with np.errstate(over="ignore", invalid="ignore"):  # inf + -inf in a box sum, say
         accepted = (
             (frame >= 0) & _box_ok(*floats[:4]) & (0.0 <= floats[4]) & (floats[4] <= 1.0)
-            & np.fromiter(map(VALID_TEAMS.__contains__, teams), bool, m)
+            & np.isin(teams, sorted(VALID_TEAMS))
             & (dashes | ((0 <= number) & (number <= 99))) & (count == k)
             & np.all((0 <= digit) & (digit <= 9) & (0.0 <= conf) & (conf <= 1.0), axis=0)
             & np.all(_box_ok(*digit_box.transpose(1, 0, 2)), axis=0)

@@ -117,7 +117,9 @@ def assemble_numbers(
     overflow), else the number.  Each step keeps the scalar one's order:
     the rank and place orders sort by the fields of _rank_key and
     _place_key (ties keep input order, as a stable sort does), and the
-    suppression compares the IoU that ``iou`` gives, bit for bit.
+    suppression compares the IoU that ``iou`` gives, bit for bit.  Rows of
+    one or two digits, as a jersey shows, take no sort: one digit is only
+    gated, and two compare their keys once.
     """
     rows, k = digits.shape
     if k == 0:
@@ -125,6 +127,10 @@ def assemble_numbers(
     x, y, w, h = np.moveaxis(boxes, -1, 0)
     center = x + w / 2.0
     gated = confidences >= config.confidence_threshold
+    if k == 1:
+        return np.where(gated[:, 0], digits[:, 0], -1)
+    if k == 2:
+        return _assemble_pairs(digits, gated, boxes, np.stack((-confidences, center, digits, x, y, w, h)), config)
     # rank order, gated-out digits last
     rank = np.lexsort((h, w, y, x, digits, center, -confidences, ~gated))
     gated, digits, confidences, center, x, y, w, h = (
@@ -144,3 +150,31 @@ def assemble_numbers(
     for i in range(k):
         composed = np.where(kept[:, i], np.minimum(10 * composed + digits[:, i], ABOVE_99), composed)
     return np.where(kept[:, 0], composed, -1)
+
+
+def _assemble_pairs(
+    digits: np.ndarray, gated: np.ndarray, boxes: np.ndarray, keys: np.ndarray, config: AssemblyConfig
+) -> np.ndarray:
+    # assemble_numbers of rows of two digits, 0 and 1, without sorting: ``keys``
+    # holds the fields of _rank_key, (7, rows, 2), and one comparison of the two
+    # keys gives each order; a digit ranks ahead of an equal one after it, as
+    # in a stable sort.  Equal place keys are equal digits, so either reads.
+    zero_first = _ahead(keys[..., 0], keys[..., 1])
+    place = keys[[1, 0, 2, 3, 4, 5, 6]]  # the fields of _place_key
+    zero_left = _ahead(place[..., 0], place[..., 1])
+    ranked = np.where(zero_first[:, None, None], boxes, boxes[:, ::-1])
+    # the second-ranked digit is kept unless it overlaps the first, iou(second, first) as suppress_digits takes it
+    overlap = _iou(ranked[:, 1], ranked[:, 0]) >= config.iou_suppress_threshold
+    both = gated[:, 0] & gated[:, 1] & ~overlap & (config.max_digits >= 2)
+    zero, one = digits.T
+    lead = np.where(gated[:, 0] & (zero_first | ~gated[:, 1]), zero, one)  # the best-ranked gated digit
+    number = np.where(gated[:, 0] | gated[:, 1], lead, -1)
+    return np.where(both, np.where(zero_left, 10 * zero + one, 10 * one + zero), number)
+
+
+def _ahead(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # per column, whether key a (its fields along the first axis) sorts no later than key b
+    ahead = np.ones(a.shape[1:], dtype=bool)
+    for p, q in zip(a[::-1], b[::-1]):
+        ahead = (p < q) | ((p == q) & ahead)
+    return ahead

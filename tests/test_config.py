@@ -57,6 +57,15 @@ class TestParse:
         with pytest.raises(ConfigError):
             format_config({"velocity": "9"})
 
+    def test_a_key_set_twice_names_both_lines(self):
+        with pytest.raises(ConfigError, match=r"^config line 3: key max_digits already set on line 1$"):
+            parse_config_text("max_digits = 3\n# again\nmax_digits = 1\n")
+
+    @pytest.mark.parametrize("value", ["A\nmax_digits = 3", "A\rB", "A\r\n"])
+    def test_format_rejects_a_value_with_a_line_break(self, value):
+        with pytest.raises(ConfigError, match=r"^config key home_team: value .* holds a line break$"):
+            format_config({"home_team": value})
+
 
 class TestBuild:
     def test_defaults_build(self):
@@ -168,7 +177,9 @@ def test_no_config_key_is_dead(key, tmp_path):
     assert value != DEFAULTS[key]
     (tmp_path / "roster.txt").write_text("3: A Player\n", encoding="utf-8")
     (tmp_path / "base.cfg").write_text(prerequisite, encoding="utf-8")
-    (tmp_path / "changed.cfg").write_text(f"{prerequisite}{key} = {value}\n", encoding="utf-8")
+    # a key is set once, so a prerequisite's own setting of the key gives way to the change
+    kept = "".join(line + "\n" for line in prerequisite.splitlines() if line.partition("=")[0].strip() != key)
+    (tmp_path / "changed.cfg").write_text(f"{kept}{key} = {value}\n", encoding="utf-8")
     assert load_config(tmp_path / "changed.cfg") != load_config(tmp_path / "base.cfg")
 
 

@@ -1,5 +1,6 @@
 """Rosters, record lines, synchronization, log emission."""
 
+import math
 import random
 from unittest.mock import patch
 
@@ -549,6 +550,17 @@ REJECTED_LINES = [
     "3 10 20 40 60 0.9 home 7 1 1 1.5 0 0 5 5",
     "3 10 20 40 60 0.9 home 7 1 1 0.99 0 0 5 -5",
     "3 10 20 40 60 0.9 home 1_0 0",
+    # team tokens that start with a label, one of them cut to the width of the team field
+    "3 10 20 40 60 0.9 homeland 7 0",
+    "3 10 20 40 60 0.9 unknownx 7 0",
+    "3 10 20 40 60 0.9 homelands 7 0",
+    # number tokens that fill the number field or are wider: the scalar chain reads 42
+    "3 10 20 40 60 0.9 home 0042 0",
+    "3 10 20 40 60 0.9 home 0000000042 0",
+    # a trailing comment, and a NUL at the end of a team or number token
+    "3 10 20 40 60 0.9 home 7 0 # note",
+    "3 10 20 40 60 0.9 home\x00 7 0",
+    "3 10 20 40 60 0.9 home 7\x00 0",
 ]
 # spellings that int() and float() read and the writer must give back as
 # serialize_detection writes them
@@ -557,10 +569,20 @@ SPELLED_LINES = [
     "007 4e1 -0.0 1e-05 1.0 1.0 away - 1 +5 0.50 -0.0 0 4e1 1e-05",
     "3 1.0 0.50 4e1 60 -0.0 unknown +5 2 007 1.0 10 20 1e-05 5 1 -0.0 4e1 0 1.0 1.0",
 ]
+# lines whose fields str.split() finds at separators other than one space:
+# tab, vertical tab, form feed, file separator, two spaces, a lone carriage return
+RESPACED_LINES = [
+    "3\t10 20 40 60 0.9 home 7 0",
+    "3 10\x0b20 40 60 0.9 away - 1 4 0.99 0 0 5 5",
+    "3 10 20\x0c40 60 0.9 unknown 7 0",
+    "3 10 20 40\x1c60 0.9 home 7 0",
+    "3 10 20 40 60  0.9 home 7 0",
+    "3 10 20 40 60 0.9\rhome 7 0",
+]
 stream_lines = st.lists(
     edited_record_lines()
     | valid_detections.map(serialize_detection)
-    | st.sampled_from(REJECTED_LINES + SPELLED_LINES + ["# comment", ""]),
+    | st.sampled_from(REJECTED_LINES + SPELLED_LINES + RESPACED_LINES + ["# comment", ""]),
     max_size=12,
 )
 assemblies = st.none() | st.builds(
@@ -710,3 +732,68 @@ def detection_of(row):
     """A record with scalar_read's row's frame, team and number, for presence_table."""
     _, frame, _, _, team, number, _ = row
     return detection(frame=frame, team=team, number=None if number < 0 else number)
+
+
+# tokens as str.split() gives them from an ASCII line without '_': any such
+# text, and spellings near what int() and float() read
+TOKEN_CHARS = "".join(c for c in map(chr, range(128)) if not c.isspace() and c != "_")
+number_tokens = (
+    st.text(TOKEN_CHARS, min_size=1, max_size=8)
+    | st.from_regex(r"\A[+-]?([0-9]{0,22}\.?[0-9]{0,4}([eE][+-]?[0-9]{0,4})?|(?i:inf|infinity|nan))\Z").filter(bool)
+    | st.integers(-2**64, 2**64).map(str)
+    | st.floats().map(repr)
+)
+
+
+def python_value(kind, token):
+    """int() or float() of ``token``, or None where it raises or an int falls outside int64."""
+    try:
+        value = kind(token)
+    except ValueError:
+        return None
+    return value if kind is float or -2**63 <= value < 2**63 else None
+
+
+def field_value(line, kind, field):
+    """What the arrays read for one field of a one-line group: ``kind`` 0 the ints, 1 the floats; None if the line does not convert."""
+    try:
+        columns = playlog.gamelog._columns([line], 9)
+    except ValueError:
+        return None
+    return columns[kind][field, 0].item()
+
+
+def same_float(a, b):
+    """Equal floats of the same sign, nan equal to nan, or both None."""
+    if a is None or b is None:
+        return a is b
+    return (a != a and b != b) or (a == b and math.copysign(1.0, a) == math.copysign(1.0, b))
+
+
+class TestBlockReaderEdges:
+    """Where the arrays' reading of a line could part from the scalar chain's."""
+
+    def test_other_separators_are_read_by_the_arrays(self, monkeypatch):
+        expected = [serialize_detection(parse_detection(line)) for line in RESPACED_LINES]
+        calls = []
+        monkeypatch.setattr(playlog.gamelog, "parse_detection", lambda *a: calls.append(a))
+        (block,) = read_records(RESPACED_LINES, [])
+        assert calls == []
+        assert block.lines() == expected
+
+    @pytest.mark.parametrize("assembly", [None, AssemblyConfig()])
+    def test_every_listed_line_equals_the_scalar_chain(self, assembly):
+        lines = [record_line(1), *REJECTED_LINES, *SPELLED_LINES, *RESPACED_LINES, record_line(2)]
+        expected = handed_over(scalar_read(lines, False, assembly))
+        for size in (1, 2, 3, BLOCK_LINES):
+            with patch.object(playlog.gamelog, "BLOCK_LINES", size):
+                assert handed_over(block_read(lines, False, assembly)) == expected, size
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(number_tokens, min_size=1, max_size=8))
+    def test_int_and_float_fields_read_what_int_and_float_read(self, tokens):
+        # the parse contract of the arrays: a frame field (int64) and a box field
+        # (float64) read a token exactly when int() inside int64 and float() do
+        for token in tokens:
+            assert field_value(f"{token} 1 1 1 1 0.5 home - 0", 0, 0) == python_value(int, token), token
+            assert same_float(field_value(f"1 {token} 1 1 1 0.5 home - 0", 1, 0), python_value(float, token)), token

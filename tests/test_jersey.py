@@ -234,6 +234,19 @@ def reference_number(row, cfg):
     return -1 if number is None else min(number, ABOVE_99)
 
 
+class TestPairAssembly:
+    """Rows of one or two digits, which assemble_numbers reads by comparing keys instead of sorting."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.integers(1, 2).flatmap(lambda k: st.lists(st.lists(exact_digits, min_size=k, max_size=k), min_size=1,
+                                                          max_size=8)), exact_configs)
+    @example([[digit(4, 0.99, 0), digit(4, 0.99, 0)]], AssemblyConfig())
+    @example([[digit(1, 0.99, 6, w=4), digit(7, 0.98, 4, w=8)]], AssemblyConfig(iou_suppress_threshold=0.6))
+    @example([[digit(3, 0.99, 0), digit(8, 0.96, 12)], [digit(3, 0.96, 0), digit(8, 0.99, 12)]], AssemblyConfig())
+    def test_equals_the_reference_suppression_and_assembly(self, rows, cfg):
+        assert assembled_rows(rows, cfg) == [reference_number(row, cfg) for row in rows]
+
+
 class TestArrayAssembly:
     @settings(max_examples=400, deadline=None)
     @given(st.integers(0, 5).flatmap(lambda k: st.lists(st.lists(exact_digits, min_size=k, max_size=k), min_size=1,
