@@ -36,6 +36,7 @@ run may leave the record lines it already wrote there.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 import warnings
@@ -183,6 +184,10 @@ def _stage_records(
     return presence
 
 
+# the errors that Path.exists() reads as a missing file; any other, an unreadable directory, say, is raised
+_MISSING = {errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP}
+
+
 def _stage_classify_team(
     input_path: str, crops_dir: str, game_config: GameConfig, strict: bool, out: TextIO
 ) -> tuple[list[str], int]:
@@ -190,7 +195,7 @@ def _stage_classify_team(
     # gives the reader's skips and a note per missing crop in line order, and the count of skips
     skipped: list[tuple[int, str]] = []
     notes: list[tuple[int, str]] = []
-    crops = Path(crops_dir)
+    crops = os.fspath(Path(crops_dir, "_"))[:-1]  # what Path puts before a name in crops_dir ("" for ".")
     strip_size = game_config.strip_height_fraction, game_config.strip_width_fraction
     profiles = game_config.home_profile, game_config.away_profile
     frame_counters: dict[int, int] = {}
@@ -198,14 +203,17 @@ def _stage_classify_team(
         for line_number, frame, line in zip(block.line, block.frame, block.lines()):
             index = frame_counters.get(frame, 0)
             frame_counters[frame] = index + 1
-            crop_path = crops / f"{frame}_{index}.ppm"
-            if crop_path.exists():  # raises the errors that are not a missing file, as os.path.exists does not
-                strip = extract_strip(read_image(crop_path), *strip_size)
-                fields = line.split(" ", 7)  # field 6 is the team
-                fields[6] = classify_team(channel_histogram(strip), *profiles)
-                line = " ".join(fields)
+            crop_name = f"{frame}_{index}.ppm"
+            try:  # a str, as Path(crops_dir, crop_name) spells it: a Path per record interns its parts
+                image = read_image(crops + crop_name)
+            except OSError as exc:
+                if exc.errno not in _MISSING:
+                    raise
+                notes.append((line_number, f"record line {line_number}: no crop {crop_name}, team kept"))
             else:
-                notes.append((line_number, f"record line {line_number}: no crop {crop_path.name}, team kept"))
+                fields = line.split(" ", 7)  # field 6 is the team
+                fields[6] = classify_team(channel_histogram(extract_strip(image, *strip_size)), *profiles)
+                line = " ".join(fields)
             out.write(line + "\n")
         del block  # a block kept while the next is read would raise the peak memory by a block
     # the reader adds a block's skips before its records come here; a stable sort puts all in line order

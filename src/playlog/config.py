@@ -188,7 +188,7 @@ def load_config(path: str | Path | None = None) -> GameConfig:
 
 
 def format_config(values: Mapping[str, str]) -> str:
-    """Write key-value pairs back out in a stable order; a value that holds a line break fails."""
+    """Write key-value pairs back out in a stable order; a value that would not read back as itself fails."""
     merged = dict(DEFAULTS)
     merged.update(values)
     unknown = set(values) - set(DEFAULTS)
@@ -197,4 +197,6 @@ def format_config(values: Mapping[str, str]) -> str:
     for key, value in values.items():
         if "\n" in value or "\r" in value:
             raise ConfigError(f"config key {key}: value {value!r} holds a line break")
+        if value != value.strip():
+            raise ConfigError(f"config key {key}: value {value!r} has leading or trailing whitespace")
     return "".join(f"{key} = {merged[key]}\n" for key in DEFAULTS)

@@ -34,7 +34,7 @@ from .core import (
     Roster,
     VALID_TEAMS,
 )
-from .jersey import ABOVE_99, AssemblyConfig, assemble_detection, assemble_numbers
+from .jersey import AssemblyConfig, assemble_detection, assemble_numbers
 from .textfile import content_lines, keeps_number_rule, number_rule_break, number_token
 
 LOG_HEADER = (
@@ -243,6 +243,14 @@ def presence_table(detections: Iterable[PlayerDetection], side: str) -> dict[int
 BLOCK_LINES = 1024
 
 
+# Lines of a block whose fields do not all convert are halved and parsed
+# again, so that only the lines with a bad field take the scalar chain.  One
+# bad line among BLOCK_LINES fails 10 parses.  Where bad lines are dense the
+# failed parses cost more than the scalar parses they spare, so after this
+# many failures in one block, a part that fails goes to the scalar chain whole.
+FAILED_PARSES = 16
+
+
 class RecordBlock(NamedTuple):
     """The records that read_records accepts from one block of lines, in line order, as columns."""
 
@@ -277,10 +285,13 @@ def read_records(
     DigitDetection and PlayerDetection: the arrays accept a line only if
     those checks accept the record parse_detection reads from it and every
     box field is below 2**53, where parse_detection reads each as a float.
-    A line the arrays reject, and every line of the block with as many
-    fields as one whose fields do not convert, goes through that scalar
-    chain itself, in line order: so each diagnostic, strict error and error
-    for an assembled number above 99 comes from the one scalar code path.
+    Lines with a field that does not convert are halved until each such
+    line is alone (but see FAILED_PARSES).  A line the arrays reject, a
+    line with a field that does not convert and, with ``assembly``, a
+    record of more than two digit detections (array assembly covers up to
+    two, as a jersey shows) go through that scalar chain itself, in line
+    order: so each diagnostic, strict error and error for an assembled
+    number above 99 comes from the one scalar code path.
     Any error, also the reader's, is raised after the records on the lines
     before it are handed over.  No block is kept here once the next is
     asked for.
@@ -317,14 +328,25 @@ def _read_block(
     sizes = np.fromiter(map(str.count, spaced, repeat(" ")), np.int64, len(spaced)) + 1
     if not _array_readable(joined):
         sizes[[i for i, text in enumerate(texts) if not _array_readable(text)]] = -1
-    groups = []  # per field count, the positions, ints, floats, teams and numbers of the rows the arrays accept
+    groups = []  # per part of a field count: the positions, ints, floats, teams and numbers of the rows accepted
     scalar: list[int] = []  # positions of the lines that take the scalar path
-    for n in np.unique(sizes).tolist():
-        members = np.flatnonzero(sizes == n)
-        try:
-            columns = _columns([spaced[i] for i in members.tolist()], n)
-        except ValueError:
+    parts = [np.flatnonzero(sizes == n) for n in np.unique(sizes).tolist()]  # the positions of each field count's lines
+    failures = 0  # np.loadtxt calls that raised
+    while parts:
+        members = parts.pop(0)  # fewest fields first: measured a lower peak memory than most fields first
+        k, rest = divmod(int(sizes[members[0]]) - 9, 6)
+        if k < 0 or rest or (k > 2 and assembly is not None):
+            # not a record's field count, or more digits than assemble_numbers reads
             scalar.extend(members.tolist())
+            continue
+        try:
+            columns = _columns([spaced[i] for i in members.tolist()], k)
+        except ValueError:  # a field does not convert: halve the lines until each that holds one is alone
+            failures += 1
+            if len(members) > 1 and failures <= FAILED_PARSES:
+                parts += np.array_split(members, 2)
+            else:
+                scalar.extend(members.tolist())
             continue
         number, accepted = _checked(columns, assembly)
         scalar.extend(members[~accepted].tolist())
@@ -367,12 +389,13 @@ def _read_block(
 def _record_texts(ints: np.ndarray, floats: np.ndarray, teams: list[str], number: np.ndarray) -> list[str]:
     # serialize_detection's line of each row of _columns that _checked accepts: its
     # floats are finite and below 2**53, so each is integral exactly when its int64
-    # equals it, and is then written as that int, else with repr(), as _format_value does
+    # equals it, and is then written as that int, else with repr(), as _format_value does;
+    # one field at a time, so that only the texts, not every field's values, are held at once
     f = [
         list(map(str, whole)) if whole == values else [str(w) if w == v else repr(v) for w, v in zip(whole, values)]
-        for whole, values in zip(floats.astype(np.int64).tolist(), floats.tolist())
+        for whole, values in ((row.astype(np.int64).tolist(), row.tolist()) for row in floats)
     ]
-    i = [list(map(str, row)) for row in ints.tolist()]
+    i = [list(map(str, row.tolist())) for row in ints]
     fields = [i[0], *f[:5], teams, ["-" if v < 0 else str(v) for v in number.tolist()], i[1]]
     for j in range(len(ints) - 2):
         fields += [i[2 + j], *f[5 + 5 * j:10 + 5 * j]]
@@ -400,22 +423,19 @@ def _record_dtype(k: int) -> np.dtype:
     ])
 
 
-def _columns(texts: list[str], n: int) -> tuple:
-    """The fields of record lines with ``n`` fields each, separated by single spaces, as arrays.
+def _columns(texts: list[str], k: int) -> tuple:
+    """The fields of record lines of ``k`` digits each, 9 + 6k fields separated by single spaces, as arrays.
 
     One np.loadtxt call reads the lines into a structured array: its int64
     and float64 fields accept exactly the tokens that int() (inside int64)
-    and float() accept, with equal values.  Raises ValueError if ``n`` is not
-    9 + 6k for a digit count k, or if a field does not convert.  Gives the
+    and float() accept, with equal values.  Raises ValueError if a line does
+    not have 9 + 6k fields or if a field does not convert.  Gives the
     ints (frame, count, then each digit class) and the floats (box, score,
     then each digit's confidence and box), one row per field; the team
     tokens; whether each number field is "-"; and each number, -1 for "-"
     and for a token that fills its field and may have been cut, which is
     then neither "-" nor 0..99, so its line goes to the scalar chain.
     """
-    k, rest = divmod(n - 9, 6)
-    if k < 0 or rest:
-        raise ValueError(f"{n} fields is not a record's field count")
     fields = np.loadtxt(texts, _record_dtype(k), delimiter=" ", comments=None, quotechar=None, ndmin=1)
     m, digits = len(fields), fields["digits"]
     ints = np.vstack((fields["frame"], fields["count"], digits["digit"].T))
@@ -438,9 +458,11 @@ def _checked(columns: tuple, assembly: AssemblyConfig | None) -> tuple:
     """Per row: the number (-1 for none), and whether the row is accepted.
 
     A row is accepted when the checks of the record types accept what
-    parse_detection reads from it, every box field below 2**53 (_box_ok),
-    and, with ``assembly``, its assembled number is 0..99 or none.  The
-    number is the assembled one with ``assembly``, else the number field.
+    parse_detection reads from it and every box field is below 2**53
+    (_box_ok).  The number is the assembled one with ``assembly``, else the
+    number field.  With ``assembly`` the rows hold at most two digits, which
+    assemble_numbers reads (at most 99); _read_block sends a record of more
+    digits to the scalar chain.
     """
     ints, floats, teams, dashes, number = columns
     m, k = len(teams), len(ints) - 2
@@ -460,7 +482,6 @@ def _checked(columns: tuple, assembly: AssemblyConfig | None) -> tuple:
         number[rows] = assemble_numbers(
             digit[:, rows].T, conf[:, rows].T, digit_box[:, :, rows].transpose(2, 0, 1), assembly
         )
-        accepted &= number != ABOVE_99
     return number, accepted
 
 

@@ -3,7 +3,8 @@
 A player crop yields zero or more digit detections; a confidence gate and
 overlap suppression clean them up, and the survivors are read left to
 right as one decimal number.  ``assemble_numbers`` does the same for many
-crops at once, on arrays.
+crops at once, on arrays, for crops of at most two digit detections, as a
+jersey shows; a crop with more takes the scalar functions.
 """
 
 from __future__ import annotations
@@ -102,65 +103,31 @@ def assemble_detection(detection: PlayerDetection, config: AssemblyConfig) -> Pl
     return detection.with_number(assemble_number(suppress_digits(detection.digits, config), config))
 
 
-ABOVE_99 = 100  # what assemble_numbers gives for a number above 99
-
-
 def assemble_numbers(
     digits: np.ndarray, confidences: np.ndarray, boxes: np.ndarray, config: AssemblyConfig
 ) -> np.ndarray:
-    """assemble_number(suppress_digits(...)) of each row of k digit detections, on arrays.
+    """assemble_number(suppress_digits(...)) of each row of at most two digit detections, as a jersey shows, on arrays.
 
-    ``digits`` and ``confidences`` are (rows, k), ``boxes`` (rows, k, 4)
-    holding x, y, w, h; every value must pass the checks of DigitDetection
-    and BoundingBox.  Gives one int64 per row: -1 for no number, ABOVE_99
-    for a number above 99 (the composition saturates there, so it cannot
-    overflow), else the number.  Each step keeps the scalar one's order:
-    the rank and place orders sort by the fields of _rank_key and
-    _place_key (ties keep input order, as a stable sort does), and the
-    suppression compares the IoU that ``iou`` gives, bit for bit.  Rows of
-    one or two digits, as a jersey shows, take no sort: one digit is only
-    gated, and two compare their keys once.
+    ``digits`` and ``confidences`` are (rows, k) for k of 0, 1 or 2,
+    ``boxes`` (rows, k, 4) holding x, y, w, h; every value must pass the
+    checks of DigitDetection and BoundingBox.  Gives one int64 per row: -1
+    for no number, else the number.  Nothing is sorted: one digit is only
+    gated, and two compare their _rank_key and _place_key fields once, a
+    digit going ahead of an equal one after it, as in a stable sort.  The
+    suppression compares the IoU that ``iou`` gives, bit for bit.
     """
     rows, k = digits.shape
+    if k > 2:
+        raise ValueError(f"assemble_numbers reads rows of at most 2 digits, got {k}")
     if k == 0:
         return np.full(rows, -1, dtype=np.int64)
-    x, y, w, h = np.moveaxis(boxes, -1, 0)
-    center = x + w / 2.0
     gated = confidences >= config.confidence_threshold
     if k == 1:
         return np.where(gated[:, 0], digits[:, 0], -1)
-    if k == 2:
-        return _assemble_pairs(digits, gated, boxes, np.stack((-confidences, center, digits, x, y, w, h)), config)
-    # rank order, gated-out digits last
-    rank = np.lexsort((h, w, y, x, digits, center, -confidences, ~gated))
-    gated, digits, confidences, center, x, y, w, h = (
-        np.take_along_axis(a, rank, axis=1) for a in (gated, digits, confidences, center, x, y, w, h)
-    )
-    ranked = np.stack((x, y, w, h), axis=-1)
-    # overlaps[r, i, j]: digit i overlaps digit j at the threshold, iou(box i, box j) as suppress_digits takes it
-    overlaps = _iou(ranked[:, :, None, :], ranked[:, None, :, :]) >= config.iou_suppress_threshold
-    kept = np.zeros((rows, k), dtype=bool)
-    for i in range(k):
-        kept[:, i] = gated[:, i] & ~(kept[:, :i] & overlaps[:, i, :i]).any(axis=1)
-    kept &= np.cumsum(kept, axis=1) <= config.max_digits
-    # place order, dropped digits last
-    place = np.lexsort((h, w, y, x, digits, -confidences, center, ~kept))
-    kept, digits = np.take_along_axis(kept, place, axis=1), np.take_along_axis(digits, place, axis=1)
-    composed = np.zeros(rows, dtype=np.int64)
-    for i in range(k):
-        composed = np.where(kept[:, i], np.minimum(10 * composed + digits[:, i], ABOVE_99), composed)
-    return np.where(kept[:, 0], composed, -1)
-
-
-def _assemble_pairs(
-    digits: np.ndarray, gated: np.ndarray, boxes: np.ndarray, keys: np.ndarray, config: AssemblyConfig
-) -> np.ndarray:
-    # assemble_numbers of rows of two digits, 0 and 1, without sorting: ``keys``
-    # holds the fields of _rank_key, (7, rows, 2), and one comparison of the two
-    # keys gives each order; a digit ranks ahead of an equal one after it, as
-    # in a stable sort.  Equal place keys are equal digits, so either reads.
-    zero_first = _ahead(keys[..., 0], keys[..., 1])
-    place = keys[[1, 0, 2, 3, 4, 5, 6]]  # the fields of _place_key
+    x, y, w, h = np.moveaxis(boxes, -1, 0)
+    rank = np.stack((-confidences, x + w / 2.0, digits, x, y, w, h))  # the fields of _rank_key, (7, rows, 2)
+    zero_first = _ahead(rank[..., 0], rank[..., 1])
+    place = rank[[1, 0, 2, 3, 4, 5, 6]]  # the fields of _place_key; equal place keys are equal digits
     zero_left = _ahead(place[..., 0], place[..., 1])
     ranked = np.where(zero_first[:, None, None], boxes, boxes[:, ::-1])
     # the second-ranked digit is kept unless it overlaps the first, iou(second, first) as suppress_digits takes it

@@ -411,6 +411,25 @@ class TestClassifyTeamChain:
         captured = capsys.readouterr()
         assert (captured.out, captured.err, code) == expected
 
+    @pytest.mark.parametrize("case", ["crop is a directory", "crops is a file"])
+    def test_only_a_missing_file_is_a_missing_crop(self, case, tmp_path, capsys):
+        # a crop that cannot be read is an error; a crops path that is no directory holds no crop
+        crops = tmp_path / "crops"
+        if case == "crops is a file":
+            crops.write_bytes(b"")
+        else:
+            (crops / "0_0.ppm").mkdir(parents=True)
+        records = tmp_path / "records.txt"
+        records.write_text(record(0) + "\n", encoding="utf-8")
+        expected = scalar_classify_team(records, crops, False)
+        code = run(["classify-team", "--input", str(records), "--crops", str(crops)])
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err, code) == expected
+        if case == "crops is a file":
+            assert (captured.err, code) == ("record line 1: no crop 0_0.ppm, team kept\n", 0)
+        else:
+            assert code == 1 and captured.err.startswith(f"error: [Errno {errno.EISDIR}]")
+
 
 class TestEvaluate:
     def test_perfect_predictions(self, tmp_path, capsys):

@@ -61,9 +61,11 @@ class TestParse:
         with pytest.raises(ConfigError, match=r"^config line 3: key max_digits already set on line 1$"):
             parse_config_text("max_digits = 3\n# again\nmax_digits = 1\n")
 
-    @pytest.mark.parametrize("value", ["A\nmax_digits = 3", "A\rB", "A\r\n"])
+    @pytest.mark.parametrize("value", ["A\nmax_digits = 3", "A\rB", "A\r\n", " Redbirds  ", "Redbirds\t"])
     def test_format_rejects_a_value_with_a_line_break(self, value):
-        with pytest.raises(ConfigError, match=r"^config key home_team: value .* holds a line break$"):
+        # a value with whitespace at either end would read back stripped
+        fault = "holds a line break" if {"\n", "\r"} & set(value) else "has leading or trailing whitespace"
+        with pytest.raises(ConfigError, match=rf"^config key home_team: value .* {fault}$"):
             format_config({"home_team": value})
 
 

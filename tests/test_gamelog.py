@@ -37,7 +37,7 @@ from playlog import (
     synchronize,
     synchronize_presence,
 )
-from playlog.gamelog import BLOCK_LINES
+from playlog.gamelog import BLOCK_LINES, FAILED_PARSES
 from playlog.jersey import assemble_detection
 from playlog.textfile import read_lines
 
@@ -757,7 +757,7 @@ def python_value(kind, token):
 def field_value(line, kind, field):
     """What the arrays read for one field of a one-line group: ``kind`` 0 the ints, 1 the floats; None if the line does not convert."""
     try:
-        columns = playlog.gamelog._columns([line], 9)
+        columns = playlog.gamelog._columns([line], 0)
     except ValueError:
         return None
     return columns[kind][field, 0].item()
@@ -770,8 +770,72 @@ def same_float(a, b):
     return (a != a and b != b) or (a == b and math.copysign(1.0, a) == math.copysign(1.0, b))
 
 
+def counted_parses(monkeypatch):
+    """The line number of each parse_detection call of the reader from here on."""
+    calls = []
+
+    def counted(line, line_number=None):
+        calls.append(line_number)
+        return parse_detection(line, line_number)
+
+    monkeypatch.setattr(playlog.gamelog, "parse_detection", counted)
+    return calls
+
+
+def digits_line(frame, values):
+    """A record line whose digit detections read ``values`` left to right, each apart from the others."""
+    digits = tuple(digit(v, 0.99, 14 * i) for i, v in enumerate(values))
+    return serialize_detection(detection(frame=frame, digits=digits))
+
+
 class TestBlockReaderEdges:
     """Where the arrays' reading of a line could part from the scalar chain's."""
+
+    def test_a_field_that_does_not_convert_sends_only_its_line_to_the_scalar_chain(self, monkeypatch):
+        lines = [record_line(frame) for frame in range(100)]
+        lines[41] += ".0"  # line 42's digit count, written as a float
+        expected = handed_over(scalar_read(lines, False, None))
+        calls = counted_parses(monkeypatch)
+        got = handed_over(block_read(lines, False, None))
+        assert got == expected
+        assert calls == [42]
+        assert len(got[0]) == 99
+        assert got[2] == [(42, "record line 42: invalid literal for int() with base 10: '0.0'")]
+
+    def test_a_block_of_bad_lines_is_halved_only_until_its_parses_have_failed_often(self, monkeypatch):
+        # each of FAILED_PARSES failed parses halves its lines; the parts after them go to the scalar chain whole
+        lines = [record_line(frame) + ".0" for frame in range(BLOCK_LINES)]
+        expected = handed_over(scalar_read(lines, False, None))
+        failed = []
+        columns = playlog.gamelog._columns
+
+        def counted(texts, k):
+            try:
+                return columns(texts, k)
+            except ValueError:
+                failed.append(len(texts))
+                raise
+
+        monkeypatch.setattr(playlog.gamelog, "_columns", counted)
+        assert handed_over(block_read(lines, False, None)) == expected
+        assert len(failed) == 1 + 2 * FAILED_PARSES
+
+    @pytest.mark.parametrize("max_digits", [3, 4])
+    def test_records_of_more_than_two_digits_take_the_scalar_chain(self, max_digits, monkeypatch):
+        # array assembly reads at most two digits, as a jersey shows; each record of more is parsed once, by the
+        # scalar chain, which raises the error of a number above 99 for its line
+        assembly = AssemblyConfig(max_digits=max_digits)
+        lines = [record_line(1), digits_line(2, (0, 4, 2)), digits_line(3, (0, 0, 7)), digits_line(4, (0, 0, 0, 7)),
+                 digits_line(5, (5, 1)), digits_line(6, (1, 4, 2)), record_line(7)]
+        expected = handed_over(scalar_read(lines, False, assembly))
+        calls = counted_parses(monkeypatch)
+        got = handed_over(block_read(lines, False, assembly))
+        assert got == expected
+        assert calls == [2, 3, 4, 6]
+        records, error, skipped = got
+        assert [r[5] for r in records] == [-1, 42, 7, 7 if max_digits == 4 else 0, 51]
+        assert error == (RecordError, "record line 6: PlayerDetection.number in 0..99 violated (got 142)")
+        assert skipped == []
 
     def test_other_separators_are_read_by_the_arrays(self, monkeypatch):
         expected = [serialize_detection(parse_detection(line)) for line in RESPACED_LINES]
