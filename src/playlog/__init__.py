@@ -78,7 +78,6 @@ from .matching import (
     SizeBucket,
     hungarian_assign,
     iou,
-    iou_matrix,
     match_detections,
     size_bucket,
 )

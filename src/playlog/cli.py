@@ -233,7 +233,7 @@ def _stage_log(
         away_team=game_config.away_team,
         min_appearances=game_config.min_appearances,
     )
-    return emit_game_log(entries, fmt)
+    return emit_game_log(entries, fmt, side=side)
 
 
 def _stage_evaluate(

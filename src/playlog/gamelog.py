@@ -279,19 +279,22 @@ def read_records(
     the number that ``assembly`` makes of its digits when ``assembly`` is
     given (``jersey.assemble_detection``; a number above 99 is raised as a
     RecordError that names its line).  The lines of a block with the same
-    field count are parsed by one np.loadtxt call into arrays (_columns),
-    whose int and float fields read what int() and float() read, and every
-    line is checked there against the checks of BoundingBox,
-    DigitDetection and PlayerDetection: the arrays accept a line only if
-    those checks accept the record parse_detection reads from it and every
-    box field is below 2**53, where parse_detection reads each as a float.
-    Lines with a field that does not convert are halved until each such
-    line is alone (but see FAILED_PARSES).  A line the arrays reject, a
-    line with a field that does not convert and, with ``assembly``, a
-    record of more than two digit detections (array assembly covers up to
-    two, as a jersey shows) go through that scalar chain itself, in line
-    order: so each diagnostic, strict error and error for an assembled
-    number above 99 comes from the one scalar code path.
+    field count are parsed by one np.loadtxt call into a structured array
+    whose fields _record_dtype names, the one declaration of the line
+    layout (_columns); its int and float fields read what int() and float()
+    read.  Every line is checked there, each field read by its name,
+    against the checks of BoundingBox, DigitDetection and PlayerDetection:
+    the arrays accept a line only if those checks accept the record
+    parse_detection reads from it and every box field is below 2**53, where
+    parse_detection reads each as a float.  The writer (RecordBlock.lines)
+    reads the same named fields, WRITE_ROWS rows at a time.  Lines with a
+    field that does not convert are halved until each such line is alone
+    (but see FAILED_PARSES).  A line the arrays reject, a line with a field
+    that does not convert and, with ``assembly``, a record of more than two
+    digit detections (array assembly covers up to two, as a jersey shows)
+    go through that scalar chain itself, in line order: so each diagnostic,
+    strict error and error for an assembled number above 99 comes from the
+    one scalar code path.
     Any error, also the reader's, is raised after the records on the lines
     before it are handed over.  No block is kept here once the next is
     asked for.
@@ -328,7 +331,7 @@ def _read_block(
     sizes = np.fromiter(map(str.count, spaced, repeat(" ")), np.int64, len(spaced)) + 1
     if not _array_readable(joined):
         sizes[[i for i, text in enumerate(texts) if not _array_readable(text)]] = -1
-    groups = []  # per part of a field count: the positions, ints, floats, teams and numbers of the rows accepted
+    groups = []  # per part of a field count: the positions, fields and numbers of the rows accepted
     scalar: list[int] = []  # positions of the lines that take the scalar path
     parts = [np.flatnonzero(sizes == n) for n in np.unique(sizes).tolist()]  # the positions of each field count's lines
     failures = 0  # np.loadtxt calls that raised
@@ -340,7 +343,7 @@ def _read_block(
             scalar.extend(members.tolist())
             continue
         try:
-            columns = _columns([spaced[i] for i in members.tolist()], k)
+            fields, dashes, number = _columns([spaced[i] for i in members.tolist()], k)
         except ValueError:  # a field does not convert: halve the lines until each that holds one is alone
             failures += 1
             if len(members) > 1 and failures <= FAILED_PARSES:
@@ -348,10 +351,9 @@ def _read_block(
             else:
                 scalar.extend(members.tolist())
             continue
-        number, accepted = _checked(columns, assembly)
+        number, accepted = _checked(fields, dashes, number, assembly)
         scalar.extend(members[~accepted].tolist())
-        groups.append((members[accepted], columns[0][:, accepted], columns[1][:, accepted],
-                       columns[2][accepted].tolist(), number[accepted]))
+        groups.append((members[accepted], fields[accepted], number[accepted]))
     detections, found = [], []  # the records that the scalar chain reads, and their positions
     end = len(block)  # records from this position on are not handed over
     try:
@@ -366,40 +368,51 @@ def _read_block(
     except Exception as exc:  # a strict error, a number above 99 or any other: read_records raises it after this block
         errors.insert(0, exc)
         end = i
-    where = np.concatenate([*(g[0] for g in groups), np.array(found, np.int64)])
+    where = np.concatenate([*(positions for positions, _, _ in groups), np.array(found, np.int64)])
     order = np.argsort(where)
     order = order[where[order] < end]
 
     def column(of_group: Callable, of_record: Callable) -> list:
         # per record in line order: the lists that ``of_group`` gives, then ``of_record`` of each detection
-        made = [*chain.from_iterable(map(of_group, groups)), *map(of_record, detections)]
+        made = [*chain.from_iterable(of_group(f, n) for _, f, n in groups), *map(of_record, detections)]
         return [made[k] for k in order.tolist()]
 
     values = np.array([(d.box.x, d.box.y, d.box.w, d.box.h, d.score) for d in detections], np.float64)
-    values = np.concatenate([*(g[2][:5].T for g in groups), values.reshape(-1, 5)])[order]
+    values = np.concatenate([*(fields["box"] for _, fields, _ in groups), values.reshape(-1, 5)])[order]
     number = np.array([-1 if d.number is None else d.number for d in detections], np.int64)
     return RecordBlock(
         [block[i][0] for i in where[order].tolist()],
-        column(lambda g: g[1][0].tolist(), lambda d: d.frame_index), values[:, :4], values[:, 4],
-        column(lambda g: g[3], lambda d: d.team), np.concatenate([*(g[4] for g in groups), number])[order],
-        partial(column, lambda g: _record_texts(*g[1:]), serialize_detection),
+        column(lambda fields, _: fields["frame"].tolist(), lambda d: d.frame_index), values[:, :4], values[:, 4],
+        column(lambda fields, _: fields["team"].tolist(), lambda d: d.team),
+        np.concatenate([*(n for _, _, n in groups), number])[order],
+        partial(column, _record_texts, serialize_detection),
     )
 
 
-def _record_texts(ints: np.ndarray, floats: np.ndarray, teams: list[str], number: np.ndarray) -> list[str]:
+# Rows that _record_texts writes at once: it holds the tokens of this many
+# rows, not of a whole group, before joining them into lines.
+WRITE_ROWS = 256
+
+
+def _record_texts(fields: np.ndarray, number: np.ndarray) -> list[str]:
     # serialize_detection's line of each row of _columns that _checked accepts: its
     # floats are finite and below 2**53, so each is integral exactly when its int64
-    # equals it, and is then written as that int, else with repr(), as _format_value does;
-    # one field at a time, so that only the texts, not every field's values, are held at once
-    f = [
-        list(map(str, whole)) if whole == values else [str(w) if w == v else repr(v) for w, v in zip(whole, values)]
-        for whole, values in ((row.astype(np.int64).tolist(), row.tolist()) for row in floats)
-    ]
-    i = [list(map(str, row.tolist())) for row in ints]
-    fields = [i[0], *f[:5], teams, ["-" if v < 0 else str(v) for v in number.tolist()], i[1]]
-    for j in range(len(ints) - 2):
-        fields += [i[2 + j], *f[5 + 5 * j:10 + 5 * j]]
-    return list(map(" ".join, zip(*fields)))
+    # equals it, and is then written as that int, else with repr(), as _format_value does
+    def texts(values: np.ndarray) -> list[str]:  # of an int64 or a float64 field
+        whole, exact = values.astype(np.int64).tolist(), values.tolist()
+        if whole == exact:
+            return list(map(str, whole))
+        return [str(w) if w == v else repr(v) for w, v in zip(whole, exact)]
+
+    lines: list[str] = []
+    for start in range(0, len(fields), WRITE_ROWS):
+        rows, numbers = fields[start:start + WRITE_ROWS], number[start:start + WRITE_ROWS].tolist()
+        tokens = [texts(rows["frame"]), *map(texts, rows["box"].T), rows["team"].tolist(),
+                  ["-" if v < 0 else str(v) for v in numbers], texts(rows["count"])]
+        for digit in rows["digits"].T:  # each digit's fields, in line order
+            tokens += [texts(digit["digit"]), *map(texts, digit["values"].T)]
+        lines += map(" ".join, zip(*tokens))
+    return lines
 
 
 def _array_readable(text: str) -> bool:
@@ -423,29 +436,25 @@ def _record_dtype(k: int) -> np.dtype:
     ])
 
 
-def _columns(texts: list[str], k: int) -> tuple:
+def _columns(texts: list[str], k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The fields of record lines of ``k`` digits each, 9 + 6k fields separated by single spaces, as arrays.
 
-    One np.loadtxt call reads the lines into a structured array: its int64
-    and float64 fields accept exactly the tokens that int() (inside int64)
-    and float() accept, with equal values.  Raises ValueError if a line does
-    not have 9 + 6k fields or if a field does not convert.  Gives the
-    ints (frame, count, then each digit class) and the floats (box, score,
-    then each digit's confidence and box), one row per field; the team
-    tokens; whether each number field is "-"; and each number, -1 for "-"
-    and for a token that fills its field and may have been cut, which is
-    then neither "-" nor 0..99, so its line goes to the scalar chain.
+    One np.loadtxt call reads the lines into a structured array of
+    _record_dtype(k): its int64 and float64 fields accept exactly the tokens
+    that int() (inside int64) and float() accept, with equal values.  Raises
+    ValueError if a line does not have 9 + 6k fields or if a field does not
+    convert.  Gives that array, one row per line; whether each number field
+    is "-"; and each number, -1 for "-" and for a token that fills its field
+    and may have been cut, which is then neither "-" nor 0..99, so its line
+    goes to the scalar chain.
     """
     fields = np.loadtxt(texts, _record_dtype(k), delimiter=" ", comments=None, quotechar=None, ndmin=1)
-    m, digits = len(fields), fields["digits"]
-    ints = np.vstack((fields["frame"], fields["count"], digits["digit"].T))
-    floats = np.vstack((fields["box"].T, digits["values"].reshape(m, 5 * k).T))
     numbers = fields["number"]
     dashes = numbers == "-"
-    number = np.full(m, -1, dtype=np.int64)
+    number = np.full(len(fields), -1, dtype=np.int64)
     read = ~dashes & (np.char.str_len(numbers) < _NUMBER_WIDTH)
     number[read] = numbers[read].astype(np.int64)  # int() of each token
-    return ints, floats, fields["team"], dashes, number
+    return fields, dashes, number
 
 
 def _box_ok(x: np.ndarray, y: np.ndarray, w: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -454,8 +463,8 @@ def _box_ok(x: np.ndarray, y: np.ndarray, w: np.ndarray, h: np.ndarray) -> np.nd
     return (0.0 <= x) & (0.0 <= y) & (0.0 < w) & (0.0 < h) & (x + y + w + h < _EXACT)
 
 
-def _checked(columns: tuple, assembly: AssemblyConfig | None) -> tuple:
-    """Per row: the number (-1 for none), and whether the row is accepted.
+def _checked(fields: np.ndarray, dashes: np.ndarray, number: np.ndarray, assembly: AssemblyConfig | None) -> tuple:
+    """Per row of _columns: the number (-1 for none), and whether the row is accepted.
 
     A row is accepted when the checks of the record types accept what
     parse_detection reads from it and every box field is below 2**53
@@ -464,24 +473,19 @@ def _checked(columns: tuple, assembly: AssemblyConfig | None) -> tuple:
     assemble_numbers reads (at most 99); _read_block sends a record of more
     digits to the scalar chain.
     """
-    ints, floats, teams, dashes, number = columns
-    m, k = len(teams), len(ints) - 2
-    frame, count, digit = ints[0], ints[1], ints[2:]
-    conf, digit_box = floats[5::5], floats[5:].reshape(k, 5, m)[:, 1:]
+    box, digits = fields["box"], fields["digits"]
+    digit, conf, digit_box = digits["digit"], digits["values"][..., 0], digits["values"][..., 1:]
     with np.errstate(over="ignore", invalid="ignore"):  # inf + -inf in a box sum, say
         accepted = (
-            (frame >= 0) & _box_ok(*floats[:4]) & (0.0 <= floats[4]) & (floats[4] <= 1.0)
-            & np.isin(teams, sorted(VALID_TEAMS))
-            & (dashes | ((0 <= number) & (number <= 99))) & (count == k)
-            & np.all((0 <= digit) & (digit <= 9) & (0.0 <= conf) & (conf <= 1.0), axis=0)
-            & np.all(_box_ok(*digit_box.transpose(1, 0, 2)), axis=0)
+            (fields["frame"] >= 0) & _box_ok(*box[:, :4].T) & (0.0 <= box[:, 4]) & (box[:, 4] <= 1.0)
+            & np.isin(fields["team"], sorted(VALID_TEAMS))
+            & (dashes | ((0 <= number) & (number <= 99))) & (fields["count"] == digits.shape[1])
+            & np.all((0 <= digit) & (digit <= 9) & (0.0 <= conf) & (conf <= 1.0), axis=1)
+            & np.all(_box_ok(*np.moveaxis(digit_box, -1, 0)), axis=1)
         )
     if assembly is not None:
-        number = np.full(m, -1, dtype=np.int64)
-        rows = np.flatnonzero(accepted)
-        number[rows] = assemble_numbers(
-            digit[:, rows].T, conf[:, rows].T, digit_box[:, :, rows].transpose(2, 0, 1), assembly
-        )
+        number = np.full(len(fields), -1, dtype=np.int64)
+        number[accepted] = assemble_numbers(digit[accepted], conf[accepted], digit_box[accepted], assembly)
     return number, accepted
 
 
@@ -560,17 +564,19 @@ def _participants_cell(entry: GameLogEntry) -> str:
     return "; ".join(f"{number}: {name}" for number, name in entry.participants.items())
 
 
-def emit_game_log(entries: Sequence[GameLogEntry], format: str = "delimited") -> str:
-    """Serialize log entries.
+def emit_game_log(entries: Sequence[GameLogEntry], format: str = "delimited", *, side: str = "home") -> str:
+    """Serialize log entries of the participants of ``side``, "home" or "away".
 
-    "delimited" is a comma-separated table with a fixed header row;
-    "structured" is one JSON object per line and round-trips through
-    parse_game_log.
+    "delimited" is a comma-separated table with a header row, LOG_HEADER
+    with "Away" in its last column for the away side; "structured" is one
+    JSON object per line and round-trips through parse_game_log.
     """
+    if side not in ("home", "away"):
+        raise InvariantError(f"side must be home or away (got {side!r})")
     if format == "delimited":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(LOG_HEADER)
+        writer.writerow((*LOG_HEADER[:-1], f"Participating players of {side.capitalize()} team"))
         for e in entries:
             writer.writerow(
                 (

@@ -50,12 +50,13 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
 def _iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """IoU of boxes ``a`` and ``b``, each (x, y, w, h) on the last axis, broadcast over the others.
 
-    Each entry takes the same float64 operations in the same order as
-    ``iou``, so it equals ``iou`` of the two boxes bit for bit when every
-    field is a float (the record reader makes every field below 2**53 one)
-    or an int whose sums and products stay below 2**53.  ``iou`` sums and
-    multiplies an int field exactly, so past that the two can differ in the
-    last bit, and a sum past the float range gives nan here.
+    The matcher and the jersey kernel score overlaps with it.  Each entry
+    takes the same float64 operations in the same order as ``iou``, so it
+    equals ``iou`` of the two boxes bit for bit when every field is a float
+    (the record reader makes every field below 2**53 one) or an int whose
+    sums and products stay below 2**53.  ``iou`` sums and multiplies an int
+    field exactly, so past that the two can differ in the last bit, and a
+    sum past the float range gives nan here.
     """
     ax, ay, aw, ah = np.moveaxis(a, -1, 0)
     bx, by, bw, bh = np.moveaxis(b, -1, 0)
@@ -72,16 +73,6 @@ def _iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _box_array(boxes: Sequence[BoundingBox]) -> np.ndarray:
     return np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4)
-
-
-def iou_matrix(a_boxes: Sequence[BoundingBox], b_boxes: Sequence[BoundingBox]) -> np.ndarray:
-    """IoU of every (a, b) pair, as a len(a) x len(b) float64 array.
-
-    Each entry equals ``iou(a_boxes[i], b_boxes[j])`` bit for bit under the
-    condition ``_iou`` states: every field a float, or an int whose sums and
-    products stay below 2**53.
-    """
-    return _iou(_box_array(a_boxes)[:, None, :], _box_array(b_boxes)[None, :, :])
 
 
 def size_bucket(box: BoundingBox) -> SizeBucket:

@@ -1,11 +1,13 @@
 """Command line behavior: exit codes, diagnostics, and stage chaining."""
 
+import csv
 import errno
 import os
 import random
 import tempfile
 import tracemalloc
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -24,6 +26,7 @@ from playlog import (
     iter_detections,
     load_config,
     parse_config_text,
+    parse_game_log,
     read_image,
     serialize_detection,
     write_image,
@@ -779,8 +782,8 @@ class TestPipeline:
         assert out.read_bytes() == (game_dir / "truth_log.jsonl").read_bytes()
 
     @staticmethod
-    def staged_and_chained(game_dir, tmp_path, config, fmt="delimited"):
-        """The log from parse-clock -> assemble -> log and from pipeline, as bytes."""
+    def staged_and_chained(game_dir, tmp_path, config, fmt="delimited", side="home"):
+        """The log of ``side`` from parse-clock -> assemble -> log and from pipeline, as bytes."""
         cfg = ["--config", str(config)]
         windows = tmp_path / "windows.txt"
         assembled = tmp_path / "assembled.txt"
@@ -791,10 +794,10 @@ class TestPipeline:
         assert run(["assemble", "--input", str(game_dir / "detections.txt"),
                     "--output", str(assembled)] + cfg) == 0
         assert run(["log", "--windows", str(windows), "--records", str(assembled),
-                    "--format", fmt, "--output", str(staged)] + cfg) == 0
+                    "--format", fmt, "--side", side, "--output", str(staged)] + cfg) == 0
         assert run(["pipeline", "--clock", str(game_dir / "clock.txt"),
                     "--records", str(game_dir / "detections.txt"),
-                    "--format", fmt, "--output", str(chained)] + cfg) == 0
+                    "--format", fmt, "--side", side, "--output", str(chained)] + cfg) == 0
         return staged.read_bytes(), chained.read_bytes()
 
     def test_matches_staged_subcommands(self, game_dir, tmp_path):
@@ -810,6 +813,23 @@ class TestPipeline:
         staged, chained = self.staged_and_chained(game_dir, tmp_path, game_dir / "changed.cfg", fmt)
         assert staged == chained
         assert chained != (game_dir / truth).read_bytes()
+
+    @pytest.mark.parametrize("fmt, truth", [("delimited", "truth_log.csv"), ("structured", "truth_log.jsonl")])
+    def test_away_side_matches_staged_subcommands(self, game_dir, tmp_path, fmt, truth):
+        # the away log has the home log's plays and other players; the table's header names the away team
+        staged, chained = self.staged_and_chained(game_dir, tmp_path, game_dir / "game.cfg", fmt, "away")
+        assert staged == chained
+        texts = (chained.decode("utf-8"), (game_dir / truth).read_text(encoding="utf-8"))
+        if fmt == "delimited":
+            (away_header, *away), (home_header, *home) = (list(csv.reader(text.splitlines())) for text in texts)
+            assert away_header == [*home_header[:-1], "Participating players of Away team"]
+            assert home_header[-1] == "Participating players of Home team"
+        else:
+            away, home = (
+                [(replace(e, participants={}), dict(e.participants)) for e in parse_game_log(text)] for text in texts
+            )
+        assert [row[:-1] for row in away] == [row[:-1] for row in home]
+        assert [row[-1] for row in away] != [row[-1] for row in home]
 
     def test_repeat_runs_are_byte_identical(self, game_dir, tmp_path):
         outputs = []
@@ -1192,6 +1212,30 @@ class TestLog:
         assert lines[0].startswith("Play number,Quarter,")
         assert lines[1].startswith("1,1,15:00,14:56,Alabama,Michigan State,")
         assert "Calvin Ridley or Bradley Sylve" in lines[1]
+
+    @pytest.mark.parametrize("side, header, participants", [
+        ("home", "Home", "3: #3 (unrostered)"), ("away", "Away", "41: Kenny Willekes"),
+    ])
+    def test_each_side_logs_its_own_players_under_its_own_header(self, tmp_path, capsys, side, header, participants):
+        (tmp_path / "roster.txt").write_text("41: Kenny Willekes\n", encoding="utf-8")
+        (tmp_path / "game.cfg").write_text(
+            "home_team = Alabama\naway_team = Michigan State\naway_roster = roster.txt\n", encoding="utf-8"
+        )
+        windows, records = tmp_path / "windows.txt", tmp_path / "records.txt"
+        windows.write_text("1 1 0 20 15:00 14:56\n", encoding="utf-8")
+        records.write_text("1 10 20 40 60 0.9 home 3 0\n1 60 20 40 60 0.9 away 41 0\n", encoding="utf-8")
+        logs = []
+        for fmt in ("delimited", "structured"):
+            assert run(["log", "--windows", str(windows), "--records", str(records), "--side", side,
+                        "--format", fmt, "--config", str(tmp_path / "game.cfg")]) == 0
+            logs.append(capsys.readouterr().out)
+        number, name = participants.split(": ")
+        assert logs == [
+            f"Play number,Quarter,Start time,End time,Home,Away,Participating players of {header} team\n"
+            f"1,1,15:00,14:56,Alabama,Michigan State,{participants}\n",
+            '{"play_number": 1, "quarter": 1, "start_time": "15:00", "end_time": "14:56", "home": "Alabama", '
+            f'"away": "Michigan State", "participants": [{{"number": {number}, "name": "{name}"}}]}}\n',
+        ]
 
     def test_a_window_spanning_10_to_the_12_frames_reads_only_its_records(self, tmp_path, capsys):
         # the same records at frames 0, 1 and 2 under a window of frames 0..1 give the same log

@@ -37,7 +37,7 @@ from playlog import (
     synchronize,
     synchronize_presence,
 )
-from playlog.gamelog import BLOCK_LINES, FAILED_PARSES
+from playlog.gamelog import BLOCK_LINES, FAILED_PARSES, WRITE_ROWS
 from playlog.jersey import assemble_detection
 from playlog.textfile import read_lines
 
@@ -473,6 +473,18 @@ class TestEmitGameLog:
         assert "3: Calvin Ridley or Bradley Sylve; 44: #44 (unrostered)" in lines[1]
         assert lines[2] == "2,1,13:53,13:24,Alabama,Michigan State,"
 
+    def test_the_away_side_names_its_team_in_the_header_only(self):
+        home, away = (emit_game_log(sample_entries(), format="delimited", side=side) for side in ("home", "away"))
+        assert away.splitlines()[0] == (
+            "Play number,Quarter,Start time,End time,Home,Away,"
+            "Participating players of Away team"
+        )
+        assert away.splitlines()[1:] == home.splitlines()[1:]
+        structured = (emit_game_log(sample_entries(), "structured", side=side) for side in ("home", "away"))
+        assert len(set(structured)) == 1
+        with pytest.raises(InvariantError, match="side must be home or away"):
+            emit_game_log([], side="visitors")
+
     def test_participant_cell_is_quoted_when_needed(self):
         # the cell is a "; " join, so csv quoting only kicks in when a
         # name itself carries a comma
@@ -754,13 +766,13 @@ def python_value(kind, token):
     return value if kind is float or -2**63 <= value < 2**63 else None
 
 
-def field_value(line, kind, field):
-    """What the arrays read for one field of a one-line group: ``kind`` 0 the ints, 1 the floats; None if the line does not convert."""
+def field_value(line, name):
+    """The first value the arrays read for field ``name`` of a one-line group; None if the line does not convert."""
     try:
-        columns = playlog.gamelog._columns([line], 0)
+        fields = playlog.gamelog._columns([line], 0)[0]
     except ValueError:
         return None
-    return columns[kind][field, 0].item()
+    return fields[name].flat[0].item()
 
 
 def same_float(a, b):
@@ -837,6 +849,40 @@ class TestBlockReaderEdges:
         assert error == (RecordError, "record line 6: PlayerDetection.number in 0..99 violated (got 142)")
         assert skipped == []
 
+    @pytest.mark.parametrize("assembly", [None, AssemblyConfig()])
+    def test_groups_of_more_rows_than_a_writer_slice(self, assembly, monkeypatch):
+        # each group of 0, 1 and 2 digits holds more rows than the writer joins at once, and lines that the
+        # scalar chain reads stand between its rows: a box field of 2**53 and, with assembly, three digits
+        rng = random.Random(26)
+
+        def random_line(frame, count):
+            digits = tuple(
+                digit(rng.randrange(10), rng.choice([0.99, rng.random()]), rng.choice([14 * j, rng.random()]))
+                for j in range(count)
+            )
+            return serialize_detection(detection(
+                frame=frame, x=rng.choice([10, rng.uniform(0, 99)]), score=rng.random(),
+                team=rng.choice(["home", "away"]), number=rng.choice([None, rng.randrange(100)]), digits=digits,
+            ))
+
+        lines, scalar = [], []  # the lines, and the line numbers the scalar chain parses
+        for i in range(3 * (WRITE_ROWS + 10)):
+            lines.append(random_line(i, i % 3))
+            if i % 7 == 0:
+                lines.append(random_line(i, 3))
+                scalar += [len(lines)] if assembly is not None else []
+            if i % 97 == 0:
+                lines.append(f"{i} {2**53} 20 40 60 0.9 home 7 0")
+                scalar.append(len(lines))
+        assert len(lines) <= BLOCK_LINES
+        expected = handed_over(scalar_read(lines, False, assembly))
+        calls = counted_parses(monkeypatch)
+        got = handed_over(block_read(lines, False, assembly))
+        assert got == expected
+        assert calls == scalar
+        if assembly is None:
+            assert [r[-1] for r in got[0]] == [serialize_detection(parse_detection(line)) for line in lines]
+
     def test_other_separators_are_read_by_the_arrays(self, monkeypatch):
         expected = [serialize_detection(parse_detection(line)) for line in RESPACED_LINES]
         calls = []
@@ -859,5 +905,5 @@ class TestBlockReaderEdges:
         # the parse contract of the arrays: a frame field (int64) and a box field
         # (float64) read a token exactly when int() inside int64 and float() do
         for token in tokens:
-            assert field_value(f"{token} 1 1 1 1 0.5 home - 0", 0, 0) == python_value(int, token), token
-            assert same_float(field_value(f"1 {token} 1 1 1 0.5 home - 0", 1, 0), python_value(float, token)), token
+            assert field_value(f"{token} 1 1 1 1 0.5 home - 0", "frame") == python_value(int, token), token
+            assert same_float(field_value(f"1 {token} 1 1 1 0.5 home - 0", "box"), python_value(float, token)), token

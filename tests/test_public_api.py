@@ -18,7 +18,7 @@ PUBLIC_API = (
     "assemble_number", "binary_threshold", "build_game_config", "channel_histogram", "classify_team",
     "confusion_matrix", "emit_game_log", "evaluate_detections", "extract_strip", "focal_loss", "format_clock_line",
     "format_config", "format_mmss", "format_play_windows", "gaussian_blur", "gaussian_kernel1d", "generate_game",
-    "group_by_frame", "hungarian_assign", "invert", "iou", "iou_matrix", "iter_detections", "label_quarters",
+    "group_by_frame", "hungarian_assign", "invert", "iou", "iter_detections", "label_quarters",
     "load_config", "load_detections", "load_roster", "match_detections", "pad_to_square", "parse_clock_line",
     "parse_clock_stream", "parse_config_text", "parse_detection", "parse_game_log", "parse_mmss", "parse_play_windows",
     "presence_table", "prf1", "read_image", "read_records", "resolve_names", "roster_lines", "scale", "segment_plays",
