@@ -20,8 +20,9 @@ each field count parsed into arrays by one `np.loadtxt` call, checked and
 reject takes the scalar path (parse, assemble), which alone reports it.
 `log` and `pipeline` fold the blocks into a per-frame table of the side's
 jersey numbers, `assemble` and `pipeline --workdir` write their record
-lines, `classify-team` writes each line with the team label of its crop,
-and `evaluate` hands the blocks of both files to
+lines, `classify-team` labels the crops of each block together
+(`teamcolor.StripBatch`) and writes each line with its crop's team, and
+`evaluate` hands the blocks of both files to
 `metrics.evaluate_records`, which keeps only flat columns.  So the memory
 of all of them stays flat in the record count.
 
@@ -74,7 +75,7 @@ from .imageops import (
 from .jersey import AssemblyConfig
 from .metrics import CONFUSION_MATCH_IOU, DegenerateMetricWarning, evaluate_records
 from .synth import SynthConfig, generate_game
-from .teamcolor import channel_histogram, classify_team, extract_strip
+from .teamcolor import StripBatch
 from .textfile import number_token, read_lines
 
 
@@ -196,26 +197,37 @@ def _stage_classify_team(
     skipped: list[tuple[int, str]] = []
     notes: list[tuple[int, str]] = []
     crops = os.fspath(Path(crops_dir, "_"))[:-1]  # what Path puts before a name in crops_dir ("" for ".")
-    strip_size = game_config.strip_height_fraction, game_config.strip_width_fraction
-    profiles = game_config.home_profile, game_config.away_profile
+    strips = StripBatch(
+        game_config.home_profile, game_config.away_profile,
+        game_config.strip_height_fraction, game_config.strip_width_fraction,
+    )
     frame_counters: dict[int, int] = {}
     for block in read_records(read_lines(input_path), skipped, strict):
-        for line_number, frame, line in zip(block.line, block.frame, block.lines()):
-            index = frame_counters.get(frame, 0)
-            frame_counters[frame] = index + 1
-            crop_name = f"{frame}_{index}.ppm"
-            try:  # a str, as Path(crops_dir, crop_name) spells it: a Path per record interns its parts
-                image = read_image(crops + crop_name)
-            except OSError as exc:
-                if exc.errno not in _MISSING:
-                    raise
-                notes.append((line_number, f"record line {line_number}: no crop {crop_name}, team kept"))
-            else:
-                fields = line.split(" ", 7)  # field 6 is the team
-                fields[6] = classify_team(channel_histogram(extract_strip(image, *strip_size)), *profiles)
-                line = " ".join(fields)
-            out.write(line + "\n")
-        del block  # a block kept while the next is read would raise the peak memory by a block
+        pending: list[tuple[str, bool]] = []  # the block's lines so far, each with whether its crop was added
+        try:
+            for line_number, frame, line in zip(block.line, block.frame, block.lines()):
+                index = frame_counters.get(frame, 0)
+                frame_counters[frame] = index + 1
+                crop_name = f"{frame}_{index}.ppm"
+                try:  # a str, as Path(crops_dir, crop_name) spells it: a Path per record interns its parts
+                    strips.add(read_image(crops + crop_name))
+                except OSError as exc:
+                    if exc.errno not in _MISSING:
+                        raise
+                    notes.append((line_number, f"record line {line_number}: no crop {crop_name}, team kept"))
+                    pending.append((line, False))
+                else:
+                    pending.append((line, True))
+        finally:
+            # the block's labels in one call; on an error, the lines before it are still written
+            labels = iter(strips.labels())
+            for line, labelled in pending:
+                if labelled:
+                    fields = line.split(" ", 7)  # field 6 is the team
+                    fields[6] = next(labels)
+                    line = " ".join(fields)
+                out.write(line + "\n")
+        del block, pending  # a block kept while the next is read would raise the peak memory by a block
     # the reader adds a block's skips before its records come here; a stable sort puts all in line order
     return [message for _, message in sorted(skipped + notes, key=itemgetter(0))], len(skipped)
 

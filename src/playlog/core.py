@@ -298,6 +298,38 @@ class GameLogEntry:
         object.__setattr__(self, "participants", MappingProxyType(normalized))
 
 
+def _checked_pixels(
+    width: object, height: object, channels: object, samples: Iterable[int] | np.ndarray | bytes
+) -> np.ndarray:
+    # PixelImage's checks, one field at a time: its read-only (height, width, channels) uint8 array
+    w = _require_int("PixelImage", "width", width)
+    h = _require_int("PixelImage", "height", height)
+    c = _require_int("PixelImage", "channels", channels)
+    _require(w >= 1, f"PixelImage.width >= 1 violated (got {w})")
+    _require(h >= 1, f"PixelImage.height >= 1 violated (got {h})")
+    _require(c in (1, 3), f"PixelImage.channels must be 1 or 3 (got {c})")
+    # bytes(samples) is the caller's immutable bytes or a copy of a bytearray: the array over it needs no copy
+    owned = isinstance(samples, (bytes, bytearray))
+    if owned:
+        arr = np.frombuffer(bytes(samples), dtype=np.uint8)
+    else:
+        arr = np.asarray(samples)
+        if arr.dtype != np.uint8:
+            _require(
+                arr.size == 0 or (np.issubdtype(arr.dtype, np.integer) and arr.min() >= 0 and arr.max() <= 255),
+                "PixelImage.samples must be integers in 0..255",
+            )
+            arr = arr.astype(np.uint8)
+    arr = arr.reshape(-1)
+    _require(
+        arr.size == w * h * c,
+        f"PixelImage.samples length {arr.size} != width*height*channels = {w * h * c}",
+    )
+    pixels = arr.reshape(h, w, c) if owned else arr.reshape(h, w, c).copy()
+    pixels.flags.writeable = False
+    return pixels
+
+
 class PixelImage:
     """Immutable 8-bit raster, 1 (grayscale) or 3 (RGB) channels.
 
@@ -308,31 +340,16 @@ class PixelImage:
     __slots__ = ("_pixels",)
 
     def __init__(self, width: int, height: int, channels: int, samples: Iterable[int] | np.ndarray | bytes):
-        w = _require_int("PixelImage", "width", width)
-        h = _require_int("PixelImage", "height", height)
-        c = _require_int("PixelImage", "channels", channels)
-        _require(w >= 1, f"PixelImage.width >= 1 violated (got {w})")
-        _require(h >= 1, f"PixelImage.height >= 1 violated (got {h})")
-        _require(c in (1, 3), f"PixelImage.channels must be 1 or 3 (got {c})")
-        # bytes(samples) is the caller's immutable bytes or a copy of a bytearray: the array over it needs no copy
-        owned = isinstance(samples, (bytes, bytearray))
-        if owned:
-            arr = np.frombuffer(bytes(samples), dtype=np.uint8)
+        # exact ints and bytes of the right length, as read_image gives them, are wrapped as they are;
+        # anything else takes the detailed checks, which accept the same values
+        if (
+            type(width) is int and type(height) is int and type(channels) is int and type(samples) is bytes
+            and width >= 1 and height >= 1 and (channels == 1 or channels == 3)
+            and len(samples) == width * height * channels
+        ):
+            pixels = np.frombuffer(samples, dtype=np.uint8).reshape(height, width, channels)
         else:
-            arr = np.asarray(samples)
-            if arr.dtype != np.uint8:
-                _require(
-                    arr.size == 0 or (np.issubdtype(arr.dtype, np.integer) and arr.min() >= 0 and arr.max() <= 255),
-                    "PixelImage.samples must be integers in 0..255",
-                )
-                arr = arr.astype(np.uint8)
-        arr = arr.reshape(-1)
-        _require(
-            arr.size == w * h * c,
-            f"PixelImage.samples length {arr.size} != width*height*channels = {w * h * c}",
-        )
-        pixels = arr.reshape(h, w, c) if owned else arr.reshape(h, w, c).copy()
-        pixels.flags.writeable = False
+            pixels = _checked_pixels(width, height, channels, samples)
         object.__setattr__(self, "_pixels", pixels)
 
     def __setattr__(self, name: str, value: object) -> None:

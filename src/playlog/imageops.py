@@ -139,6 +139,11 @@ def write_image(image: PixelImage, path: str | Path) -> None:
 _HEADER_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*(\S*)")
 
 
+# a header with no comment: magic, three decimal tokens and one whitespace byte, as the token walk
+# reads them; any other header, well formed or not, takes the walk
+_PLAIN_HEADER = re.compile(rb"P[56]\s*(\d+)\s+(\d+)\s+(\d+)\s")
+
+
 def _read_header_tokens(data: bytes, count: int, start: int) -> tuple[list[int], int]:
     tokens: list[int] = []
     i = start
@@ -171,7 +176,12 @@ def read_image(path: str | Path) -> PixelImage:
             channels = 3
         else:
             raise InvariantError(f"unsupported image magic {data[:2]!r} (want P5 or P6)")
-        (width, height, maxval), offset = _read_header_tokens(data, 3, 2)
+        plain = _PLAIN_HEADER.match(data)
+        if plain is None:
+            (width, height, maxval), offset = _read_header_tokens(data, 3, 2)
+        else:
+            width, height, maxval = int(plain[1]), int(plain[2]), int(plain[3])
+            offset = plain.end()
         if maxval != 255:
             raise InvariantError(f"unsupported maxval {maxval} (want 255)")
         expected = width * height * channels

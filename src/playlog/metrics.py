@@ -323,13 +323,21 @@ class ConfusionMatrix:
 
 def confusion_matrix(pairs: Iterable[tuple[int, int]]) -> ConfusionMatrix:
     """10x10 confusion matrix over (true digit, predicted digit) pairs."""
-    counts = np.zeros((10, 10), dtype=np.int64)
+    true_digits: list[int] = []
+    predicted_digits: list[int] = []
     for true, pred in pairs:
         if not (isinstance(true, int) and 0 <= true <= 9):
             raise InvariantError(f"confusion true digit in 0..9 violated (got {true!r})")
         if not (isinstance(pred, int) and 0 <= pred <= 9):
             raise InvariantError(f"confusion predicted digit in 0..9 violated (got {pred!r})")
-        counts[true, pred] += 1
+        true_digits.append(true)
+        predicted_digits.append(pred)
+    return _count_confusion(np.array(true_digits, dtype=np.int64), np.array(predicted_digits, dtype=np.int64))
+
+
+def _count_confusion(true: np.ndarray, predicted: np.ndarray) -> ConfusionMatrix:
+    # the matrix of aligned digit arrays in 0..9: each pair counted by one bincount over 10 * true + predicted
+    counts = np.bincount(10 * true + predicted, minlength=100).astype(np.int64).reshape(10, 10)
     max_support = int(counts.sum(axis=1).max()) if counts.any() else 0
     if max_support > 0:
         normalized = counts.astype(np.float64) / max_support
@@ -388,6 +396,6 @@ def evaluate_records(
              for k, t, p in zip(*(v[differ].tolist() for v in (pred_position[rows], true, predicted)))]
     true, predicted = true[~differ], predicted[~differ]
     two = true >= 10  # and so predicted >= 10
-    true_digits = np.concatenate((true[two] // 10, true % 10)).tolist()
-    predicted_digits = np.concatenate((predicted[two] // 10, predicted % 10)).tolist()
-    return report, confusion_matrix(zip(true_digits, predicted_digits)), notes
+    true_digits = np.concatenate((true[two] // 10, true % 10)).astype(np.int64)
+    predicted_digits = np.concatenate((predicted[two] // 10, predicted % 10)).astype(np.int64)
+    return report, _count_confusion(true_digits, predicted_digits), notes

@@ -408,6 +408,30 @@ def ref_channel_histogram(pixels):
     return counts, tuple(float(pixels[:, :, c].mean()) for c in range(3))
 
 
+def ref_strip(pixels, strip_height_fraction, strip_width_fraction):
+    """The centered strip of an (h, w, 3) array, at least 1x1, an odd leftover border at the bottom/right."""
+    height, width = pixels.shape[:2]
+    rows = max(1, round(height * strip_height_fraction))
+    cols = max(1, round(width * strip_width_fraction))
+    top, left = (height - rows) // 2, (width - cols) // 2
+    return pixels[top : top + rows, left : left + cols]
+
+
+def ref_classify_team(means, home, away):
+    """home, away or unknown for a tuple of three channel means, one profile at a time in Python floats:
+    a dominant channel exceeds each other mean by at least the margin, no dominant channel keeps every
+    mean within it; exactly one matching profile wins."""
+
+    def matches(profile):
+        if profile.mode == "dominant-channel":
+            c = ("red", "green", "blue").index(profile.channel)
+            return all(means[c] - means[i] >= profile.dominance_margin for i in range(3) if i != c)
+        return max(means) - min(means) < profile.dominance_margin
+
+    labels = [p.label for p in (home, away) if matches(p)]
+    return labels[0] if len(labels) == 1 else "unknown"
+
+
 def ref_read_header_tokens(data, count, start):
     """The ``count`` decimal tokens of a PPM/PGM header from ``start``, walked one byte at a time.
 

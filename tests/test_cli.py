@@ -401,6 +401,39 @@ class TestClassifyTeamChain:
             assert labels == set(TEAM_RGB) and "team kept" in captured.err and "malformed" in captured.err
 
     @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+    @pytest.mark.parametrize("bad", ["truncated crop", "P5 crop", "crop is a directory"])
+    @pytest.mark.parametrize(
+        "where", [500, 1024, 1025], ids=["mid-block", "first after a boundary", "second after a boundary"]
+    )
+    def test_a_bad_crop_inside_a_block(self, where, bad, strict, tmp_path, capsys):
+        # 1,100 records, four to a frame, each with a crop of its team but the one just before the bad crop;
+        # a malformed line follows the bad crop.  Every line before the bad crop is written, its block's too
+        crops = tmp_path / "crops"
+        crops.mkdir()
+        teams = list(TEAM_RGB)
+        lines = []
+        for k in range(1100):
+            frame, index = divmod(k, 4)
+            lines.append(record(frame, x=k % 50, team=teams[k % 3]))
+            crop = crops / f"{frame}_{index}.ppm"
+            if k == where:
+                if bad == "crop is a directory":
+                    crop.mkdir()
+                else:
+                    crop.write_bytes(self.BAD_CROPS[bad])
+            elif k != where - 1:
+                crop.write_bytes(ppm(1 + k % 7, 1 + k % 5, TEAM_RGB[teams[(k + 1) % 3]]))
+        lines.insert(where + 1, "garbage")
+        records = tmp_path / "records.txt"
+        records.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        expected = scalar_classify_team(records, crops, strict)
+        code = run(["classify-team", "--input", str(records), "--crops", str(crops)] + ["--strict"] * strict)
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err, code) == expected
+        written = captured.out.splitlines()
+        assert code == 1 and len(written) == where and written[-1] == lines[where - 1]  # the missing crop's team kept
+
+    @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
     def test_a_crop_name_too_long_is_an_error_not_a_missing_crop(self, strict, tmp_path, capsys):
         # frame 10**300 is a valid record whose crop name is longer than a file name may be
         crops = tmp_path / "crops"

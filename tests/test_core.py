@@ -34,6 +34,7 @@ from playlog import (
     parse_detection,
     serialize_detection,
 )
+from playlog.core import _checked_pixels
 
 
 class TestBoundingBox:
@@ -605,3 +606,54 @@ class TestPixelImage:
         assert a != PixelImage(2, 2, 3, [0] * 12)
         # same bytes, different shape
         assert PixelImage(4, 1, 3, data) != a
+
+
+def pixel_outcome(make, width, height, channels, samples):
+    try:
+        pixels = make(width, height, channels, samples)
+    except InvariantError as exc:
+        return ("error", str(exc))
+    return ("ok", pixels.shape, pixels.dtype, pixels.tobytes(), pixels.flags.writeable)
+
+
+# exact ints next to bools, floats, numpy ints and int subclasses; bytes next to bytearrays, lists and arrays
+class _Level(int):
+    pass
+
+
+dimensions = st.one_of(
+    st.integers(-2, 5), st.sampled_from([True, False, 1.0, 3.0, np.int64(2), np.uint8(1), _Level(2), 2**64])
+)
+
+
+@st.composite
+def pixel_arguments(draw):
+    width, height, channels = draw(dimensions), draw(dimensions), draw(st.one_of(dimensions, st.sampled_from([1, 3])))
+    try:
+        size = int(width) * int(height) * int(channels)
+    except (TypeError, OverflowError):
+        size = 0
+    # the matching length when it is small, else any small length
+    length = draw(st.integers(0, 80) if not 0 <= size <= 80 else st.one_of(st.just(size), st.integers(0, 80)))
+    payload = draw(st.binary(min_size=length, max_size=length))
+    kind = draw(st.sampled_from(["bytes", "bytearray", "list", "array", "wide array"]))
+    samples = {
+        "bytes": payload,
+        "bytearray": bytearray(payload),
+        "list": list(payload),
+        "array": np.frombuffer(payload, np.uint8),
+        "wide array": np.frombuffer(payload, np.uint8).astype(np.int64) * 2,
+    }[kind]
+    return width, height, channels, samples
+
+
+class TestPixelImageAcceptTest:
+    @settings(max_examples=400, deadline=None)
+    @given(pixel_arguments())
+    @example((2, 3, 3, bytes(18)))
+    @example((True, 1, 1, b"\0"))
+    @example((2**64, 1, 1, b"\0"))
+    @example((1, 1, 2, b"\0\0"))
+    def test_takes_and_rejects_what_the_detailed_checks_do(self, args):
+        made = pixel_outcome(lambda *a: PixelImage(*a).pixels, *args)
+        assert made == pixel_outcome(_checked_pixels, *args)

@@ -297,6 +297,43 @@ class TestHeaderTokens:
             ref_read_header_tokens, data, count, start
         )
 
+    @settings(max_examples=500, deadline=None)
+    @given(st.sampled_from([b"P5", b"P6"]), st.lists(header_pieces, max_size=24).map(b"".join), st.integers(0, 200))
+    @example(b"P6", b"12 3 255\n", 108)  # no whitespace after the magic
+    @example(b"P6", b" 12#c 3 255\n", 108)  # a token with a comment mark in it
+    @example(b"P5", b" 2 1 255 ", 2)
+    @example(b"P5", b"\t2\x0b1\x0c255\r", 2)
+    @example(b"P5", b" 2 1 # c\n255\n", 2)
+    @example(b"P5", b"\n0 1 255\n", 0)
+    def test_read_image_matches_the_byte_walk(self, tmp_path_factory, magic, header, payload):
+        # read_image on every generated header, comment-free ones included: its outcome, or the one its
+        # checks give on the header tokens that the reference walk reads
+        path = tmp_path_factory.mktemp("header") / "crop.ppm"
+        data = magic + header + bytes(range(256))[:payload]
+        path.write_bytes(data)
+        try:
+            image = read_image(path)
+            outcome = ("ok", image.width, image.height, image.channels, image.tobytes())
+        except InvariantError as exc:
+            outcome = ("error", str(exc))
+        try:
+            (width, height, maxval), offset = ref_read_header_tokens(data, 3, 2)
+        except RefInvariant as exc:
+            assert outcome == ("error", f"{path}: {exc}")
+            return
+        channels = 1 if magic == b"P5" else 3
+        samples = data[offset : offset + width * height * channels]
+        if maxval != 255:
+            assert outcome == ("error", f"{path}: unsupported maxval {maxval} (want 255)")
+        elif len(samples) != width * height * channels:
+            want = width * height * channels
+            assert outcome == ("error", f"{path}: image data truncated: want {want} bytes, got {len(samples)}")
+        elif min(width, height) < 1:
+            name, value = ("width", width) if width < 1 else ("height", height)
+            assert outcome == ("error", f"{path}: PixelImage.{name} >= 1 violated (got {value})")
+        else:
+            assert outcome == ("ok", width, height, channels, samples)
+
 
 class TestPreprocessChain:
     def test_grayscale_threshold_invert(self):

@@ -440,6 +440,28 @@ class TestConfusionMatrix:
         with pytest.raises(InvariantError):
             confusion_matrix([(0, -1)])
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=300))
+    def test_counts_equal_a_per_pair_loop(self, pairs):
+        counts = np.zeros((10, 10), dtype=np.int64)
+        for true, pred in pairs:
+            counts[true, pred] += 1
+        max_support = counts.sum(axis=1).max()
+        cm = confusion_matrix(iter(pairs))
+        assert cm.counts.dtype == np.int64 and cm.counts.tolist() == counts.tolist()
+        assert cm.normalized.tolist() == (counts / max_support if max_support else counts.astype(float)).tolist()
+
+    @pytest.mark.parametrize("pairs, message", [
+        ([(1, 1), (10, 0)], "confusion true digit in 0..9 violated (got 10)"),
+        ([(0, -1)], "confusion predicted digit in 0..9 violated (got -1)"),
+        ([(2.0, 1)], "confusion true digit in 0..9 violated (got 2.0)"),
+        ([(1, np.int64(3))], "confusion predicted digit in 0..9 violated (got np.int64(3))"),
+    ])
+    def test_each_pair_is_checked(self, pairs, message):
+        with pytest.raises(InvariantError) as info:
+            confusion_matrix(pairs)
+        assert str(info.value) == message
+
     def test_equality_by_value(self):
         assert confusion_matrix([(3, 3)]) == confusion_matrix([(3, 3)])
         assert confusion_matrix([(3, 3)]) != confusion_matrix([(3, 4)])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import ref_channel_histogram
+from oracles import ref_channel_histogram, ref_classify_team, ref_strip
 
 from playlog import (
     ChannelHistogram,
@@ -16,6 +16,7 @@ from playlog import (
     classify_team,
     extract_strip,
 )
+from playlog.teamcolor import StripBatch, team_labels
 
 RED = TeamColorProfile(label="home", mode="dominant-channel", channel="red")
 WHITE = TeamColorProfile(label="away", mode="no-dominant")
@@ -174,3 +175,113 @@ class TestClassifyTeam:
         hist = channel_histogram(solid(110, 100, 100))
         assert classify_team(hist, tight_red, loose_white) == "home"
         assert classify_team(hist, RED, WHITE) == "away"
+
+
+# every mode and channel; float margins, int margins (TeamColorProfile allows them) and ones past any mean
+# difference, up to ints beyond float range
+KITS = [("dominant-channel", "red"), ("dominant-channel", "green"), ("dominant-channel", "blue"), ("no-dominant", None)]
+margins = st.one_of(
+    st.sampled_from([30.0, 30, 1, 0.5, 12.75, 255, 256, 2**53 + 1, 10**400, float("inf")]),
+    st.integers(1, 300),
+    st.floats(min_value=0.001, max_value=400.0),
+)
+
+
+@st.composite
+def profile_pairs(draw):
+    home_kit, away_kit = draw(st.lists(st.sampled_from(KITS), min_size=2, max_size=2, unique=True))
+    home = TeamColorProfile("home", home_kit[0], home_kit[1], draw(margins))
+    away = TeamColorProfile("away", away_kit[0], away_kit[1], draw(margins))
+    return draw(st.sampled_from([(home, away), (away, home)]))  # either may come first: a label need not match its side
+
+
+@st.composite
+def crops(draw, margin):
+    """A crop from 1x1 upward: random samples, one colour, or one colour whose channels lie exactly
+    ``margin`` apart (when it is a whole number of levels)."""
+    width, height = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["random", "solid", "margin apart"]))
+    if kind == "random":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+        return rng.integers(0, 256, size=(height, width, 3), dtype=np.uint8)
+    levels = draw(st.lists(st.integers(0, 255), min_size=3, max_size=3))
+    if kind == "margin apart" and margin <= 255 and margin == int(margin):
+        top = draw(st.integers(int(margin), 255))
+        levels = [top, top - int(margin), draw(st.sampled_from([top - int(margin), top, top - int(margin) + 1]))]
+        levels = draw(st.permutations(levels))
+    return np.full((height, width, 3), levels, dtype=np.uint8)
+
+
+class TestOneRule:
+    """team_labels, on one histogram's means (classify_team) and on a batch of strips (StripBatch), against
+    the scalar chain: strip, channel means, then each profile's test in Python floats."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), profile_pairs(), st.floats(0.01, 1.0), st.floats(0.01, 1.0))
+    @example(None, (RED, WHITE), 1.0, 1.0)
+    def test_equals_the_scalar_chain(self, data, profiles, height_fraction, width_fraction):
+        home, away = profiles
+        if data is None:  # red exactly the margin above both others, then the spread exactly at it
+            pixels = [np.full((2, 3, 3), rgb, dtype=np.uint8) for rgb in ((130, 100, 100), (100, 100, 130))]
+        else:
+            margin = data.draw(st.sampled_from([home.dominance_margin, away.dominance_margin]))
+            pixels = data.draw(st.lists(crops(margin), min_size=1, max_size=12))
+        expected = []
+        for p in pixels:
+            means = tuple(float(v) for v in ref_strip(p, height_fraction, width_fraction).reshape(-1, 3).mean(axis=0))
+            expected.append(ref_classify_team(means, home, away))
+        images = [PixelImage.from_array(p) for p in pixels]
+        scalar = [
+            classify_team(channel_histogram(extract_strip(img, height_fraction, width_fraction)), home, away)
+            for img in images
+        ]
+        batch = StripBatch(home, away, height_fraction, width_fraction)
+        for img in images:
+            batch.add(img)
+        assert scalar == expected
+        assert batch.labels() == expected
+        assert batch.labels() == []  # a call labels only the strips added since the last
+
+    def test_labels_one_row_per_mean(self):
+        means = np.array([[180.0, 60.0, 50.0], [220.0, 215.0, 225.0], [40.0, 200.0, 40.0]])
+        assert team_labels(means, RED, WHITE) == ["home", "away", "unknown"]
+        assert team_labels(np.empty((0, 3)), RED, WHITE) == []
+
+    def test_profiles_and_fractions_are_checked(self):
+        clash = TeamColorProfile(label="away", mode="dominant-channel", channel="red")
+        with pytest.raises(ProfileError):
+            team_labels(np.empty((0, 3)), RED, clash)
+        with pytest.raises(ProfileError):
+            StripBatch(RED, clash)
+        with pytest.raises(InvariantError, match="strip_width_fraction in"):
+            StripBatch(RED, WHITE, 0.5, 0.0)
+
+
+class TestStripBatch:
+    def test_a_grayscale_crop_is_rejected_as_extract_strip_rejects_it(self):
+        batch = StripBatch(RED, WHITE)
+        grey = PixelImage.full(4, 4, 1, 128)
+        with pytest.raises(InvariantError) as info:
+            batch.add(grey)
+        with pytest.raises(InvariantError) as scalar:
+            extract_strip(grey)
+        assert str(info.value) == str(scalar.value)
+        batch.add(solid(200, 40, 40))
+        assert batch.labels() == ["home"]
+
+    @pytest.mark.parametrize("sizes", ["small", "large", "mixed"])
+    def test_slices_and_buffer_growth_keep_the_order(self, sizes):
+        # more strips than a slice holds, and strips larger than the buffer (100x100 at the full fraction)
+        rng = np.random.default_rng(len(sizes))
+        count = 3 * StripBatch.SLICE + 7 if sizes != "large" else 9
+        kits = [(200, 40, 40), (100, 100, 100), (40, 40, 200)]
+        batch = StripBatch(RED, WHITE, 1.0, 1.0)
+        expected = []
+        for k in range(count):
+            big = sizes == "large" or (sizes == "mixed" and k % 50 == 0)
+            w, h = (100, 100) if big else tuple(rng.integers(1, 9, size=2))
+            pixels = np.clip(np.asarray(kits[k % 3]) + rng.integers(-9, 10, size=(h, w, 3)), 0, 255).astype(np.uint8)
+            batch.add(PixelImage.from_array(pixels))
+            expected.append(classify_team(channel_histogram(PixelImage.from_array(pixels)), RED, WHITE))
+        assert batch.labels() == expected
+        assert set(expected) == {"home", "away", "unknown"}
