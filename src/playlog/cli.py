@@ -61,6 +61,7 @@ from .gamelog import (
     read_records,
     roster_lines,
     synchronize_presence,
+    with_team,
 )
 from .imageops import (
     binary_threshold,
@@ -205,7 +206,7 @@ def _stage_classify_team(
     for block in read_records(read_lines(input_path), skipped, strict):
         pending: list[tuple[str, bool]] = []  # the block's lines so far, each with whether its crop was added
         try:
-            for line_number, frame, line in zip(block.line, block.frame, block.lines()):
+            for line_number, frame, line in zip(block.line.tolist(), block.frame.tolist(), block.lines()):
                 index = frame_counters.get(frame, 0)
                 frame_counters[frame] = index + 1
                 crop_name = f"{frame}_{index}.ppm"
@@ -222,11 +223,7 @@ def _stage_classify_team(
             # the block's labels in one call; on an error, the lines before it are still written
             labels = iter(strips.labels())
             for line, labelled in pending:
-                if labelled:
-                    fields = line.split(" ", 7)  # field 6 is the team
-                    fields[6] = next(labels)
-                    line = " ".join(fields)
-                out.write(line + "\n")
+                out.write((with_team(line, next(labels)) if labelled else line) + "\n")
         del block, pending  # a block kept while the next is read would raise the peak memory by a block
     # the reader adds a block's skips before its records come here; a stable sort puts all in line order
     return [message for _, message in sorted(skipped + notes, key=itemgetter(0))], len(skipped)
@@ -493,9 +490,6 @@ def run(argv: Sequence[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

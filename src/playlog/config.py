@@ -17,10 +17,11 @@ from typing import Mapping
 
 from .clock import SegmenterConfig
 from .core import InvariantError, Roster
-from .gamelog import load_roster
+from .gamelog import check_min_appearances, load_roster
 from .jersey import AssemblyConfig
 from .teamcolor import (
-    DOMINANCE_MARGIN, STRIP_HEIGHT_FRACTION, STRIP_WIDTH_FRACTION, TeamColorProfile, require_distinct_profiles,
+    DOMINANCE_MARGIN, STRIP_HEIGHT_FRACTION, STRIP_WIDTH_FRACTION, TeamColorProfile, check_fractions,
+    require_distinct_profiles,
 )
 from .textfile import content_lines, number_token, read_lines
 
@@ -55,12 +56,8 @@ class GameConfig:
         for name in ("home_roster", "away_roster"):
             if not isinstance(getattr(self, name), Roster):
                 raise InvariantError(f"GameConfig.{name} must be a Roster")
-        if not (isinstance(self.min_appearances, int) and self.min_appearances >= 1):
-            raise InvariantError(f"GameConfig.min_appearances >= 1 violated (got {self.min_appearances!r})")
-        for name in ("strip_height_fraction", "strip_width_fraction"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and 0.0 < v <= 1.0):
-                raise InvariantError(f"GameConfig.{name} in (0, 1] violated (got {v!r})")
+        check_min_appearances(self.min_appearances, "GameConfig.")
+        check_fractions(self.strip_height_fraction, self.strip_width_fraction, "GameConfig.")
         if self.home_profile is not None and self.away_profile is not None:
             require_distinct_profiles(self.home_profile, self.away_profile)
 

@@ -189,6 +189,22 @@ class ClockReading:
         return self.game_clock is None and self.play_clock is None
 
 
+def _require_play(owner: str, play_number: object, quarter: object) -> None:
+    # a play's number and quarter, as ``owner`` (PlayWindow or GameLogEntry) holds them
+    n = _require_int(owner, "play_number", play_number)
+    _require(n >= 1, f"{owner}.play_number >= 1 violated (got {n})")
+    q = _require_int(owner, "quarter", quarter)
+    _require(1 <= q <= 4, f"{owner}.quarter in 1..4 violated (got {q})")
+
+
+def _require_clock_span(owner: str, start_time: object, end_time: object) -> None:
+    # a play's game-clock span, as ``owner`` holds it: both times in 0..GAME_CLOCK_MAX, counting down
+    for name, value in (("start_time", start_time), ("end_time", end_time)):
+        t = _require_int(owner, name, value)
+        _require(0 <= t <= GAME_CLOCK_MAX, f"{owner}.{name} in 0..{GAME_CLOCK_MAX} violated (got {t})")
+    _require(start_time >= end_time, f"{owner}.start_time >= end_time violated (got {start_time} < {end_time})")
+
+
 @dataclass(frozen=True)
 class PlayWindow:
     """One play: a frame range plus its game-clock span within a quarter."""
@@ -201,25 +217,12 @@ class PlayWindow:
     end_time: int
 
     def __post_init__(self) -> None:
-        n = _require_int("PlayWindow", "play_number", self.play_number)
-        _require(n >= 1, f"PlayWindow.play_number >= 1 violated (got {n})")
-        q = _require_int("PlayWindow", "quarter", self.quarter)
-        _require(1 <= q <= 4, f"PlayWindow.quarter in 1..4 violated (got {q})")
+        _require_play("PlayWindow", self.play_number, self.quarter)
         fs = _require_int("PlayWindow", "frame_start", self.frame_start)
         fe = _require_int("PlayWindow", "frame_end", self.frame_end)
         _require(0 <= fs, f"PlayWindow.frame_start >= 0 violated (got {fs})")
         _require(fs <= fe, f"PlayWindow.frame_start <= frame_end violated (got {fs}..{fe})")
-        for name in ("start_time", "end_time"):
-            t = _require_int("PlayWindow", name, getattr(self, name))
-            _require(
-                0 <= t <= GAME_CLOCK_MAX,
-                f"PlayWindow.{name} in 0..{GAME_CLOCK_MAX} violated (got {t})",
-            )
-        # the game clock counts down within a play
-        _require(
-            self.start_time >= self.end_time,
-            f"PlayWindow.start_time >= end_time violated (got {self.start_time} < {self.end_time})",
-        )
+        _require_clock_span("PlayWindow", self.start_time, self.end_time)
 
 
 @dataclass(frozen=True)
@@ -271,20 +274,8 @@ class GameLogEntry:
     participants: Mapping[int, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        n = _require_int("GameLogEntry", "play_number", self.play_number)
-        _require(n >= 1, f"GameLogEntry.play_number >= 1 violated (got {n})")
-        q = _require_int("GameLogEntry", "quarter", self.quarter)
-        _require(1 <= q <= 4, f"GameLogEntry.quarter in 1..4 violated (got {q})")
-        for name in ("start_time", "end_time"):
-            t = _require_int("GameLogEntry", name, getattr(self, name))
-            _require(
-                0 <= t <= GAME_CLOCK_MAX,
-                f"GameLogEntry.{name} in 0..{GAME_CLOCK_MAX} violated (got {t})",
-            )
-        _require(
-            self.start_time >= self.end_time,
-            f"GameLogEntry.start_time >= end_time violated (got {self.start_time} < {self.end_time})",
-        )
+        _require_play("GameLogEntry", self.play_number, self.quarter)
+        _require_clock_span("GameLogEntry", self.start_time, self.end_time)
         for name in ("home_team", "away_team"):
             v = getattr(self, name)
             _require(isinstance(v, str) and v != "", f"GameLogEntry.{name} must be non-empty text")

@@ -17,8 +17,7 @@ import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain, compress, islice, repeat
+from itertools import chain, islice, repeat
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -252,20 +251,20 @@ FAILED_PARSES = 16
 
 
 class RecordBlock(NamedTuple):
-    """The records that read_records accepts from one block of lines, in line order, as columns."""
+    """The records that read_records accepts from one block of lines, in line order, as array columns."""
 
-    line: list[int]  # the line number of each record
-    frame: list[int]  # of any size
+    line: np.ndarray  # int64, (n,): the line number of each record
+    frame: np.ndarray  # (n,): int64, or object (Python ints) when _read_block finds a frame past int64
     box: np.ndarray  # float64, (n, 4): x, y, w, h
     score: np.ndarray  # float64, (n,)
-    team: list[str]
+    team: np.ndarray  # str, (n,)
     number: np.ndarray  # int64, (n,): the jersey number, or -1 for none
     lines: Callable[[], list[str]]  # each record's serialize_detection line, made when called
 
     def fold_presence(self, table: dict[int, int], side: str) -> None:
         """Fold the numbered records of ``side`` into ``table``, a presence table (see presence_table)."""
-        folded = (self.number >= 0) & np.fromiter(map(side.__eq__, self.team), bool, len(self.team))
-        for f, v in zip(compress(self.frame, folded.tolist()), self.number[folded].tolist()):
+        folded = (self.number >= 0) & (self.team == side)
+        for f, v in zip(self.frame[folded].tolist(), self.number[folded].tolist()):
             table[f] = table.get(f, 0) | 1 << v
 
 
@@ -372,20 +371,26 @@ def _read_block(
     order = np.argsort(where)
     order = order[where[order] < end]
 
-    def column(of_group: Callable, of_record: Callable) -> list:
-        # per record in line order: the lists that ``of_group`` gives, then ``of_record`` of each detection
-        made = [*chain.from_iterable(of_group(f, n) for _, f, n in groups), *map(of_record, detections)]
+    def column(name: str, of_records: np.ndarray) -> np.ndarray:
+        # per record in line order: field ``name`` of the accepted rows, then ``of_records``, one per detection
+        return np.concatenate([*(fields[name] for _, fields, _ in groups), of_records])[order]
+
+    def lines() -> list[str]:
+        # per record in line order: _record_texts of the accepted rows, then serialize_detection of each detection
+        made = [*chain.from_iterable(_record_texts(f, n) for _, f, n in groups), *map(serialize_detection, detections)]
         return [made[k] for k in order.tolist()]
 
+    frames = [d.frame_index for d in detections]  # a frame past int64 makes the block's frames Python ints
+    frame = np.array(frames, object if frames and max(frames) > np.iinfo(np.int64).max else np.int64)
     values = np.array([(d.box.x, d.box.y, d.box.w, d.box.h, d.score) for d in detections], np.float64)
-    values = np.concatenate([*(fields["box"] for _, fields, _ in groups), values.reshape(-1, 5)])[order]
+    values = column("box", values.reshape(-1, 5))
     number = np.array([-1 if d.number is None else d.number for d in detections], np.int64)
     return RecordBlock(
-        [block[i][0] for i in where[order].tolist()],
-        column(lambda fields, _: fields["frame"].tolist(), lambda d: d.frame_index), values[:, :4], values[:, 4],
-        column(lambda fields, _: fields["team"].tolist(), lambda d: d.team),
+        np.array([block[i][0] for i in where[order].tolist()], np.int64),
+        column("frame", frame), values[:, :4], values[:, 4],
+        column("team", np.array([d.team for d in detections], str)),
         np.concatenate([*(n for _, _, n in groups), number])[order],
-        partial(column, _record_texts, serialize_detection),
+        lines,
     )
 
 
@@ -425,6 +430,13 @@ def _array_readable(text: str) -> bool:
 # the team field is one wider than the longest team, so a cut team is none.
 _TEAM_WIDTH = max(map(len, VALID_TEAMS)) + 1
 _NUMBER_WIDTH = 4
+
+
+def with_team(line: str, team: str) -> str:
+    """A serialize_detection line with its team field replaced by ``team``."""
+    fields = line.split(" ", 7)  # the frame, the box's four fields and the score come before the team
+    fields[6] = team
+    return " ".join(fields)
 
 
 def _record_dtype(k: int) -> np.dtype:
@@ -489,6 +501,12 @@ def _checked(fields: np.ndarray, dashes: np.ndarray, number: np.ndarray, assembl
     return number, accepted
 
 
+def check_min_appearances(min_appearances: int, owner: str = "") -> None:
+    """Raise InvariantError unless ``min_appearances`` is an int of at least 1; ``owner`` prefixes its name."""
+    if not (isinstance(min_appearances, int) and min_appearances >= 1):
+        raise InvariantError(f"{owner}min_appearances >= 1 violated (got {min_appearances!r})")
+
+
 def synchronize(
     windows: Sequence[PlayWindow],
     detections_by_frame: Mapping[int, Sequence[PlayerDetection]],
@@ -528,8 +546,7 @@ def synchronize_presence(
 
     The roster must belong to the side the table was built for.
     """
-    if not (isinstance(min_appearances, int) and min_appearances >= 1):
-        raise InvariantError(f"min_appearances >= 1 violated (got {min_appearances!r})")
+    check_min_appearances(min_appearances)
     entries: list[GameLogEntry] = []
     frames = sorted(presence)  # each window reads its frames of the table, whatever its frame span
     for w in windows:

@@ -349,15 +349,11 @@ def _count_confusion(true: np.ndarray, predicted: np.ndarray) -> ConfusionMatrix
 
 
 def _record_columns(blocks: Iterable[RecordBlock]) -> list[np.ndarray]:
-    # each record's frame, box, score and number (-1 for none), as columns; a
-    # block with a frame past int64 gives its frames as Python ints (object dtype)
+    # each record's frame, box, score and number (-1 for none), as columns; the
+    # frames are object (Python ints) once a block gives them so, past int64
     columns = [np.empty(0, np.int64)], [np.empty((0, 4))], [np.empty(0)], [np.empty(0, np.int8)]
     for block in blocks:
-        try:
-            frame = np.array(block.frame, dtype=np.int64)
-        except OverflowError:
-            frame = np.array(block.frame, dtype=object)
-        for column, values in zip(columns, (frame, block.box, block.score, block.number.astype(np.int8))):
+        for column, values in zip(columns, (block.frame, block.box, block.score, block.number.astype(np.int8))):
             column.append(values)
         del block  # a block kept while the next is read would raise the peak memory by a block
     return [np.concatenate(column) for column in columns]

@@ -70,13 +70,14 @@ class ChannelHistogram:
         return bool(np.array_equal(self.counts, other.counts)) and self.means == other.means
 
 
-def _check_fractions(strip_height_fraction: float, strip_width_fraction: float) -> None:
+def check_fractions(strip_height_fraction: float, strip_width_fraction: float, owner: str = "") -> None:
+    """Raise InvariantError unless both strip fractions are numbers in (0, 1]; ``owner`` prefixes their names."""
     for name, frac in (
         ("strip_height_fraction", strip_height_fraction),
         ("strip_width_fraction", strip_width_fraction),
     ):
         if not (isinstance(frac, (int, float)) and 0.0 < frac <= 1.0):
-            raise InvariantError(f"{name} in (0, 1] violated (got {frac!r})")
+            raise InvariantError(f"{owner}{name} in (0, 1] violated (got {frac!r})")
 
 
 def _require_color_crop(crop: PixelImage) -> None:
@@ -106,7 +107,7 @@ def extract_strip(
     bottom/right side.
     """
     _require_color_crop(crop)
-    _check_fractions(strip_height_fraction, strip_width_fraction)
+    check_fractions(strip_height_fraction, strip_width_fraction)
     window = crop.pixels[_strip_bounds(crop.height, crop.width, strip_height_fraction, strip_width_fraction)]
     return PixelImage(window.shape[1], window.shape[0], 3, window.tobytes())
 
@@ -194,7 +195,7 @@ class StripBatch:
         strip_width_fraction: float = STRIP_WIDTH_FRACTION,
     ) -> None:
         require_distinct_profiles(home, away)
-        _check_fractions(strip_height_fraction, strip_width_fraction)
+        check_fractions(strip_height_fraction, strip_width_fraction)
         self._profiles = home, away
         self._fractions = strip_height_fraction, strip_width_fraction
         self._buffer = np.empty((self._BUFFER_PIXELS, 3), dtype=np.uint8)

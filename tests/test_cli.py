@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 from oracles import ref_confusion, ref_evaluate, ref_greedy_match
 
+import playlog.cli
 import playlog.gamelog
 from playlog import (
     BoundingBox,
@@ -1419,3 +1420,46 @@ class TestLineBreaks:
         captured = capsys.readouterr()
         assert len(captured.out.splitlines()) == 2
         assert captured.err == ""
+
+
+class TestUnreachedErrors:
+    """Config and evaluate error branches, each with its exact message."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("home_team =\n", "GameConfig.home_team must be non-empty text"),
+        ("min_appearances = 0\n", "GameConfig.min_appearances >= 1 violated (got 0)"),
+        ("game_clock_gap = 0\n", "SegmenterConfig.game_clock_gap must be a positive integer (got 0)"),
+        ("strip_width_fraction = 0\n", "GameConfig.strip_width_fraction in (0, 1] violated (got 0.0)"),
+    ])
+    def test_a_bad_config_value(self, text, message, tmp_path, capsys):
+        cfg = tmp_path / "game.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        clock = tmp_path / "clock.txt"
+        clock.write_text(CLOCK_TEXT, encoding="utf-8")
+        assert run(["parse-clock", "--input", str(clock), "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_evaluate_shows_any_other_warning_as_python_does(self, tmp_path, capsys, monkeypatch):
+        score = playlog.cli.evaluate_records
+
+        def warn_then_score(*args, **kwargs):
+            warnings.warn_explicit("not a metric warning", UserWarning, "scorer.py", 7)
+            return score(*args, **kwargs)
+
+        shown = []
+        monkeypatch.setattr(playlog.cli, "evaluate_records", warn_then_score)
+        monkeypatch.setattr(warnings, "showwarning", lambda *args: shown.append(args))
+        records = tmp_path / "records.txt"
+        records.write_text(record(0, x=0, y=0, w=50, h=50) + "\n", encoding="utf-8")
+        assert run(["evaluate", "--preds", str(records), "--truth", str(records)]) == 0
+        captured = capsys.readouterr()
+        assert "AP_{0.5:0.95} 1.000000\n" in captured.out
+        assert [(str(message), *rest) for message, *rest in shown] == [
+            ("not a metric warning", UserWarning, "scorer.py", 7)
+        ]
+        # the metric warnings still come out as plain lines of their own
+        assert captured.err == (
+            "warning: AP with num_gt = 0 pinned to 0\nwarning: AR over an empty size bucket pinned to 0\n"
+        )

@@ -446,3 +446,8 @@ class TestWindowText:
     def test_rejects(self, bad):
         with pytest.raises(ClockParseError):
             parse_play_windows(bad)
+
+
+def test_format_mmss_rejects_a_negative_count():
+    with pytest.raises(InvariantError, match=r"^format_mmss needs a non-negative integer \(got -1\)$"):
+        format_mmss(-1)

@@ -4,6 +4,7 @@ import math
 import random
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -907,3 +908,29 @@ class TestBlockReaderEdges:
         for token in tokens:
             assert field_value(f"{token} 1 1 1 1 0.5 home - 0", "frame") == python_value(int, token), token
             assert same_float(field_value(f"1 {token} 1 1 1 0.5 home - 0", "box"), python_value(float, token)), token
+
+
+class TestRecordColumns:
+    """Every RecordBlock column is an array; the reader alone decides the frame dtype."""
+
+    def test_ordinary_lines_give_int64_lines_and_frames_and_str_teams(self):
+        lines = [record_line(4), "# a comment", serialize_detection(detection(frame=9, team="away"))]
+        (block,) = read_records(lines, [])
+        assert block.line.dtype == np.int64 and block.line.tolist() == [1, 3]
+        assert block.frame.dtype == np.int64 and block.frame.tolist() == [4, 9]
+        assert block.team.dtype.kind == "U" and block.team.tolist() == ["home", "away"]
+
+    def test_a_frame_past_int64_gives_the_frames_as_python_ints(self):
+        lines = [record_line(4), record_line(2**63), record_line(2**70), record_line(2)]
+        detections = [d for _, d in iter_detections(lines, [])]
+        (block,) = read_records(lines, [])
+        assert block.frame.dtype == object
+        assert [(type(f), f) for f in block.frame] == [(int, d.frame_index) for d in detections]
+        for side in ("home", "away"):
+            table = {}
+            block.fold_presence(table, side)
+            assert table == presence_table(detections, side)
+
+    def test_with_team_replaces_the_team_field_of_a_written_line(self):
+        for d in (detection(frame=5, number=3), detection(frame=7, digits=(digit(4, 0.9, 1), digit(2, 0.5, 12)))):
+            assert playlog.gamelog.with_team(serialize_detection(d), "away") == serialize_detection(d.with_team("away"))

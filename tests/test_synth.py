@@ -240,3 +240,8 @@ class TestCoupledCorruption:
         assert len(a.detection_lines) == len(b.detection_lines)
         for la, lb in zip(a.detection_lines, b.detection_lines):
             assert la.split()[:8] == lb.split()[:8]
+
+
+def test_a_seed_given_as_text_is_rejected():
+    with pytest.raises(SynthConfigError, match=r"^seed must be an integer \(got '3'\)$"):
+        SynthConfig(seed="3")

@@ -285,3 +285,8 @@ class TestStripBatch:
             expected.append(classify_team(channel_histogram(PixelImage.from_array(pixels)), RED, WHITE))
         assert batch.labels() == expected
         assert set(expected) == {"home", "away", "unknown"}
+
+
+def test_channel_histogram_rejects_a_grey_strip():
+    with pytest.raises(InvariantError, match=r"^channel_histogram expects a 3-channel strip \(got 1\)$"):
+        channel_histogram(PixelImage.full(4, 2, 1, 128))
