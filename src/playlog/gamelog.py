@@ -236,6 +236,9 @@ def presence_table(detections: Iterable[PlayerDetection], side: str) -> dict[int
     return table
 
 
+_MASK_BYTES = 13  # a presence mask's width: bits 0..99, one per jersey number
+
+
 # Record lines that read_records reads and checks together.  Blocks of
 # about 1k lines are as fast as larger ones, and each larger block raises
 # the peak memory.
@@ -550,18 +553,15 @@ def synchronize_presence(
     entries: list[GameLogEntry] = []
     frames = sorted(presence)  # each window reads its frames of the table, whatever its frame span
     for w in windows:
-        frame_counts: dict[int, int] = {}
-        for frame in frames[bisect_left(frames, w.frame_start):bisect_right(frames, w.frame_end)]:
-            mask = presence[frame]
-            while mask:
-                low = mask & -mask  # lowest set bit
-                number = low.bit_length() - 1
-                frame_counts[number] = frame_counts.get(number, 0) + 1
-                mask ^= low
+        masks = b"".join(
+            presence[frame].to_bytes(_MASK_BYTES, "little")
+            for frame in frames[bisect_left(frames, w.frame_start):bisect_right(frames, w.frame_end)]
+        )
+        # seen[i, n]: number n was seen in the window's i-th frame
+        seen = np.unpackbits(np.frombuffer(masks, np.uint8).reshape(-1, _MASK_BYTES), axis=1, bitorder="little")
         participants = {
             number: resolve_names(number, roster)
-            for number, count in sorted(frame_counts.items())
-            if count >= min_appearances
+            for number in np.flatnonzero(np.count_nonzero(seen, axis=0) >= min_appearances).tolist()
         }
         entries.append(
             GameLogEntry(

@@ -178,13 +178,11 @@ class StripBatch:
 
     ``add`` copies a crop's strip window into one reusable buffer, so the
     batch holds no crop.  The buffer is summed per strip by one
-    ``np.add.reduceat`` (exact int64) once it holds ``SLICE`` strips or has
-    no room for the next, and ``labels`` labels every strip added since its
-    last call with ``team_labels``.  The profiles and fractions are checked
-    once, here.
+    ``np.add.reduceat`` (exact int64) once it has no room for the next
+    strip, and ``labels`` labels every strip added since its last call with
+    ``team_labels``.  The profiles and fractions are checked once, here.
     """
 
-    SLICE = 256
     _BUFFER_PIXELS = 1 << 13
 
     def __init__(
@@ -210,7 +208,7 @@ class StripBatch:
         window = crop.pixels[_strip_bounds(crop.height, crop.width, *self._fractions)]
         rows, cols = window.shape[:2]
         n = rows * cols
-        if len(self._starts) == self.SLICE or self._end + n > len(self._buffer):
+        if self._end + n > len(self._buffer):
             self._sum()
             if n > len(self._buffer):
                 self._buffer = np.empty((n, 3), dtype=np.uint8)

@@ -1463,3 +1463,15 @@ class TestUnreachedErrors:
         assert captured.err == (
             "warning: AP with num_gt = 0 pinned to 0\nwarning: AR over an empty size bucket pinned to 0\n"
         )
+
+    def test_any_other_exception_is_an_internal_error(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(playlog.cli, "evaluate_records", fail)
+        records = tmp_path / "records.txt"
+        records.write_text(record(0, x=0, y=0, w=50, h=50) + "\n", encoding="utf-8")
+        assert run(["evaluate", "--preds", str(records), "--truth", str(records)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: RuntimeError('boom')\n"

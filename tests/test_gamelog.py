@@ -6,7 +6,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import ref_participants
 from test_core import edited_record_lines
@@ -385,6 +385,7 @@ def play_windows(draw):
 class TestStreamingFold:
     @settings(deadline=None)
     @given(stream_detections, play_windows(), st.integers(1, 3), st.sampled_from(["home", "away"]))
+    @example([detection(frame=f, number=3) for f in (10, 11, 12)], [WINDOW], 2**70, "home")  # a count past int64
     def test_presence_core_over_the_stream_equals_synchronize(self, detections, windows, min_appearances, side):
         roster = Roster(team_name="T", entries={3: ("Three",), 44: ("Forty", "Four")})
         teams = dict(home_team="Alabama", away_team="Michigan State", min_appearances=min_appearances)

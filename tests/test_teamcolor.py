@@ -271,9 +271,9 @@ class TestStripBatch:
 
     @pytest.mark.parametrize("sizes", ["small", "large", "mixed"])
     def test_slices_and_buffer_growth_keep_the_order(self, sizes):
-        # more strips than a slice holds, and strips larger than the buffer (100x100 at the full fraction)
+        # small strips that fill the buffer more than once, and strips larger than the buffer (100x100 at the full fraction)
         rng = np.random.default_rng(len(sizes))
-        count = 3 * StripBatch.SLICE + 7 if sizes != "large" else 9
+        count = 775 if sizes != "large" else 9
         kits = [(200, 40, 40), (100, 100, 100), (40, 40, 200)]
         batch = StripBatch(RED, WHITE, 1.0, 1.0)
         expected = []
