@@ -18,11 +18,11 @@ reader (`gamelog.read_records`): blocks of about 1k lines, the lines of
 each field count parsed into arrays by one `np.loadtxt` call, checked and
 (`assemble`, `pipeline`) given jersey numbers there; a line the arrays
 reject takes the scalar path (parse, assemble), which alone reports it.
-`log` and `pipeline` fold the blocks into a per-frame table of the side's
-jersey numbers, `assemble` and `pipeline --workdir` write their record
-lines, `classify-team` labels the crops of each block together
-(`teamcolor.StripBatch`) and writes each line with its crop's team, and
-`evaluate` hands the blocks of both files to
+`log` and `pipeline` take the (frame, jersey number) keys of the side's
+numbered records from each block, `assemble` and `pipeline --workdir`
+write their record lines, `classify-team` labels the crops of each
+block together (`teamcolor.StripBatch`) and writes each line with its
+crop's team, and `evaluate` hands the blocks of both files to
 `metrics.evaluate_records`, which keeps only flat columns.  So the memory
 of all of them stays flat in the record count.
 
@@ -46,6 +46,8 @@ from operator import itemgetter
 from pathlib import Path
 from contextlib import nullcontext
 from typing import Iterator, Sequence, TextIO
+
+import numpy as np
 
 from .clock import (
     SegmenterConfig,
@@ -159,7 +161,7 @@ def _report_diagnostics(messages: Sequence[str], skipped: int | None = None) -> 
 # `pipeline`; `_stage_classify_team` and `_stage_evaluate` each serve one
 # command.  `pipeline` runs the stages of `parse-clock`, `assemble` and
 # `log` in one pass: the clock stage returns windows, and the records stage
-# writes the record lines and folds the presence table as its caller asks,
+# writes the record lines and takes the presence keys as its caller asks,
 # so a chained run matches the staged subcommands by construction.  A line
 # that the reader skips is added to the caller's ``skipped`` list as
 # ``(line number, diagnostic)``.
@@ -174,16 +176,16 @@ def _stage_parse_clock(
 def _stage_records(
     input_path: str, skipped: list[tuple[int, str]], strict: bool, assembly: AssemblyConfig | None = None,
     side: str | None = None, out: TextIO | None = None,
-) -> dict[int, int]:
-    # the records, numbered by ``assembly`` if set, written to ``out`` if set; gives ``side``'s presence table
-    presence: dict[int, int] = {}
+) -> np.ndarray:
+    # the records, numbered by ``assembly`` if set, written to ``out`` if set; gives ``side``'s presence keys
+    presence = [np.empty(0, np.int64)]
     for block in read_records(read_lines(input_path), skipped, strict, assembly):
         if out is not None:
             out.writelines(line + "\n" for line in block.lines())
         if side is not None:
-            block.fold_presence(presence, side)
+            presence.append(block.presence(side))
         del block  # a block kept while the next is read would raise the peak memory by a block
-    return presence
+    return np.concatenate(presence)
 
 
 # the errors that Path.exists() reads as a missing file; any other, an unreadable directory, say, is raised
@@ -230,9 +232,9 @@ def _stage_classify_team(
 
 
 def _stage_log(
-    game_config: GameConfig, windows: Sequence[PlayWindow], presence: dict[int, int], side: str, fmt: str
+    game_config: GameConfig, windows: Sequence[PlayWindow], presence: np.ndarray, side: str, fmt: str
 ) -> str:
-    # ``presence``: the side's presence table, folded from the records as they streamed past
+    # ``presence``: the side's presence keys, taken from the records as they streamed past
     roster = game_config.home_roster if side == "home" else game_config.away_roster
     entries = synchronize_presence(
         windows,

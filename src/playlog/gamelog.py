@@ -15,7 +15,6 @@ import csv
 import io
 import json
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -221,22 +220,17 @@ def resolve_names(number: int, roster: Roster) -> str:
     return " or ".join(names)
 
 
-def presence_table(detections: Iterable[PlayerDetection], side: str) -> dict[int, int]:
-    """Frame -> the jersey numbers of ``side`` seen in it, from resolved numbers only.
-
-    The numbers of a frame are kept as a bit mask (bit n set: number n was
-    seen), one small int per frame where a set would cost hundreds of
-    bytes.  Folds a record stream one record at a time; frames where the
-    side has no numbered record are absent.
-    """
-    table: dict[int, int] = {}
-    for d in detections:
-        if d.team == side and d.number is not None:
-            table[d.frame_index] = table.get(d.frame_index, 0) | 1 << d.number
-    return table
+def presence_table(detections: Iterable[PlayerDetection], side: str) -> np.ndarray:
+    """The presence keys (frame times 100 plus number) of ``side``'s numbered records, in stream order, repeats kept."""
+    seen = [(d.frame_index, d.number) for d in detections if d.team == side and d.number is not None]
+    return _presence_keys(np.array([f for f, _ in seen], object), np.array([n for _, n in seen], np.int64))
 
 
-_MASK_BYTES = 13  # a presence mask's width: bits 0..99, one per jersey number
+def _presence_keys(frame: np.ndarray, number: np.ndarray) -> np.ndarray:
+    # the presence key of each (frame, number): int64, or Python ints (object) once
+    # a frame is past the last whose keys int64 holds, where an int64 key would wrap
+    dtype = object if len(frame) and frame.max() > (np.iinfo(np.int64).max - 99) // 100 else np.int64
+    return frame.astype(dtype) * 100 + number.astype(dtype)
 
 
 # Record lines that read_records reads and checks together.  Blocks of
@@ -264,11 +258,10 @@ class RecordBlock(NamedTuple):
     number: np.ndarray  # int64, (n,): the jersey number, or -1 for none
     lines: Callable[[], list[str]]  # each record's serialize_detection line, made when called
 
-    def fold_presence(self, table: dict[int, int], side: str) -> None:
-        """Fold the numbered records of ``side`` into ``table``, a presence table (see presence_table)."""
-        folded = (self.number >= 0) & (self.team == side)
-        for f, v in zip(self.frame[folded].tolist(), self.number[folded].tolist()):
-            table[f] = table.get(f, 0) | 1 << v
+    def presence(self, side: str) -> np.ndarray:
+        """The presence keys of the numbered records of ``side``, in line order (see presence_table)."""
+        seen = (self.number >= 0) & (self.team == side)
+        return _presence_keys(self.frame[seen], self.number[seen])
 
 
 def read_records(
@@ -510,6 +503,11 @@ def check_min_appearances(min_appearances: int, owner: str = "") -> None:
         raise InvariantError(f"{owner}min_appearances >= 1 violated (got {min_appearances!r})")
 
 
+def _check_side(side: str) -> None:
+    if side not in ("home", "away"):
+        raise InvariantError(f"side must be home or away (got {side!r})")
+
+
 def synchronize(
     windows: Sequence[PlayWindow],
     detections_by_frame: Mapping[int, Sequence[PlayerDetection]],
@@ -528,8 +526,7 @@ def synchronize(
     belong to the chosen side.  Each detection counts in its own
     ``frame_index``, as group_by_frame keys it.
     """
-    if side not in ("home", "away"):
-        raise InvariantError(f"side must be home or away (got {side!r})")
+    _check_side(side)
     presence = presence_table(chain.from_iterable(detections_by_frame.values()), side)
     return synchronize_presence(
         windows, presence, roster, home_team=home_team, away_team=away_team, min_appearances=min_appearances
@@ -538,30 +535,30 @@ def synchronize(
 
 def synchronize_presence(
     windows: Sequence[PlayWindow],
-    presence: Mapping[int, int],
+    presence: np.ndarray,
     roster: Roster,
     *,
     home_team: str,
     away_team: str,
     min_appearances: int = 1,
 ) -> list[GameLogEntry]:
-    """synchronize over one side's presence table (see presence_table).
+    """synchronize over one side's presence keys (see presence_table), in any order, repeats allowed.
 
-    The roster must belong to the side the table was built for.
+    The roster must belong to the side the keys were taken for.
     """
     check_min_appearances(min_appearances)
     entries: list[GameLogEntry] = []
-    frames = sorted(presence)  # each window reads its frames of the table, whatever its frame span
+    keys = np.sort(presence)  # each window reads its slice of the sorted keys, whatever its frame span
+    # no int64 key reaches int64's maximum, so an int64 search may take a bound past it as that maximum
+    top = np.iinfo(np.int64).max if keys.dtype == np.int64 else math.inf
     for w in windows:
-        masks = b"".join(
-            presence[frame].to_bytes(_MASK_BYTES, "little")
-            for frame in frames[bisect_left(frames, w.frame_start):bisect_right(frames, w.frame_end)]
-        )
-        # seen[i, n]: number n was seen in the window's i-th frame
-        seen = np.unpackbits(np.frombuffer(masks, np.uint8).reshape(-1, _MASK_BYTES), axis=1, bitorder="little")
+        lo, hi = np.searchsorted(keys, [min(w.frame_start * 100, top), min(w.frame_end * 100 + 100, top)])
+        seen = keys[lo:hi]
+        seen = np.concatenate((seen[:1], seen[1:][seen[1:] != seen[:-1]]))  # each (frame, number) once
+        counts = np.bincount((seen % 100).astype(np.int64), minlength=100)  # frames per number
         participants = {
             number: resolve_names(number, roster)
-            for number in np.flatnonzero(np.count_nonzero(seen, axis=0) >= min_appearances).tolist()
+            for number in np.flatnonzero(counts >= min_appearances).tolist()
         }
         entries.append(
             GameLogEntry(
@@ -588,8 +585,7 @@ def emit_game_log(entries: Sequence[GameLogEntry], format: str = "delimited", *,
     with "Away" in its last column for the away side; "structured" is one
     JSON object per line and round-trips through parse_game_log.
     """
-    if side not in ("home", "away"):
-        raise InvariantError(f"side must be home or away (got {side!r})")
+    _check_side(side)
     if format == "delimited":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")

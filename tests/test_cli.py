@@ -1286,6 +1286,30 @@ class TestLog:
         assert wide == log(1, (0, 1, 2))
         assert wide.out.splitlines()[1] == "1,1,15:00,14:58,Home,Away,7: #7 (unrostered); 23: #23 (unrostered)"
 
+    def test_frames_at_the_int64_key_limit_are_logged(self, tmp_path, capsys):
+        # a presence key is frame * 100 + number: up to frame 92233720368547757 it fits int64,
+        # past it the keys of the records are Python ints
+        last = (2**63 - 1 - 99) // 100
+
+        def log(windows, records):
+            (tmp_path / "windows.txt").write_text("".join(
+                f"{n} 1 {start} {end} 15:00 14:58\n" for n, (start, end) in enumerate(windows, 1)
+            ), encoding="utf-8")
+            (tmp_path / "records.txt").write_text("".join(
+                f"{frame} 10 20 40 60 0.9 home {number} 0\n" for frame, number in records
+            ), encoding="utf-8")
+            argv = ["log", "--windows", str(tmp_path / "windows.txt"), "--records", str(tmp_path / "records.txt")]
+            assert run(argv) == 0
+            return [line.rsplit(",", 1)[1] for line in capsys.readouterr().out.splitlines()[1:]]
+
+        # one block of int64 frames, the last written twice, each in its own one-frame window
+        frames = (last, last + 1, 2**63 - 1)
+        records = [(last, 99), (last + 1, 50), (2**63 - 1, 7), (2**63 - 1, 7)]
+        assert log([(f, f) for f in frames], records) == ["99: #99 (unrostered)", "50: #50 (unrostered)",
+                                                         "7: #7 (unrostered)"]
+        # int64 keys under a window whose end is past the last frame whose keys int64 holds
+        assert log([(last, last + 1)], [(last, 99)]) == ["99: #99 (unrostered)"]
+
 
 class TestConfigFirst:
     """Every subcommand with --config validates the whole file before reading input."""

@@ -404,8 +404,9 @@ class TestStreamingFold:
         detections = [detection(frame=4, number=3), detection(frame=4, number=3, x=1),
                       detection(frame=4, number=9, team="away"), detection(frame=5, number=None),
                       detection(frame=6, number=5, team="unknown"), detection(frame=2, number=7)]
-        assert presence_table(detections, "home") == {4: 1 << 3, 2: 1 << 7}
-        assert presence_table(detections, "away") == {4: 1 << 9}
+        # one key, frame * 100 + number, per numbered record of the side, in stream order
+        assert presence_table(detections, "home").tolist() == [403, 403, 207]
+        assert presence_table(detections, "away").tolist() == [409]
 
     def test_iter_detections_parses_one_line_per_record_asked_for(self):
         consumed = []
@@ -431,7 +432,8 @@ class TestStreamingFold:
 
     def test_min_appearances_checked_by_the_core(self):
         with pytest.raises(InvariantError, match="min_appearances"):
-            synchronize_presence([WINDOW], {}, ROSTER, home_team="A", away_team="B", min_appearances=0)
+            synchronize_presence([WINDOW], np.empty(0, np.int64), ROSTER, home_team="A", away_team="B",
+                                 min_appearances=0)
 
 
 def record_line(frame):
@@ -644,19 +646,19 @@ def scalar_read(lines, strict, assembly):
     return read
 
 
-def block_read(lines, strict, assembly, tables=None):
-    """read_records' blocks as scalar_read's rows; ``tables`` maps a side to the presence table the blocks fold."""
+def block_read(lines, strict, assembly, keys=None):
+    """read_records' blocks as scalar_read's rows; ``keys`` maps a side to a list that gets the blocks' keys."""
     def read(records, skipped):
         for block in read_records(lines, skipped, strict, assembly):
             records.extend(zip(block.line, block.frame, map(tuple, block.box.tolist()), block.score.tolist(),
                                block.team, block.number.tolist(), block.lines()))
-            for side, table in (tables or {}).items():
-                block.fold_presence(table, side)
+            for side, side_keys in (keys or {}).items():
+                side_keys.extend(block.presence(side).tolist())
     return read
 
 
 class TestFoldPresence:
-    """read_records against the scalar chain: records, lines, presence tables, skipped lines and errors."""
+    """read_records against the scalar chain: records, lines, presence keys, skipped lines and errors."""
 
     @settings(max_examples=300, deadline=None)
     @given(stream_lines, st.booleans(), assemblies, st.none() | st.integers(0, 12))
@@ -664,13 +666,13 @@ class TestFoldPresence:
         expected = handed_over(scalar_read(reader(lines, fail_at), strict, assembly))
         records = expected[0]
         for size in (1, 2, 3, BLOCK_LINES):
-            tables = {"home": {}, "away": {}}
+            keys = {"home": [], "away": []}
             with patch.object(playlog.gamelog, "BLOCK_LINES", size):
-                got = handed_over(block_read(reader(lines, fail_at), strict, assembly, tables))
+                got = handed_over(block_read(reader(lines, fail_at), strict, assembly, keys))
             assert got == expected, size
-            for side, table in tables.items():
-                # the records on the lines before an error fold into the table too
-                assert table == presence_table((detection_of(r) for r in records), side), size
+            for side, side_keys in keys.items():
+                # the records on the lines before an error give their keys too
+                assert side_keys == presence_table((detection_of(r) for r in records), side).tolist(), size
 
     def test_writer_gives_serialize_detection_spellings_from_the_arrays(self, monkeypatch):
         calls = []
@@ -927,10 +929,10 @@ class TestRecordColumns:
         (block,) = read_records(lines, [])
         assert block.frame.dtype == object
         assert [(type(f), f) for f in block.frame] == [(int, d.frame_index) for d in detections]
+        # each record's presence key, frame * 100 + number, as a Python int
+        assert [(type(k), k) for k in block.presence("home")] == [(int, d.frame_index * 100 + 3) for d in detections]
         for side in ("home", "away"):
-            table = {}
-            block.fold_presence(table, side)
-            assert table == presence_table(detections, side)
+            assert block.presence(side).tolist() == presence_table(detections, side).tolist()
 
     def test_with_team_replaces_the_team_field_of_a_written_line(self):
         for d in (detection(frame=5, number=3), detection(frame=7, digits=(digit(4, 0.9, 1), digit(2, 0.5, 12)))):
